@@ -16,7 +16,7 @@ import (
 // sizes of the constants involved."
 //
 // Four multiplication paths are timed:
-//   - gf2k: single-word GF(2^k), k ≤ 64 (carry-less shift/add);
+//   - gf2k: single-word GF(2^k), k ≤ 64 (4-bit comb multiply, table reduction);
 //   - gf2big: multi-word GF(2^k) with naive O(k²) multiplication;
 //   - fastfield naive: GF(q^l) with schoolbook O(l²) coefficient products;
 //   - fastfield NTT: the paper's special field, O(l log l).

@@ -109,14 +109,12 @@ func DealAll(nd *simnet.Node, cfg Config, rnd io.Reader) (*Shares, error) {
 
 	// Evaluate all n share vectors first — (M+1)·n pure Horner evaluations
 	// fanned out per recipient — then send on the node goroutine in index
-	// order so the traffic schedule is width-invariant.
-	ids := make([]gf2k.Element, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		id, err := f.ElementFromID(i + 1)
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
+	// order so the traffic schedule is width-invariant. Every product has a
+	// player's id as one operand, so the evaluations run through the
+	// universe's fixed-operand multipliers, one recipient's table at a time.
+	ids, err := poly.IDDomain(f, cfg.N, cfg.Counters)
+	if err != nil {
+		return nil, err
 	}
 	bufs := parallel.Map(cfg.Pool, cfg.N, func(i int) []byte {
 		if i == nd.Index() {
@@ -124,7 +122,7 @@ func DealAll(nd *simnet.Node, cfg Config, rnd io.Reader) (*Shares, error) {
 		}
 		buf := make([]byte, 0, (cfg.M+1)*f.ByteLen())
 		for _, p := range polys {
-			buf = f.AppendElement(buf, poly.Eval(f, p, ids[i]))
+			buf = f.AppendElement(buf, ids.EvalAt(p, i))
 		}
 		return buf
 	})
@@ -132,10 +130,10 @@ func DealAll(nd *simnet.Node, cfg Config, rnd io.Reader) (*Shares, error) {
 		if i == nd.Index() {
 			row := make([]gf2k.Element, cfg.M)
 			for h := 0; h < cfg.M; h++ {
-				row[h] = poly.Eval(f, polys[h], ids[i])
+				row[h] = ids.EvalAt(polys[h], i)
 			}
 			sh.Alpha[i] = row
-			sh.Mask[i] = poly.Eval(f, polys[cfg.M], ids[i])
+			sh.Mask[i] = ids.EvalAt(polys[cfg.M], i)
 			sh.Received[i] = true
 			continue
 		}
@@ -170,17 +168,21 @@ func DealAll(nd *simnet.Node, cfg Config, rnd io.Reader) (*Shares, error) {
 
 // Gamma computes this player's announcement for dealer j under challenge r:
 // γ = g(i) + Σ_{h=1..M} r^h·α_h in Horner form (Fig. 4 step 3). The second
-// return is false when dealer j's dealing never arrived.
-func (sh *Shares) Gamma(f gf2k.Field, j int, r gf2k.Element) (gf2k.Element, bool) {
+// return is false when dealer j's dealing never arrived. byR is
+// f.Multiplier(r): all M products share the operand r, and so do the n
+// dealers' combinations, so callers build it once per challenge.
+// Cost: M multiplications (⌈k/8⌉ table loads each) and M+1 additions.
+func (sh *Shares) Gamma(f gf2k.Field, j int, byR *gf2k.Multiplier) (gf2k.Element, bool) {
 	if !sh.Received[j] {
 		return 0, false
 	}
 	var acc gf2k.Element
 	row := sh.Alpha[j]
 	for h := len(row) - 1; h >= 0; h-- {
-		acc = f.Mul(f.Add(acc, row[h]), r)
+		acc = byR.Mul(acc ^ row[h])
 	}
-	return f.Add(acc, sh.Mask[j]), true
+	f.Tally(len(row), len(row)+1)
+	return acc ^ sh.Mask[j], true
 }
 
 // Gammas computes this player's announcements for all n dealers under
@@ -192,8 +194,9 @@ func (sh *Shares) Gammas(f gf2k.Field, r gf2k.Element, pl *parallel.Pool) (gamma
 	n := len(sh.Received)
 	gammas = make([]gf2k.Element, n)
 	ok = make([]bool, n)
+	byR := f.Multiplier(r)
 	pl.ForEach(n, func(j int) {
-		gammas[j], ok[j] = sh.Gamma(f, j, r)
+		gammas[j], ok[j] = sh.Gamma(f, j, byR)
 	})
 	return gammas, ok
 }

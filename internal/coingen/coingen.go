@@ -176,6 +176,11 @@ func Run(nd *simnet.Node, cfg Config, rnd io.Reader) (*Result, error) {
 	}
 
 	// Steps 9–11: leader selection and agreement, repeated until accepted.
+	// Their checks evaluate the candidate's polynomials at player ids.
+	ids, err := poly.IDDomain(cfg.Field, cfg.N, cfg.Counters)
+	if err != nil {
+		return nil, err
+	}
 	agreeSpan := tr.Start(nd.Index(), nd.Round(), obs.KindPhase, "coingen/agree")
 	defer func() { agreeSpan.End(nd.Round()) }()
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
@@ -192,7 +197,7 @@ func Run(nd *simnet.Node, cfg Config, rnd io.Reader) (*Result, error) {
 		if casts[leader].Confidence >= 1 {
 			cand, _ = decodeCliqueMsg(cfg, casts[leader].Value)
 		}
-		if casts[leader].Confidence == 2 && cand != nil && conditionIII(cfg, view, cand) >= 3*cfg.T+1 {
+		if casts[leader].Confidence == 2 && cand != nil && conditionIII(cfg, ids, view, cand) >= 3*cfg.T+1 {
 			input = 1
 		}
 
@@ -208,7 +213,7 @@ func Run(nd *simnet.Node, cfg Config, rnd io.Reader) (*Result, error) {
 		if cand == nil {
 			return nil, errors.New("coingen: BA accepted a leader whose grade-cast this player cannot decode (resilience assumption violated)")
 		}
-		batch := assembleBatch(cfg, sh, cand, nd.Index(), r)
+		batch := assembleBatch(cfg, ids, sh, cand, nd.Index(), r)
 		tr.CoinSealed(nd.Index(), cfg.M, nd.Round())
 		return &Result{
 			Batch:        batch,
@@ -229,15 +234,10 @@ func Run(nd *simnet.Node, cfg Config, rnd io.Reader) (*Result, error) {
 // in (j,k) index order on the calling goroutine. Exported so benchmarks can
 // drive one player's graph workload on a fabricated view.
 func ConsistencyGraph(cfg Config, view *bitgen.View) (*clique.Graph, error) {
-	f := cfg.Field
 	n := cfg.N
-	ids := make([]gf2k.Element, n)
-	for k := 0; k < n; k++ {
-		id, err := f.ElementFromID(k + 1)
-		if err != nil {
-			return nil, err
-		}
-		ids[k] = id
+	ids, err := poly.IDDomain(cfg.Field, n, cfg.Counters)
+	if err != nil {
+		return nil, err
 	}
 	directed := make([][]bool, n)
 	cfg.Pool.ForEach(n, func(j int) {
@@ -245,7 +245,7 @@ func ConsistencyGraph(cfg Config, view *bitgen.View) (*clique.Graph, error) {
 		if view.Outputs[j].OK {
 			for k := 0; k < n; k++ {
 				row[k] = view.Has[k][j] &&
-					poly.Eval(f, view.Outputs[j].F, ids[k]) == view.GammaOf[k][j]
+					ids.EvalAt(view.Outputs[j].F, k) == view.GammaOf[k][j]
 			}
 		}
 		directed[j] = row
@@ -264,24 +264,19 @@ func ConsistencyGraph(cfg Config, view *bitgen.View) (*clique.Graph, error) {
 // conditionIII counts the members j of the candidate clique whose announced
 // γ's (in this player's view) satisfy every F_k of the candidate, k ∈ C_l —
 // Fig. 5 step 10 condition iii. Cost: at most |C_l|² degree-t Horner
-// evaluations, i.e. O(|C_l|²·t) multiplications; the member's field id is
-// computed once per member, not once per (member, dealer) pair. The
+// evaluations, i.e. O(|C_l|²·t) multiplications, each by a member's id
+// through the multipliers of ids, the IDDomain universe over 1..n. The
 // per-member checks are independent and fan out across cfg.Pool; each task
 // writes only its member's slot and the tally runs in member order.
-func conditionIII(cfg Config, view *bitgen.View, cand *cliqueMsg) int {
-	f := cfg.Field
+func conditionIII(cfg Config, ids *poly.Domain, view *bitgen.View, cand *cliqueMsg) int {
 	pass := make([]bool, len(cand.members))
 	cfg.Pool.ForEach(len(cand.members), func(mi int) {
 		j := cand.members[mi]
-		id, err := f.ElementFromID(j + 1)
-		if err != nil {
-			return
-		}
 		for idx, k := range cand.members {
 			if !view.Has[j][k] {
 				return
 			}
-			if poly.Eval(f, cand.polys[idx], id) != view.GammaOf[j][k] {
+			if ids.EvalAt(cand.polys[idx], j) != view.GammaOf[j][k] {
 				return
 			}
 		}
@@ -305,7 +300,7 @@ func conditionIII(cfg Config, view *bitgen.View, cand *cliqueMsg) int {
 // at every parallelism level.
 const sumChunk = 64
 
-func assembleBatch(cfg Config, sh *bitgen.Shares, cand *cliqueMsg, self int, r gf2k.Element) *coin.Batch {
+func assembleBatch(cfg Config, ids *poly.Domain, sh *bitgen.Shares, cand *cliqueMsg, self int, r gf2k.Element) *coin.Batch {
 	f := cfg.Field
 	shares := make([]gf2k.Element, cfg.M)
 	complete := true
@@ -338,7 +333,7 @@ func assembleBatch(cfg Config, sh *bitgen.Shares, cand *cliqueMsg, self int, r g
 		T:        cfg.T,
 		S:        append([]int(nil), cand.members...),
 		Shares:   shares,
-		Silent:   !complete || !selfCheck(cfg, sh, cand, self, r),
+		Silent:   !complete || !selfCheck(cfg, ids, sh, cand, self, r),
 		Counters: cfg.Counters,
 		Pool:     cfg.Pool,
 	}
@@ -348,18 +343,15 @@ func assembleBatch(cfg Config, sh *bitgen.Shares, cand *cliqueMsg, self int, r g
 // member k equals F_k(own id) under the agreed polynomials. Passing implies
 // (whp, Lemma 5) that the player's shares lie on the common coin
 // polynomials, making it a safe transmitter for Coin-Expose.
-func selfCheck(cfg Config, sh *bitgen.Shares, cand *cliqueMsg, self int, r gf2k.Element) bool {
+func selfCheck(cfg Config, ids *poly.Domain, sh *bitgen.Shares, cand *cliqueMsg, self int, r gf2k.Element) bool {
 	f := cfg.Field
-	id, err := f.ElementFromID(self + 1)
-	if err != nil {
-		return false
-	}
+	byR := f.Multiplier(r)
 	for idx, k := range cand.members {
-		gamma, ok := sh.Gamma(f, k, r)
+		gamma, ok := sh.Gamma(f, k, byR)
 		if !ok {
 			return false
 		}
-		if poly.Eval(f, cand.polys[idx], id) != gamma {
+		if ids.EvalAt(cand.polys[idx], self) != gamma {
 			return false
 		}
 	}

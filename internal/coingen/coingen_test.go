@@ -11,6 +11,7 @@ import (
 	"repro/internal/coin"
 	"repro/internal/gf2k"
 	"repro/internal/gradecast"
+	"repro/internal/metrics"
 	"repro/internal/poly"
 	"repro/internal/simnet"
 )
@@ -924,5 +925,54 @@ func TestRoundAccountingExact(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("player %d: %v", i, r.Err)
 		}
+	}
+}
+
+// TestFieldOpCountsGolden pins the paper's units: a seeded all-honest n = 7,
+// M = 64 Coin-Gen costs exactly these field operations and interpolations.
+// The numbers were recorded with the bit-serial multiplier, before
+// fixed-operand tables and lazily-reduced dot products existed, so any
+// arithmetic shortcut that skips or double-counts a product fails here. The
+// first run only warms the process-wide domain cache (concurrent first use
+// may build a domain more than once, which is counted); the second, measured
+// run finds every domain cached.
+func TestFieldOpCountsGolden(t *testing.T) {
+	const n, tf, m = 7, 1, 64
+	var ctr metrics.Counters
+	f := gf2k.MustNew(32).WithCounters(&ctr)
+	seeds, _, err := coin.DealTrusted(f, n, tf, 8, rand.New(rand.NewSource(2024)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range seeds {
+		b.Counters = &ctr
+	}
+	run := func(seed int64) {
+		t.Helper()
+		fns := make([]simnet.PlayerFunc, n)
+		for i := range fns {
+			i := i
+			fns[i] = func(nd *simnet.Node) (interface{}, error) {
+				cfg := Config{Field: f, N: n, T: tf, M: m, Seed: seeds[nd.Index()], Counters: &ctr}
+				return Run(nd, cfg, rand.New(rand.NewSource(seed+int64(i))))
+			}
+		}
+		for i, r := range simnet.Run(simnet.New(n), fns) {
+			if r.Err != nil {
+				t.Fatalf("player %d: %v", i, r.Err)
+			}
+		}
+	}
+	run(1000)
+	before := ctr.Snapshot()
+	run(2000)
+	d := metrics.Diff(before, ctr.Snapshot())
+	got := [4]int64{d.FieldMuls, d.FieldAdds, d.FieldInvs, d.Interpolations}
+	want := [4]int64{15190, 18424, 0, 63}
+	if got != want {
+		t.Errorf("muls/adds/invs/interpolations = %v, want %v", got, want)
+	}
+	if d.DomainMisses != 0 {
+		t.Errorf("measured run missed the domain cache %d times", d.DomainMisses)
 	}
 }

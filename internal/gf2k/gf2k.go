@@ -5,10 +5,16 @@
 //
 // Elements are stored in a uint64 holding the coefficients of a degree-<k
 // binary polynomial. Addition is XOR; multiplication is a carry-less
-// 64×64→128-bit product followed by reduction modulo a fixed irreducible
-// polynomial of degree k. The reduction polynomial is found at Field
-// construction time by deterministic search and verified with Rabin's
-// irreducibility test, so no hard-coded polynomial table needs to be trusted.
+// 64×64→128-bit product (a 4-bit comb, see mul.go) followed by reduction
+// modulo a fixed irreducible polynomial of degree k. The reduction polynomial
+// is found at Field construction time by deterministic search and verified
+// with Rabin's irreducibility test, so no hard-coded polynomial table needs
+// to be trusted.
+//
+// Where one operand outlives thousands of products — a player's evaluation
+// point, a Batch-VSS challenge — a Multiplier trades ⌈k/8⌉ × 2 KiB of tables
+// for a product of ⌈k/8⌉ loads; where products are only summed, Dot reduces
+// the sum once.
 //
 // A Field may carry a *metrics.Counters; when present, every arithmetic
 // operation is accounted so protocol experiments can report field-operation
@@ -19,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"repro/internal/metrics"
 )
@@ -35,7 +40,7 @@ type Field struct {
 	k    int
 	taps uint64 // reduction polynomial minus the implicit x^k term
 	ctr  *metrics.Counters
-	tbl  *tables // optional log/antilog tables (WithTables, k ≤ 16)
+	red  *Multiplier // multiplies by x^k ≡ taps: the reduction step of every product
 }
 
 // New returns the field GF(2^k). The reduction polynomial is the
@@ -51,7 +56,9 @@ func New(k int) (Field, error) {
 	if err != nil {
 		return Field{}, err
 	}
-	return Field{k: k, taps: taps}, nil
+	f := Field{k: k, taps: taps}
+	f.red = f.Multiplier(Element(taps))
+	return f, nil
 }
 
 // MustNew is New but panics on error; for use with constant k in tests,
@@ -113,20 +120,34 @@ func (f Field) Add(a, b Element) Element {
 	return a ^ b
 }
 
-// Mul returns a·b.
+// Tally records muls multiplications and adds additions performed through
+// the unaccounted bulk primitives (Multiplier.Mul, Dot, or a plain XOR), in
+// one step per counter: one product is still one FieldMuls, the paper's
+// unit, but a traced run pays one atomic per call instead of one per product.
+func (f Field) Tally(muls, adds int) {
+	if f.ctr != nil {
+		f.ctr.AddFieldMuls(int64(muls))
+		f.ctr.AddFieldAdds(int64(adds))
+	}
+}
+
+// Mul returns a·b. Cost: one 4-bit comb multiply (16 table entries and
+// ⌈k/4⌉ lookups) and one table reduction (⌈k/8⌉ loads); no allocation.
 func (f Field) Mul(a, b Element) Element {
 	if f.ctr != nil {
 		f.ctr.AddFieldMuls(1)
 	}
-	if f.tbl != nil {
-		return f.mulTable(a, b)
-	}
-	hi, lo := clmul64(uint64(a), uint64(b))
-	return Element(f.reduce(hi, lo))
+	return f.mul(a, b)
 }
 
-// Sqr returns a².
-func (f Field) Sqr(a Element) Element { return f.Mul(a, a) }
+// Sqr returns a², counted as one multiplication. Cost: one bit spread and
+// one reduction.
+func (f Field) Sqr(a Element) Element {
+	if f.ctr != nil {
+		f.ctr.AddFieldMuls(1)
+	}
+	return f.sqr(a)
+}
 
 // Exp returns a^e (e ≥ 0), with a^0 = 1 including 0^0 = 1.
 func (f Field) Exp(a Element, e uint64) Element {
@@ -136,7 +157,7 @@ func (f Field) Exp(a Element, e uint64) Element {
 		if e&1 == 1 {
 			result = f.Mul(result, base)
 		}
-		base = f.Mul(base, base)
+		base = f.Sqr(base)
 		e >>= 1
 	}
 	return result
@@ -144,6 +165,7 @@ func (f Field) Exp(a Element, e uint64) Element {
 
 // Inv returns the multiplicative inverse of a. It panics if a is zero; the
 // protocols only ever invert differences of distinct evaluation points.
+// Cost: k−1 squarings (a bit spread and a reduction each) and k−1 multiplies.
 func (f Field) Inv(a Element) Element {
 	if a == 0 {
 		panic("gf2k: inverse of zero")
@@ -151,26 +173,17 @@ func (f Field) Inv(a Element) Element {
 	if f.ctr != nil {
 		f.ctr.AddFieldInvs(1)
 	}
-	if f.tbl != nil {
-		return f.invTable(a)
-	}
 	// a^(2^k − 2) = a^{-1}. Addition-chain-free square-and-multiply: the
-	// exponent is 111...10 in binary (k−1 ones followed by a zero).
+	// exponent is 111...10 in binary (k−1 ones followed by a zero). The
+	// products are not counted, so an inversion is a single Inv, matching
+	// the paper's accounting of "basic operations".
 	result := Element(1)
 	sq := a // a^(2^0)
 	for i := 1; i < f.k; i++ {
-		sq = f.mulUncounted(sq, sq) // a^(2^i)
-		result = f.mulUncounted(result, sq)
+		sq = f.sqr(sq) // a^(2^i)
+		result = f.mul(result, sq)
 	}
 	return result
-}
-
-// mulUncounted multiplies without touching the counters (used inside Inv so
-// an inversion is counted as a single Inv, matching the paper's accounting
-// of "basic operations").
-func (f Field) mulUncounted(a, b Element) Element {
-	hi, lo := clmul64(uint64(a), uint64(b))
-	return Element(f.reduce(hi, lo))
 }
 
 // Div returns a/b. It panics if b is zero.
@@ -178,9 +191,10 @@ func (f Field) Div(a, b Element) Element { return f.Mul(a, f.Inv(b)) }
 
 // BatchInv returns the multiplicative inverses of all elements of a using
 // Montgomery's trick: one field inversion plus 3(n−1) multiplications,
-// instead of n inversions. An inversion costs ~2(k−1) multiplications
-// (Fermat exponentiation), so for k=32 this is a ~20× reduction in field
-// work for n ≥ 8. It returns an error if any element is zero.
+// instead of n inversions. An inversion costs k−1 squarings and k−1
+// multiplications (Fermat exponentiation), about 50 multiplications' worth
+// at k=32, so this is a ~12× reduction in field work for n ≥ 8. It returns
+// an error if any element is zero.
 func (f Field) BatchInv(a []Element) ([]Element, error) {
 	n := len(a)
 	out := make([]Element, n)
@@ -285,68 +299,4 @@ func (f Field) ReadElements(src []byte, count int) ([]Element, []byte, error) {
 		out = append(out, e)
 	}
 	return out, src, nil
-}
-
-// reduce reduces a 128-bit carry-less product modulo x^k + taps.
-func (f Field) reduce(hi, lo uint64) uint64 {
-	for {
-		d := deg128(hi, lo)
-		if d < f.k {
-			return lo
-		}
-		shift := d - f.k
-		// XOR (x^k + taps) << shift into (hi, lo).
-		mhi, mlo := shl128(f.modHi(), f.modLo(), shift)
-		hi ^= mhi
-		lo ^= mlo
-	}
-}
-
-// modLo and modHi give the full modulus x^k + taps as a 128-bit value.
-func (f Field) modLo() uint64 {
-	if f.k == 64 {
-		return f.taps
-	}
-	return f.taps | (uint64(1) << f.k)
-}
-
-func (f Field) modHi() uint64 {
-	if f.k == 64 {
-		return 1
-	}
-	return 0
-}
-
-// clmul64 computes the 128-bit carry-less (GF(2)[x]) product of a and b.
-func clmul64(a, b uint64) (hi, lo uint64) {
-	for b != 0 {
-		i := bits.TrailingZeros64(b)
-		b &= b - 1
-		lo ^= a << i
-		if i != 0 {
-			hi ^= a >> (64 - i)
-		}
-	}
-	return hi, lo
-}
-
-// deg128 returns the degree of the binary polynomial in (hi, lo), or -1 for
-// the zero polynomial.
-func deg128(hi, lo uint64) int {
-	if hi != 0 {
-		return 127 - bits.LeadingZeros64(hi)
-	}
-	return 63 - bits.LeadingZeros64(lo)
-}
-
-// shl128 shifts (hi, lo) left by s bits (0 ≤ s ≤ 127).
-func shl128(hi, lo uint64, s int) (uint64, uint64) {
-	switch {
-	case s == 0:
-		return hi, lo
-	case s < 64:
-		return hi<<s | lo>>(64-s), lo << s
-	default:
-		return lo << (s - 64), 0
-	}
 }

@@ -408,61 +408,3 @@ func BenchmarkInv(b *testing.B) {
 func benchName(k int) string {
 	return "k=" + string(rune('0'+k/10)) + string(rune('0'+k%10))
 }
-
-func TestTablesMatchCarryless(t *testing.T) {
-	for _, k := range []int{2, 4, 8, 12, 16} {
-		base := MustNew(k)
-		tf, err := base.WithTables()
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if !tf.HasTables() || base.HasTables() {
-			t.Fatalf("k=%d: HasTables flags wrong", k)
-		}
-		rng := rand.New(rand.NewSource(int64(k) * 41))
-		for trial := 0; trial < 300; trial++ {
-			a, b := randElem(base, rng), randElem(base, rng)
-			if tf.Mul(a, b) != base.Mul(a, b) {
-				t.Fatalf("k=%d: table Mul(%#x,%#x) diverges", k, a, b)
-			}
-			if a != 0 && tf.Inv(a) != base.Inv(a) {
-				t.Fatalf("k=%d: table Inv(%#x) diverges", k, a)
-			}
-		}
-		// Exhaustive check for the smallest field.
-		if k == 4 {
-			for a := Element(0); a < 16; a++ {
-				for b := Element(0); b < 16; b++ {
-					if tf.Mul(a, b) != base.Mul(a, b) {
-						t.Fatalf("k=4: exhaustive mismatch at %d,%d", a, b)
-					}
-				}
-			}
-		}
-	}
-	if _, err := MustNew(32).WithTables(); err == nil {
-		t.Error("WithTables accepted k=32")
-	}
-}
-
-func BenchmarkMulTableVsClmul(b *testing.B) {
-	base := MustNew(16)
-	tab, err := base.WithTables()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	x, y := randElem(base, rng)|1, randElem(base, rng)|1
-	b.Run("clmul", func(b *testing.B) {
-		a := x
-		for i := 0; i < b.N; i++ {
-			a = base.Mul(a, y) | 1
-		}
-	})
-	b.Run("table", func(b *testing.B) {
-		a := x
-		for i := 0; i < b.N; i++ {
-			a = tab.Mul(a, y) | 1
-		}
-	})
-}

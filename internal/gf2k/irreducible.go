@@ -46,13 +46,16 @@ func isIrreducible(k int, taps uint64) bool {
 func frobenius(k int, taps uint64, j int) uint64 {
 	v := uint64(2) // the polynomial x
 	for i := 0; i < j; i++ {
-		hi, lo := clmul64(v, v)
+		hi, lo := spread(v)
 		v = reduce128(hi, lo, k, taps)
 	}
 	return v
 }
 
-// reduce128 reduces the 128-bit polynomial (hi, lo) modulo x^k + taps.
+// reduce128 reduces the 128-bit polynomial (hi, lo) modulo x^k + taps by
+// long division, for any taps. It is the reference reducer: the search uses
+// it on candidate moduli, which have no reduction table yet, and the tests
+// compare the table reduction of mul.go against it.
 func reduce128(hi, lo uint64, k int, taps uint64) uint64 {
 	var mhi, mlo uint64
 	if k == 64 {
@@ -143,4 +146,25 @@ func primeDivisors(n int) []int {
 		out = append(out, n)
 	}
 	return out
+}
+
+// deg128 returns the degree of the binary polynomial in (hi, lo), or -1 for
+// the zero polynomial.
+func deg128(hi, lo uint64) int {
+	if hi != 0 {
+		return 127 - bits.LeadingZeros64(hi)
+	}
+	return 63 - bits.LeadingZeros64(lo)
+}
+
+// shl128 shifts (hi, lo) left by s bits (0 ≤ s ≤ 127).
+func shl128(hi, lo uint64, s int) (uint64, uint64) {
+	switch {
+	case s == 0:
+		return hi, lo
+	case s < 64:
+		return hi<<s | lo>>(64-s), lo << s
+	default:
+		return lo << (s - 64), 0
+	}
 }

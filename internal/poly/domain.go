@@ -31,18 +31,36 @@ import (
 // (gf2k.Field.BatchInv); every plain Interpolate call over the same points
 // would pay n inversions. Domains are immutable after construction and safe
 // for concurrent use.
+//
+// Interpolation is a set of dot products against the cached coefficients
+// (gf2k.Field.Dot: one reduction per output, not one per product), so the
+// weights never need multiplier tables. Only the cached universes IDDomain
+// hands out own fixed-operand multipliers, one per point, each built on
+// first use by EvalAt: n × ⌈k/8⌉ × 2 KiB once all are built (56 KiB at
+// n = 7, k = 32). Prefix sub-domains, DomainFor domains and uncached
+// domains never build any, so cache churn cannot retain tables.
 type Domain struct {
 	f  gf2k.Field
 	xs []gf2k.Element
 	// w[i] = 1/Π_{j≠i}(x_i + x_j): the barycentric weights.
 	w []gf2k.Element
-	// basis[i] holds the coefficients of L_i(x), with L_i(x_j) = δ_ij.
-	basis []Poly
-	// at0[i] = L_i(0) = basis[i][0]: the Lagrange-at-zero coefficients.
-	at0 []gf2k.Element
+	// coef[j][i] is the coefficient of x^j in the basis polynomial L_i(x),
+	// L_i(x_j) = δ_ij: the interpolant's x^j coefficient is the dot product
+	// of the values with coef[j], and coef[0] holds the Lagrange-at-zero
+	// coefficients L_i(0).
+	coef [][]gf2k.Element
+	// at[i] lazily holds the multiplier for xs[i]; nil except on IDDomain
+	// universes.
+	at []pointMultiplier
 
 	mu       sync.Mutex
 	prefixes map[int]*Domain // lazily built sub-domains over xs[:m]
+}
+
+// pointMultiplier builds one evaluation point's multiplier at most once.
+type pointMultiplier struct {
+	once sync.Once
+	m    *gf2k.Multiplier
 }
 
 // NewDomain precomputes the interpolation context for the points xs, which
@@ -90,11 +108,14 @@ func NewDomain(f gf2k.Field, xs []gf2k.Element) (*Domain, error) {
 	}
 	d.w = w
 
-	d.basis = make([]Poly, n)
-	d.at0 = make([]gf2k.Element, n)
+	d.coef = make([][]gf2k.Element, n)
+	for j := range d.coef {
+		d.coef[j] = make([]gf2k.Element, n)
+	}
 	for i := range d.xs {
-		d.basis[i] = ScalarMul(f, w[i], synthDiv(f, master, d.xs[i]))
-		d.at0[i] = d.basis[i][0]
+		for j, c := range ScalarMul(f, w[i], synthDiv(f, master, d.xs[i])) {
+			d.coef[j][i] = c
+		}
 	}
 	return d, nil
 }
@@ -110,8 +131,10 @@ func (d *Domain) Xs() []gf2k.Element { return append([]gf2k.Element(nil), d.xs..
 // Lagrange basis already precomputed. Recorded as one "interpolation" in
 // ctr, matching the plain function.
 //
-// Cost per call: n² multiplications, n² additions, ZERO inversions
-// (vs n inversions for the plain Interpolate).
+// Cost per call: n dot products of length n — n² carry-less multiplies
+// but only n reductions — and ZERO inversions (vs n inversions for the
+// plain Interpolate). Accounted as n multiplications and n additions per
+// nonzero value: a zero value contributes nothing and is not charged.
 func (d *Domain) Interpolate(ys []gf2k.Element, ctr *metrics.Counters) (Poly, error) {
 	n := len(d.xs)
 	if len(ys) != n {
@@ -120,17 +143,17 @@ func (d *Domain) Interpolate(ys []gf2k.Element, ctr *metrics.Counters) (Poly, er
 	if ctr != nil {
 		ctr.AddInterpolations(1)
 	}
-	f := d.f
 	out := make(Poly, n)
-	for i, y := range ys {
-		if y == 0 {
-			continue
-		}
-		li := d.basis[i]
-		for j := range li {
-			out[j] = f.Add(out[j], f.Mul(y, li[j]))
+	for j := range out {
+		out[j] = d.f.Dot(ys, d.coef[j])
+	}
+	nonzero := 0
+	for _, y := range ys {
+		if y != 0 {
+			nonzero++
 		}
 	}
+	d.f.Tally(nonzero*n, nonzero*n)
 	return out, nil
 }
 
@@ -138,8 +161,9 @@ func (d *Domain) Interpolate(ys []gf2k.Element, ctr *metrics.Counters) (Poly, er
 // polynomial through the points — the secret, in Shamir terms. Recorded as
 // one "interpolation" in ctr.
 //
-// Cost per call: n multiplications, n additions, ZERO inversions
-// (vs n inversions for the plain InterpolateAt0).
+// Cost per call: one dot product — n multiplications and additions with a
+// single reduction — and ZERO inversions (vs n inversions for the plain
+// InterpolateAt0).
 func (d *Domain) InterpolateAt0(ys []gf2k.Element, ctr *metrics.Counters) (gf2k.Element, error) {
 	n := len(d.xs)
 	if len(ys) != n {
@@ -148,12 +172,27 @@ func (d *Domain) InterpolateAt0(ys []gf2k.Element, ctr *metrics.Counters) (gf2k.
 	if ctr != nil {
 		ctr.AddInterpolations(1)
 	}
-	f := d.f
-	var acc gf2k.Element
-	for i, y := range ys {
-		acc = f.Add(acc, f.Mul(y, d.at0[i]))
+	d.f.Tally(n, n)
+	return d.f.Dot(ys, d.coef[0]), nil
+}
+
+// EvalAt returns p(xs[i]) by Horner's rule, like Eval at the domain's i-th
+// point. On an IDDomain universe every product is a fixed-operand multiply
+// by that point (⌈k/8⌉ table loads; the table is built on first use);
+// elsewhere it is Eval. Cost: len(p) multiplications and additions, as Eval
+// accounts them, recorded in one step.
+func (d *Domain) EvalAt(p Poly, i int) gf2k.Element {
+	if d.at == nil {
+		return Eval(d.f, p, d.xs[i])
 	}
-	return acc, nil
+	pm := &d.at[i]
+	pm.once.Do(func() { pm.m = d.f.Multiplier(d.xs[i]) })
+	var acc gf2k.Element
+	for j := len(p) - 1; j >= 0; j-- {
+		acc = pm.m.Mul(acc) ^ p[j]
+	}
+	d.f.Tally(len(p), len(p))
+	return acc
 }
 
 // EvalBasis returns the Lagrange basis values L_0(x), …, L_{n−1}(x), so
@@ -209,7 +248,7 @@ func (d *Domain) FitsDegree(ys []gf2k.Element, maxDeg int, ctr *metrics.Counters
 		return false, err
 	}
 	for i := maxDeg + 1; i < n; i++ {
-		if Eval(d.f, p, d.xs[i]) != ys[i] {
+		if d.EvalAt(p, i) != ys[i] {
 			return false, nil
 		}
 	}
@@ -269,7 +308,14 @@ var (
 // fixed prefix) every round, so after the first round every lookup is a
 // hit and interpolation costs no inversions at all.
 func DomainFor(f gf2k.Field, xs []gf2k.Element, ctr *metrics.Counters) (*Domain, error) {
-	key := domainKey(f, xs)
+	return cachedDomain(f, xs, ctr, false)
+}
+
+// cachedDomain is DomainFor; a universe is cached under its own key and,
+// once it is certain to be cached, given the slots for its points'
+// multipliers.
+func cachedDomain(f gf2k.Field, xs []gf2k.Element, ctr *metrics.Counters, universe bool) (*Domain, error) {
+	key := domainKey(f, xs, universe)
 	if v, ok := domainCache.Load(key); ok {
 		if ctr != nil {
 			ctr.AddDomainHits(1)
@@ -286,6 +332,9 @@ func DomainFor(f gf2k.Field, xs []gf2k.Element, ctr *metrics.Counters) (*Domain,
 	if domainCount.Load() >= maxCachedDomains {
 		return d, nil // cache full: hand out an uncached domain
 	}
+	if universe {
+		d.at = make([]pointMultiplier, len(xs))
+	}
 	if actual, loaded := domainCache.LoadOrStore(key, d); loaded {
 		return actual.(*Domain), nil
 	}
@@ -294,7 +343,10 @@ func DomainFor(f gf2k.Field, xs []gf2k.Element, ctr *metrics.Counters) (*Domain,
 }
 
 // IDDomain returns the cached Domain over the player IDs 1..n — the point
-// set every protocol in the paper evaluates and interpolates at.
+// set every protocol in the paper evaluates and interpolates at. These
+// universes, and only these, own fixed-operand multipliers for their points
+// (see Domain and EvalAt): a player's ID lives for the whole run and meets
+// every coefficient of every polynomial dealt.
 func IDDomain(f gf2k.Field, n int, ctr *metrics.Counters) (*Domain, error) {
 	xs := make([]gf2k.Element, n)
 	for i := 0; i < n; i++ {
@@ -304,17 +356,35 @@ func IDDomain(f gf2k.Field, n int, ctr *metrics.Counters) (*Domain, error) {
 		}
 		xs[i] = id
 	}
-	return DomainFor(f, xs, ctr)
+	return cachedDomain(f, xs, ctr, true)
 }
 
-// domainKey serializes the cache identity of (f, xs).
-func domainKey(f gf2k.Field, xs []gf2k.Element) string {
-	buf := make([]byte, 0, 24+8*len(xs)+24)
+// cachedUniverse returns the IDDomain universe over exactly the points xs
+// if one is cached already, and nil otherwise; it never builds one.
+func cachedUniverse(f gf2k.Field, xs []gf2k.Element) *Domain {
+	for i, x := range xs {
+		if x != gf2k.Element(i+1) {
+			return nil
+		}
+	}
+	if v, ok := domainCache.Load(domainKey(f, xs, true)); ok {
+		return v.(*Domain)
+	}
+	return nil
+}
+
+// domainKey serializes the cache identity of (f, xs) and of being a
+// universe.
+func domainKey(f gf2k.Field, xs []gf2k.Element, universe bool) string {
+	buf := make([]byte, 0, 24+8*len(xs)+24+1)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.K()))
 	buf = binary.LittleEndian.AppendUint64(buf, f.Modulus())
 	buf = fmt.Appendf(buf, "%p", f.Counters())
 	for _, x := range xs {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+	}
+	if universe {
+		buf = append(buf, 'U')
 	}
 	return string(buf)
 }

@@ -52,8 +52,8 @@ func (p Poly) Clone() Poly {
 	return out
 }
 
-// Eval returns p(x) by Horner's rule. Cost: deg(p) multiplications and
-// additions.
+// Eval returns p(x) by Horner's rule. Cost: len(p) multiplications and
+// additions (the leading 0·x is counted).
 func Eval(f gf2k.Field, p Poly, x gf2k.Element) gf2k.Element {
 	var acc gf2k.Element
 	for i := len(p) - 1; i >= 0; i-- {
@@ -62,10 +62,18 @@ func Eval(f gf2k.Field, p Poly, x gf2k.Element) gf2k.Element {
 	return acc
 }
 
-// EvalMany evaluates p at each of the given points. Cost: len(xs)·deg(p)
-// multiplications and additions.
+// EvalMany evaluates p at each of the given points. Cost: len(xs)·len(p)
+// multiplications and additions; when the points are the player IDs 1..n
+// and their IDDomain universe is already cached, the products run through
+// its fixed-operand multipliers (Domain.EvalAt).
 func EvalMany(f gf2k.Field, p Poly, xs []gf2k.Element) []gf2k.Element {
 	out := make([]gf2k.Element, len(xs))
+	if d := cachedUniverse(f, xs); d != nil {
+		for i := range xs {
+			out[i] = d.EvalAt(p, i)
+		}
+		return out
+	}
 	for i, x := range xs {
 		out[i] = Eval(f, p, x)
 	}

@@ -155,19 +155,17 @@ func Deal(nd *simnet.Node, cfg Config, dealer int, secrets []gf2k.Element, rnd i
 		// Evaluate every player's share vector first — (m+1)·n pure Horner
 		// evaluations, fanned out per player — then send on the node
 		// goroutine in index order so the traffic schedule is identical at
-		// every pool width.
-		ids := make([]gf2k.Element, cfg.N)
-		for i := 0; i < cfg.N; i++ {
-			id, err := cfg.Field.ElementFromID(i + 1)
-			if err != nil {
-				return nil, err
-			}
-			ids[i] = id
+		// every pool width. Every product has a player's id as one operand,
+		// so the evaluations run through the universe's fixed-operand
+		// multipliers.
+		ids, err := poly.IDDomain(cfg.Field, cfg.N, cfg.Counters)
+		if err != nil {
+			return nil, err
 		}
 		bufs := parallel.Map(cfg.Pool, cfg.N, func(i int) []byte {
 			buf := make([]byte, 0, (m+1)*cfg.Field.ByteLen())
 			for _, p := range polys {
-				buf = cfg.Field.AppendElement(buf, poly.Eval(cfg.Field, p, ids[i]))
+				buf = cfg.Field.AppendElement(buf, ids.EvalAt(p, i))
 			}
 			return buf
 		})
@@ -176,9 +174,9 @@ func Deal(nd *simnet.Node, cfg Config, dealer int, secrets []gf2k.Element, rnd i
 				// Keep own shares locally.
 				inst.Shares = make([]gf2k.Element, m)
 				for j := 0; j < m; j++ {
-					inst.Shares[j] = poly.Eval(cfg.Field, polys[j], ids[i])
+					inst.Shares[j] = ids.EvalAt(polys[j], i)
 				}
-				inst.MaskShare = poly.Eval(cfg.Field, mask, ids[i])
+				inst.MaskShare = ids.EvalAt(mask, i)
 				inst.received = true
 				continue
 			}
@@ -312,7 +310,10 @@ const combChunk = 64
 // (Fig. 3 step 2). Missing shares (silent dealer) contribute zero. Large
 // batches split into fixed-size chunks: each chunk computes its partial
 // Horner sum S_c = Σ α_{lo+k}·r^k independently, and the partials combine
-// as one outer Horner pass over r^combChunk in chunk order.
+// as one outer Horner pass over r^combChunk in chunk order. In a batch
+// that large, all but the few outer-pass products have r as one operand,
+// so they share one fixed-operand multiplier, built per challenge and read
+// by every chunk; a single chunk is too few products to repay the tables.
 func (inst *Instance) combination(r gf2k.Element) gf2k.Element {
 	f := inst.cfg.Field
 	m := len(inst.Shares)
@@ -324,6 +325,7 @@ func (inst *Instance) combination(r gf2k.Element) gf2k.Element {
 		}
 		return f.Add(acc, inst.MaskShare)
 	}
+	byR := f.Multiplier(r)
 	partial := make([]gf2k.Element, chunks)
 	inst.cfg.Pool.ForEach(chunks, func(c int) {
 		lo, hi := c*combChunk, (c+1)*combChunk
@@ -332,21 +334,23 @@ func (inst *Instance) combination(r gf2k.Element) gf2k.Element {
 		}
 		var s gf2k.Element
 		for j := hi - 1; j >= lo; j-- {
-			s = f.Add(f.Mul(s, r), inst.Shares[j])
+			s = byR.Mul(s) ^ inst.Shares[j]
 		}
+		f.Tally(hi-lo, hi-lo)
 		partial[c] = s
 	})
 	// rStride = r^combChunk advances the outer Horner pass one chunk.
 	rStride := gf2k.Element(1)
 	for i := 0; i < combChunk; i++ {
-		rStride = f.Mul(rStride, r)
+		rStride = byR.Mul(rStride)
 	}
 	var s gf2k.Element
 	for c := chunks - 1; c >= 0; c-- {
 		s = f.Add(f.Mul(s, rStride), partial[c])
 	}
 	// δ − γ = r·S with S = Σ_j α_j·r^j.
-	return f.Add(f.Mul(s, r), inst.MaskShare)
+	f.Tally(combChunk+1, 1)
+	return byR.Mul(s) ^ inst.MaskShare
 }
 
 // Reconstruct publicly opens secret j: every player broadcasts its share and
