@@ -23,10 +23,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench records a machine-readable baseline (see cmd/benchjson); raw
-# output still streams to the terminal while it runs.
+# bench runs the repository's benchmark (BENCHMARK.json, bench/README.md):
+# five workloads, the traced run and the per-layer ladders; results land in
+# bench/.build/out/.
 bench:
-	$(GO) run ./cmd/benchjson -out BENCH_$(shell date +%Y-%m-%d).json
+	$(GO) run ./bench
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

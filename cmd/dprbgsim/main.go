@@ -59,7 +59,6 @@ type config struct {
 	faults   adversary.Spec
 	rngSeed  int64
 	verbose  bool
-	useTCP   bool
 	trace    string
 	timeline bool
 	pprof    string
@@ -82,7 +81,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		faults   = fs.String("faults", "", "fault spec 'behaviour[@param]:idx,idx;...' (behaviours: crash, crash-after@R, silent[@R], garbage[@R], replay[@R])")
 		rngSeed  = fs.Int64("rngseed", time.Now().UnixNano(), "PRNG seed (reproducibility)")
 		verbose  = fs.Bool("v", false, "print every coin")
-		useTCP   = fs.Bool("tcp", false, "carry every protocol message over TCP loopback sockets")
 		trace    = fs.String("trace", "", "write a JSONL protocol trace to this file")
 		timeline = fs.Bool("timeline", false, "print a per-round timeline after the run")
 		pprofA   = fs.String("pprof", "", "serve net/http/pprof and expvar counters on this address (e.g. :6060)")
@@ -140,8 +138,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		n: *n, t: *t, k: *k,
 		coins: *coins, batch: *batch, seed: *seed,
 		faults: parsed, rngSeed: *rngSeed,
-		verbose: *verbose, useTCP: *useTCP,
-		trace: *trace, timeline: *timeline, pprof: *pprofA,
+		verbose: *verbose, trace: *trace, timeline: *timeline, pprof: *pprofA,
 	}, nil
 }
 
@@ -226,23 +223,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(stderr, "dprbgsim: n=%d t=%d k=%d batch=%d seed=%d faults=[%s] rngseed=%d tcp=%v\n",
-		cfg.n, cfg.t, cfg.k, cfg.batch, cfg.seed, describeFaults(cfg.faults), cfg.rngSeed, cfg.useTCP)
+	fmt.Fprintf(stderr, "dprbgsim: n=%d t=%d k=%d batch=%d seed=%d faults=[%s] rngseed=%d\n",
+		cfg.n, cfg.t, cfg.k, cfg.batch, cfg.seed, describeFaults(cfg.faults), cfg.rngSeed)
 
 	opts := []simnet.Option{simnet.WithCounters(&ctr)}
 	if tracer != nil {
 		opts = append(opts, simnet.WithTracer(tracer))
 	}
-	var nw *simnet.Network
-	if cfg.useTCP {
-		nw, err = simnet.NewTCP(cfg.n, opts...)
-		if err != nil {
-			return err
-		}
-		defer nw.Close()
-	} else {
-		nw = simnet.New(cfg.n, opts...)
-	}
+	nw := simnet.New(cfg.n, opts...)
 	fns := make([]simnet.PlayerFunc, cfg.n)
 	for i := 0; i < cfg.n; i++ {
 		if f, ok := cfg.faults[i]; ok {

@@ -6,7 +6,6 @@ package main
 
 import (
 	"crypto/rand"
-	"flag"
 	"fmt"
 	"log"
 
@@ -14,14 +13,12 @@ import (
 )
 
 func main() {
-	useTCP := flag.Bool("tcp", false, "run every protocol message over real TCP loopback sockets")
-	flag.Parse()
-	if err := run(*useTCP); err != nil {
+	if err := run(); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(useTCP bool) error {
+func run() error {
 	const (
 		n         = 7  // players
 		t         = 1  // tolerated Byzantine faults (n ≥ 6t+1)
@@ -43,18 +40,7 @@ func run(useTCP bool) error {
 		return err
 	}
 
-	var nw *repro.Network
-	if useTCP {
-		var err error
-		nw, err = repro.NewNetworkTCP(n)
-		if err != nil {
-			return err
-		}
-		defer nw.Close()
-		fmt.Println("transport: TCP loopback (real sockets)")
-	} else {
-		nw = repro.NewNetwork(n)
-	}
+	nw := repro.NewNetwork(n)
 	fns := make([]repro.PlayerFunc, n)
 	for i := 0; i < n; i++ {
 		i := i

@@ -124,16 +124,6 @@ type Config struct {
 	// in Coin-Gen). Defaults to crypto/rand for every player; tests
 	// substitute seeded readers for reproducibility.
 	Rand func(player int) io.Reader
-	// Parallelism bounds the total number of cores the service's
-	// pure-compute inner loops (Berlekamp–Welch decodes, γ combinations,
-	// consistency graphs) may borrow, across ALL players and both
-	// networks: one root parallel.Pool of this width is created and every
-	// node works through a Fork of it, so concurrent draws and a
-	// background refill compete for — rather than multiply — the budget.
-	// 0 (the default) runs everything inline on the node goroutines;
-	// values > 1 enable the pool; negative selects runtime.GOMAXPROCS(0).
-	// Results and transcripts are identical at every setting.
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -157,12 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Rand == nil {
 		c.Rand = func(int) io.Reader { return cryptorand.Reader }
-	}
-	// The root pool is created once here so that New and Resume hand the
-	// same handle to every generator (and through them to every minted
-	// batch). Parallelism 0 or 1 leaves Core.Pool nil: fully serial.
-	if c.Core.Pool == nil && (c.Parallelism > 1 || c.Parallelism < 0) {
-		c.Core.Pool = parallel.New(c.Parallelism).WithCounters(c.Counters)
 	}
 	return c
 }
@@ -266,9 +250,10 @@ type Service struct {
 	nw      *simnet.Network
 	cmds    []chan command
 	results chan workerResult
-	// pools[i] is player i's fork of the root compute pool (nil when
-	// Parallelism is off). All forks share the root's capacity tokens, so
-	// the cluster never engages more than Parallelism cores at once.
+	// pools[i] is player i's fork of Core.Pool (nil when that is nil: fully
+	// serial). All forks share the root's capacity tokens, so concurrent
+	// draws and a background refill compete for — rather than multiply —
+	// the root pool's width.
 	pools []*parallel.Pool
 
 	reqs       chan *request
@@ -730,7 +715,7 @@ func (s *Service) startPipelineRefill() bool {
 			i := i
 			// Each minting node computes on its own fork of the root pool:
 			// the refill cluster and the serving path compete for the same
-			// Parallelism-core budget instead of oversubscribing it.
+			// core budget instead of oversubscribing it.
 			coreCfg := cfg.Core
 			coreCfg.Pool = s.pools[i]
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gf2k"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 )
 
 var rndSalt atomic.Int64
@@ -78,23 +79,21 @@ func TestDrawStream(t *testing.T) {
 	}
 }
 
-// TestParallelismKnob drives a full service with the compute pool enabled.
-// Correctness is checked by the executive itself — every sweep asserts
-// cross-player unanimity, so a pool bug that desynced any player would fail
-// the draw — and the counters must show the pool genuinely fanned out.
-func TestParallelismKnob(t *testing.T) {
+// TestServiceWithComputePool drives a full service with a caller-supplied
+// compute pool. Correctness is checked by the executive itself — every sweep
+// asserts cross-player unanimity, so a pool bug that desynced any player
+// would fail the draw — and the counters must show the pool genuinely fanned
+// out.
+func TestServiceWithComputePool(t *testing.T) {
 	var c metrics.Counters
 	cfg := testConfig(t, 24, 6, 16)
-	cfg.Parallelism = 4
+	cfg.Core.Pool = parallel.New(4).WithCounters(&c)
 	cfg.Counters = &c
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustClose(t, s)
-	if s.cfg.Core.Pool == nil {
-		t.Fatal("Parallelism > 1 did not install a compute pool")
-	}
 	ctx := context.Background()
 	const draws = 60 // forces several pipelined refills through the pool
 	for i := 0; i < draws; i++ {
@@ -107,24 +106,6 @@ func TestParallelismKnob(t *testing.T) {
 	}
 	if got := c.Snapshot().ParallelTasks; got == 0 {
 		t.Fatal("ParallelTasks = 0: the pool was never engaged")
-	}
-}
-
-// TestParallelismOffLeavesPoolNil pins the default: 0 and 1 mean fully
-// serial, with no pool allocated at all.
-func TestParallelismOffLeavesPoolNil(t *testing.T) {
-	for _, p := range []int{0, 1} {
-		cfg := testConfig(t, 24, 6, 0)
-		cfg.Parallelism = p
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.cfg.Core.Pool != nil {
-			mustClose(t, s)
-			t.Fatalf("Parallelism=%d allocated a pool", p)
-		}
-		mustClose(t, s)
 	}
 }
 

@@ -335,56 +335,6 @@ func TestSeedTooSmallForRefillErrors(t *testing.T) {
 	}
 }
 
-func TestGeneratorOverTCP(t *testing.T) {
-	// The complete protocol stack — trusted seed, Coin-Gen refills,
-	// exposures — with every message crossing a real TCP loopback socket.
-	cfg := defaultConfig(7, 1)
-	cfg.BatchSize = 8
-	rng := rand.New(rand.NewSource(31))
-	gens, err := SetupTrusted(cfg, 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := simnet.NewTCP(cfg.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	const want = 20 // forces at least one refill over TCP
-	fns := make([]simnet.PlayerFunc, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		i := i
-		fns[i] = func(nd *simnet.Node) (interface{}, error) {
-			rnd := rand.New(rand.NewSource(int64(i + 500)))
-			out := make([]gf2k.Element, 0, want)
-			for len(out) < want {
-				c, err := gens[i].Next(nd, rnd)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, c)
-			}
-			return out, nil
-		}
-	}
-	results := simnet.Run(nw, fns)
-	ref := results[0].Value.([]gf2k.Element)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("player %d: %v", i, r.Err)
-		}
-		got := r.Value.([]gf2k.Element)
-		for h := range ref {
-			if got[h] != ref[h] {
-				t.Fatalf("player %d coin %d differs over TCP", i, h)
-			}
-		}
-	}
-	if gens[0].Stats().Batches < 1 {
-		t.Error("expected at least one Coin-Gen refill over TCP")
-	}
-}
-
 func TestDeterministicGoldenStream(t *testing.T) {
 	// With seeded randomness the entire pipeline — dealing, challenges,
 	// leader draws, exposures — is deterministic (simnet delivers in a

@@ -14,8 +14,7 @@ import (
 // with single-coin draws, and the benchmark reports aggregate draws/s and
 // the p99 draw latency under that load. The M∈{1,2,4,8} sweep is the
 // scaling story — cells share no protocol state, so on a machine with
-// spare cores aggregate throughput grows with M (the CI loadtest lane
-// gates cells=4 ≥ 2.5× cells=1 on 4-vCPU runners; a 1-CPU box will
+// spare cores aggregate throughput grows with M (a 1-CPU box will
 // honestly report ~flat scaling).
 //
 // ErrSaturated/ErrRateLimited never appear here (no tenant rate is set and

@@ -34,23 +34,10 @@ import (
 )
 
 // peerWireVersion is the peer-transport wire version. Bump it whenever the
-// frame layout or handshake changes incompatibly; mismatched daemons then
-// fail their handshake with ErrBadVersion instead of desyncing mid-round.
+// frame layout (frame.go) or handshake changes incompatibly; mismatched
+// daemons then fail their handshake with ErrBadVersion instead of
+// desyncing mid-round.
 const peerWireVersion = 1
-
-// Peer-mode frame types. They share the 9-byte [type:1][arg:4][len:4] frame
-// header with the single-process TCP test transport (tcp.go) but use a
-// disjoint type range so a stray cross-wiring of the two is caught
-// immediately.
-const (
-	framePeerHello byte = iota + 16
-	framePeerWelcome
-	framePeerAuth
-	framePeerReject
-	framePeerStatus
-	framePeerQuery
-	framePeerReply
-)
 
 // Handshake failure modes, matchable with errors.Is. Each names the exact
 // operator mistake that produces it.

@@ -1,9 +1,9 @@
 package simnet
 
 // Peer transport: the multi-process deployment of the synchronous network.
-// Where tcp.go keeps all n players in one process and one barrier, this file
-// gives each daemon exactly ONE live node — its own player — and stretches
-// the round barrier across processes:
+// Where the in-memory transport keeps all n players in one process and one
+// barrier, this file gives each daemon exactly ONE live node — its own
+// player — and stretches the round barrier across processes:
 //
 //   - Every daemon dials every other peer (full mesh, two simplex
 //     connections per pair) and authenticates each connection with the
@@ -24,7 +24,7 @@ package simnet
 //     order), so every daemon that receives the same frames delivers them in
 //     the same order.
 //
-// Two departures from the in-process transports, both inherent to real
+// Two departures from the in-memory transport, both inherent to real
 // distribution, are worth knowing:
 //
 //   - Broadcast is fan-out, not an ideal facility. A *corrupt* sender could
@@ -74,7 +74,7 @@ const maxFutureWindow = 1024
 type QueryHandler func(from int, req []byte) []byte
 
 // peerOptions collects the peer-mode tunables, all settable through the
-// regular Option mechanism (in-memory and tcp networks ignore them).
+// regular Option mechanism (in-memory networks ignore them).
 type peerOptions struct {
 	roundTimeout time.Duration
 	writeTimeout time.Duration
@@ -118,8 +118,8 @@ func WithQueryHandler(h QueryHandler) Option {
 // WithScheduleUnit sets, for peer networks under a hostile Schedule, the
 // wall-clock length of one schedule delay round (default 50ms): a done
 // frame delayed d rounds by a DelayRule is held d×unit before it advances
-// the local watermark. The in-process transports, which enact delays as
-// round shifts, ignore it.
+// the local watermark. The in-memory transport, which enacts delays as
+// round shifts, ignores it.
 func WithScheduleUnit(d time.Duration) Option {
 	return func(nw *Network) { nw.peerOpts.scheduleUnit = d }
 }
@@ -743,7 +743,7 @@ func (pn *peerNet) endRound(nd *Node) ([]Message, error) {
 
 	pn.mu.Lock()
 	// Stage our own copies (self-sends and our broadcast echo) in emission
-	// order, like stageLocalTCP does.
+	// order.
 	for _, s := range nd.outbox {
 		if s.to == nd.idx || s.to < 0 {
 			m := s.msg
@@ -939,8 +939,8 @@ func (nw *Network) PeerWatermark(j int) int {
 // SetEpoch records this daemon's beacon epoch. Peer mode stamps it on every
 // subsequent done/status frame (as an optional 4-byte payload older readers
 // ignore), so peers can correlate round positions with refill generations;
-// PeerEpoch reads back what each peer announced. The other transports
-// ignore it.
+// PeerEpoch reads back what each peer announced. In-memory networks ignore
+// it.
 func (nw *Network) SetEpoch(epoch int) {
 	if nw.pn == nil || epoch < 0 {
 		return
@@ -1007,6 +1007,14 @@ func (nw *Network) Query(to int, req []byte, timeout time.Duration) ([]byte, err
 	case <-pn.done:
 		cancel()
 		return nil, ErrPeerClosed
+	}
+}
+
+// Close tears a peer network down (no-op for in-memory networks, which hold
+// nothing to release). Safe to call multiple times.
+func (nw *Network) Close() {
+	if nw.pn != nil {
+		nw.pn.close()
 	}
 }
 

@@ -8,7 +8,6 @@ package simnet
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -24,44 +23,26 @@ import (
 // round cadence provides in production).
 func runPeerChatter(t *testing.T, nws []*Network, rounds int, pace time.Duration) [][]map[int]bool {
 	t.Helper()
-	n := len(nws)
-	seen := make([][]map[int]bool, n)
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, nw := range nws {
-		if err := nw.StartAt(0); err != nil {
-			t.Fatalf("StartAt(%d): %v", i, err)
-		}
-	}
-	for i, nw := range nws {
-		wg.Add(1)
-		go func(i int, nw *Network) {
-			defer wg.Done()
-			nd := nw.Node(i)
-			for r := 0; r < rounds; r++ {
-				if pace > 0 {
-					time.Sleep(pace)
-				}
-				nd.SendAll([]byte(fmt.Sprintf("r%d-p%d", r, i)))
-				msgs, err := nd.EndRound()
-				if err != nil {
-					errs[i] = fmt.Errorf("round %d: %w", r, err)
-					return
-				}
-				froms := map[int]bool{}
-				for _, m := range msgs {
-					froms[m.From] = true
-				}
-				seen[i] = append(seen[i], froms)
+	seen := make([][]map[int]bool, len(nws))
+	runOnPeers(t, nws, func(nd *Node) (interface{}, error) {
+		i := nd.Index()
+		for r := 0; r < rounds; r++ {
+			if pace > 0 {
+				time.Sleep(pace)
 			}
-		}(i, nw)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("player %d: %v", i, err)
+			nd.SendAll([]byte(fmt.Sprintf("r%d-p%d", r, i)))
+			msgs, err := nd.EndRound()
+			if err != nil {
+				return nil, fmt.Errorf("round %d: %w", r, err)
+			}
+			froms := map[int]bool{}
+			for _, m := range msgs {
+				froms[m.From] = true
+			}
+			seen[i] = append(seen[i], froms)
 		}
-	}
+		return nil, nil
+	})
 	return seen
 }
 

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -312,6 +313,18 @@ func TestHandshakeWrongSecret(t *testing.T) {
 	}
 }
 
+// TestHandshakeRejectsNonHello: the first frame on an inbound connection must
+// be a peer hello, not round traffic.
+func TestHandshakeRejectsNonHello(t *testing.T) {
+	dc, ac := handshakePipe()
+	defer dc.Close()
+	defer ac.Close()
+	go writeFrame(dc, frameData, 0, []byte{0xAA})
+	if _, err := acceptHandshake(ac, []byte("0123456789abcdef"), 2, testDigest); !errors.Is(err, ErrIdentityMismatch) {
+		t.Fatalf("accepter error = %v, want ErrIdentityMismatch", err)
+	}
+}
+
 // TestDuplicatePlayerRejected connects a full mesh, then impersonates an
 // already-connected player against a live accepter: the second connection
 // must be refused with ErrDuplicatePlayer and the mesh must stay intact.
@@ -350,46 +363,151 @@ func TestDuplicatePlayerRejected(t *testing.T) {
 // deterministic order.
 func TestPeerRoundDelivery(t *testing.T) {
 	const rounds = 5
-	cfg := testPeerCfg(t, 3)
-	nws := startPeerCluster(t, cfg)
-	for _, nw := range nws {
-		if err := nw.StartAt(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i, nw := range nws {
-		wg.Add(1)
-		go func(i int, nw *Network) {
-			defer wg.Done()
-			nd := nw.Node(i)
-			for r := 0; r < rounds; r++ {
-				nd.Broadcast([]byte{byte(i), byte(r)})
-				msgs, err := nd.EndRound()
-				if err != nil {
-					errs[i] = fmt.Errorf("round %d: %w", r, err)
-					return
-				}
-				if len(msgs) != 3 {
-					errs[i] = fmt.Errorf("round %d: got %d messages, want 3", r, len(msgs))
-					return
-				}
-				for j, m := range msgs {
-					if m.From != j || m.Payload[0] != byte(j) || m.Payload[1] != byte(r) {
-						errs[i] = fmt.Errorf("round %d: message %d is %d/%v", r, j, m.From, m.Payload)
-						return
-					}
+	nws := startPeerCluster(t, testPeerCfg(t, 3))
+	runOnPeers(t, nws, func(nd *Node) (interface{}, error) {
+		for r := 0; r < rounds; r++ {
+			nd.Broadcast([]byte{byte(nd.Index()), byte(r)})
+			msgs, err := nd.EndRound()
+			if err != nil {
+				return nil, fmt.Errorf("round %d: %w", r, err)
+			}
+			if len(msgs) != 3 {
+				return nil, fmt.Errorf("round %d: got %d messages, want 3", r, len(msgs))
+			}
+			for j, m := range msgs {
+				if m.From != j || m.Payload[0] != byte(j) || m.Payload[1] != byte(r) {
+					return nil, fmt.Errorf("round %d: message %d is %d/%v", r, j, m.From, m.Payload)
 				}
 			}
-		}(i, nw)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("player %d: %v", i, err)
+		}
+		return nil, nil
+	})
+}
+
+// runOnPeers opens the round machinery at round 0 on every daemon of the
+// cluster, runs fn on each daemon's own node concurrently, and returns the
+// per-player values; any player error fails the test.
+func runOnPeers(t *testing.T, nws []*Network, fn PlayerFunc) []interface{} {
+	t.Helper()
+	for i, nw := range nws {
+		if err := nw.StartAt(0); err != nil {
+			t.Fatalf("StartAt(%d): %v", i, err)
 		}
 	}
+	results := make([]PlayerResult, len(nws))
+	var wg sync.WaitGroup
+	for i, nw := range nws {
+		wg.Add(1)
+		go func(i int, nd *Node) {
+			defer wg.Done()
+			v, err := fn(nd)
+			results[i] = PlayerResult{Value: v, Err: err}
+		}(i, nw.Node(i))
+	}
+	wg.Wait()
+	out := make([]interface{}, len(nws))
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("player %d: %v", i, r.Err)
+		}
+		out[i] = r.Value
+	}
+	return out
+}
+
+// TestPeerMatchesInMemorySemantics runs the same multi-round protocol —
+// SendAll, Broadcast and self-sends mixed — on the in-memory network and on
+// a 4-daemon loopback mesh, and compares every player's complete view:
+// which messages arrive at which boundary, of which kind, in which order.
+func TestPeerMatchesInMemorySemantics(t *testing.T) {
+	const n, rounds = 4, 6
+	protocol := func(nd *Node) (interface{}, error) {
+		var transcript bytes.Buffer
+		for r := 0; r < rounds; r++ {
+			nd.SendAll([]byte{byte(nd.Index()), byte(r)})
+			if r%2 == 0 {
+				nd.Broadcast([]byte{0xb0, byte(r)})
+			}
+			if r%3 == 0 {
+				nd.Send(nd.Index(), []byte{0x5e, byte(r)}) // self-send
+			}
+			msgs, err := nd.EndRound()
+			if err != nil {
+				return nil, err
+			}
+			for _, m := range msgs {
+				fmt.Fprintf(&transcript, "r%d from%d kind%d %x;", r, m.From, m.Kind, m.Payload)
+			}
+		}
+		return transcript.String(), nil
+	}
+
+	fns := make([]PlayerFunc, n)
+	for i := range fns {
+		fns[i] = protocol
+	}
+	mem := Run(New(n), fns)
+	peer := runOnPeers(t, startPeerCluster(t, testPeerCfg(t, n)), protocol)
+	for i := range mem {
+		if mem[i].Err != nil {
+			t.Fatalf("in-memory player %d: %v", i, mem[i].Err)
+		}
+		if mem[i].Value != peer[i] {
+			t.Fatalf("player %d transcripts differ:\n mem:  %s\n peer: %s", i, mem[i].Value, peer[i])
+		}
+	}
+}
+
+// TestPeerLargePayloads pushes 8 × 1 MiB frames through both directions of
+// one pair in the same round — more than an undrained loopback socket
+// buffers, so each daemon's flush blocks until the other side's reader
+// drains it. The flush runs outside the transport lock precisely so that
+// this cannot deadlock.
+func TestPeerLargePayloads(t *testing.T) {
+	const frames = 8
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	nws := startPeerCluster(t, testPeerCfg(t, 2))
+	runOnPeers(t, nws, func(nd *Node) (interface{}, error) {
+		for i := 0; i < frames; i++ {
+			nd.Send(1-nd.Index(), big)
+		}
+		msgs, err := nd.EndRound()
+		if err != nil {
+			return nil, err
+		}
+		if len(msgs) != frames {
+			return nil, fmt.Errorf("got %d messages, want %d", len(msgs), frames)
+		}
+		for _, m := range msgs {
+			if !bytes.Equal(m.Payload, big) {
+				return nil, fmt.Errorf("payload corrupted in transit")
+			}
+		}
+		return nil, nil
+	})
+}
+
+// TestPeerCloseUnblocksWaiters: Close must release an EndRound blocked on the
+// distributed barrier (here player 1 never ends its round) with
+// ErrPeerClosed, and be idempotent.
+func TestPeerCloseUnblocksWaiters(t *testing.T) {
+	nws := startPeerCluster(t, testPeerCfg(t, 2))
+	if err := nws[0].StartAt(0); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := nws[0].Node(0).EndRound()
+		done <- err
+	}()
+	nws[0].Close()
+	if err := <-done; !errors.Is(err, ErrPeerClosed) {
+		t.Fatalf("EndRound after Close = %v, want ErrPeerClosed", err)
+	}
+	nws[0].Close()
 }
 
 // TestPeerReconnectResumesRounds cuts one established connection mid-run.

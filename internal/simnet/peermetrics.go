@@ -69,7 +69,7 @@ func NewPeerMetrics(r *prom.Registry) *PeerMetrics {
 }
 
 // WithPeerMetrics attaches peer-transport instrumentation to a NewPeer
-// network (the in-memory and TCP transports ignore it).
+// network (in-memory networks ignore it).
 func WithPeerMetrics(pm *PeerMetrics) Option {
 	return func(nw *Network) { nw.peerOpts.metrics = pm }
 }

@@ -13,9 +13,9 @@ package simnet
 // where the paper's model permits (which messages a player sees at a given
 // boundary, and in what order). Concretely, per transport:
 //
-//   - In-memory and TCP (lockstep barriers): a delay of d rounds on a
-//     message staged in round r defers its delivery to the boundary of
-//     round r+d. A partition defers messages crossing the cut to the heal
+//   - In-memory (lockstep barrier): a delay of d rounds on a message
+//     staged in round r defers its delivery to the boundary of round
+//     r+d. A partition defers messages crossing the cut to the heal
 //     round; a crash window drops every message into or out of the crashed
 //     player while it is down. Reordering permutes the cross-sender merge
 //     order of each recipient's boundary delivery while preserving each
@@ -32,7 +32,7 @@ package simnet
 // Every random choice — jitter samples and reorder ranks — is a pure
 // function of (Schedule.Seed, round, edge, copy index) via a splitmix-style
 // hash, never of goroutine scheduling, so the same schedule replays
-// byte-identically on any transport and survives -race interleavings.
+// byte-identically on either transport and survives -race interleavings.
 //
 // A Schedule is serializable (String / ParseSchedule round-trip exactly)
 // so a failing run can be quoted in a bug report, and shrinkable (the
@@ -134,7 +134,7 @@ type DelayRule struct {
 
 // PartitionRule splits the network during [Start, Heal): messages crossing
 // the cut between Isolated and the rest are queued and delivered at the
-// boundary of round Heal (in the lockstep transports) or dropped while the
+// boundary of round Heal (in-memory transport) or dropped while the
 // window is active (peer transport, where the demotion machinery models
 // the outage).
 type PartitionRule struct {
@@ -576,7 +576,7 @@ func windowHas(r, start, end int) bool {
 }
 
 // schedEngine is the per-network runtime of one Schedule. All methods are
-// called with the owning network's lock held (lockstep transports) or from
+// called with the owning network's lock held (in-memory transport) or from
 // a single reader goroutine per edge (peer transport), so the only shared
 // state is the immutable schedule plus the partition membership cache.
 type schedEngine struct {

@@ -19,23 +19,21 @@
 // WithInterceptor, which rewrites each staged message at the round boundary
 // without breaking lockstep delivery.
 //
-// Three transports present the same Node API:
+// Two transports present the same Node API:
 //
-//   - New: in-memory, all players in one process — the default for tests,
-//     experiments and the single-process beacon.
-//   - NewTCP: still one process, but every message crosses a real TCP
-//     loopback connection; used to validate wire encodings and measure
-//     transport overhead.
+//   - New: in-memory, all players in one process — the paper's network
+//     model, and the default for tests, experiments and the single-process
+//     beacon.
 //   - NewPeer: the multi-process deployment — this process hosts exactly
 //     one player, peers over authenticated TCP per a PeerConfig, and the
 //     round barrier is stretched across processes with crash-tolerant
 //     demotion/promotion (see peer.go and ARCHITECTURE.md §9).
 //
-// Interceptors apply to the two in-process transports (adversarial tests
+// Interceptors apply to the in-memory transport only (adversarial tests
 // need a vantage point that sees all n players' traffic, which no single
-// daemon has); WithRoundTimeout, WithWriteTimeout, WithDialBackoff and
-// WithQueryHandler apply to peer networks only, and the remaining Options
-// apply everywhere.
+// daemon has); WithRoundTimeout, WithWriteTimeout, WithDialBackoff,
+// WithScheduleUnit and WithQueryHandler apply to peer networks only, and
+// the remaining Options apply to both.
 package simnet
 
 import (
@@ -198,10 +196,6 @@ type Network struct {
 	nodes     []*Node
 	closedErr error
 
-	// TCP transport state (nil for in-memory networks); see tcp.go.
-	tcp     *tcpTransport
-	tcpDone []int // per-sender done markers received for the current round
-
 	// Multi-process peer transport state (nil outside daemon mode); see
 	// peer.go. A peer-mode Network drives exactly one local node and
 	// replaces the in-process barrier with the distributed watermark
@@ -210,10 +204,9 @@ type Network struct {
 	peerOpts peerOptions
 }
 
-// Option configures a Network at construction. Options are shared across
-// all three transports (New, NewTCP, NewPeer); each transport ignores the
-// options that do not apply to it — see the package comment for which
-// apply where.
+// Option configures a Network at construction. Options are shared by both
+// transports (New, NewPeer); each transport ignores the options that do
+// not apply to it — see the package comment for which apply where.
 type Option func(*Network)
 
 // WithCounters attaches a metrics sink recording messages, bytes, broadcasts
@@ -244,7 +237,7 @@ func WithInterceptor(ic Interceptor) Option {
 
 // WithSchedule installs a hostile-network Schedule (see schedule.go): seeded
 // per-edge delivery delays, partitions with timed heals, crash/recover
-// windows, and within-round delivery reordering. It applies to all three
+// windows, and within-round delivery reordering. It applies to both
 // transports at the same staging/commit seam as the Interceptor, AFTER
 // interception (the message adversary acts on staged traffic; the network
 // adversary then decides when the result arrives). A nil or zero-valued
@@ -431,11 +424,6 @@ func (nw *Network) commitLocked() {
 	nw.staging = make([][]Message, nw.n)
 	nw.round++
 	nw.arrived = 0
-	if nw.tcpDone != nil {
-		for i := range nw.tcpDone {
-			nw.tcpDone[i] = 0
-		}
-	}
 	if nw.ctr != nil {
 		nw.ctr.AddRounds(1)
 	}
@@ -569,14 +557,6 @@ func (nd *Node) EndRound() ([]Message, error) {
 	if nw.pn != nil {
 		return nw.pn.endRound(nd)
 	}
-	if nw.tcp != nil {
-		// Socket writes happen outside the lock: the reader goroutines
-		// need the lock to drain, and a full socket buffer must not
-		// deadlock the barrier.
-		if err := nw.tcpFlush(nd); err != nil {
-			return nil, err
-		}
-	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	if nd.halted {
@@ -585,26 +565,22 @@ func (nd *Node) EndRound() ([]Message, error) {
 	if nw.closedErr != nil {
 		return nil, nw.closedErr
 	}
-	if nw.tcp != nil {
-		nw.stageLocalTCP(nd)
-	} else {
-		for _, s := range nd.outbox {
-			s.msg.seq = nw.seq
-			nw.seq++
-			if s.to >= 0 {
-				nw.staging[s.to] = append(nw.staging[s.to], s.msg)
-			} else {
-				for i := 0; i < nw.n; i++ {
-					nw.staging[i] = append(nw.staging[i], s.msg)
-				}
+	for _, s := range nd.outbox {
+		s.msg.seq = nw.seq
+		nw.seq++
+		if s.to >= 0 {
+			nw.staging[s.to] = append(nw.staging[s.to], s.msg)
+		} else {
+			for i := 0; i < nw.n; i++ {
+				nw.staging[i] = append(nw.staging[i], s.msg)
 			}
 		}
-		nd.outbox = nd.outbox[:0]
 	}
+	nd.outbox = nd.outbox[:0]
 
 	myRound := nd.round
 	nw.arrived++
-	if nw.arrived == nw.active && nw.tcpReadyLocked() {
+	if nw.arrived == nw.active {
 		nw.commitLocked()
 	}
 	for nw.round <= myRound && nw.closedErr == nil {
@@ -639,29 +615,11 @@ func (nd *Node) Halt() {
 	nd.halted = true
 	nd.outbox = nil
 	nw.active--
-	if nw.active > 0 && nw.arrived == nw.active && nw.tcpReadyLocked() {
+	if nw.active > 0 && nw.arrived == nw.active {
 		nw.commitLocked()
 	} else if nw.active == 0 {
 		nw.cond.Broadcast()
 	}
-}
-
-// tcpReadyLocked reports whether every active node's end-of-round markers
-// for the current round have been processed (always true for in-memory
-// networks). Caller holds nw.mu.
-func (nw *Network) tcpReadyLocked() bool {
-	if nw.tcp == nil {
-		return true
-	}
-	for i, nd := range nw.nodes {
-		if nd.halted {
-			continue
-		}
-		if nw.tcpDone[i] < nw.n-1 {
-			return false
-		}
-	}
-	return true
 }
 
 // FirstFromEach indexes delivered messages by sender, keeping only the first

@@ -73,13 +73,6 @@ func MustNewField(k int) Field { return gf2k.MustNew(k) }
 // transport).
 func NewNetwork(n int, opts ...simnet.Option) *Network { return simnet.New(n, opts...) }
 
-// NewNetworkTCP creates a synchronous network whose messages travel over
-// real TCP loopback connections. Call Close on the returned network when
-// done.
-func NewNetworkTCP(n int, opts ...simnet.Option) (*Network, error) {
-	return simnet.NewTCP(n, opts...)
-}
-
 // WithCounters attaches a metrics sink to a network.
 func WithCounters(c *Counters) simnet.Option { return simnet.WithCounters(c) }
 
