@@ -452,3 +452,70 @@ func VoteEquivocator(sender int) *Strategy {
 		}),
 	)
 }
+
+// ExposeAttacks names the share-vector corruptions ExposeAttack builds: what
+// a faulty member of the reconstruction set can do to the one message it
+// sends in a vector Coin-Expose round (Fig. 6 on k coins).
+var ExposeAttacks = []string{
+	"lie-all",       // every coordinate wrong, the same lie to every receiver
+	"lie-from-3",    // honest in coordinates 0..2, lying from coordinate 3 on
+	"lie-alternate", // every odd coordinate wrong
+	"equivocate",    // a different wrong vector to each receiver
+	"short",         // payload one byte short
+	"long",          // payload one element long
+	"empty",         // zero-length payload
+	"silent",        // no message at all
+}
+
+// ExposeAttack returns the Strategy that applies the named corruption to
+// every message `senders` send: the senders run honest code and the message
+// layer rewrites their share vectors. Coin-Expose's guarantee under test:
+// with at most t corrupted members of S, every honest player still outputs
+// the dealt coin in every coordinate.
+func ExposeAttack(name string, f gf2k.Field, senders []int, seed int64) (*Strategy, error) {
+	bl := f.ByteLen()
+	// lie flips the low bit of every coordinate j ≥ from with j ≡ from mod
+	// step: the share stays a valid element but leaves its polynomial.
+	lie := func(from, step int) Effect {
+		return Tamper(func(to int, p []byte) []byte {
+			for j := from; (j+1)*bl <= len(p); j += step {
+				p[j*bl] ^= 1
+			}
+			return p
+		})
+	}
+	var e Effect
+	switch name {
+	case "lie-all":
+		e = lie(0, 1)
+	case "lie-from-3":
+		e = lie(3, 1)
+	case "lie-alternate":
+		e = lie(1, 2)
+	case "equivocate":
+		e = func(rng *rand.Rand, d simnet.Deliverable) []simnet.Deliverable {
+			cp := append([]byte(nil), d.Payload...)
+			for off := 0; off+bl <= len(cp); off += bl {
+				cp[off] ^= byte(1 + rng.Intn(255))
+			}
+			d.Payload = cp
+			return d.Pass()
+		}
+	case "short":
+		e = Tamper(func(to int, p []byte) []byte {
+			if len(p) > 0 {
+				p = p[:len(p)-1]
+			}
+			return p
+		})
+	case "long":
+		e = Tamper(func(to int, p []byte) []byte { return f.AppendElement(p, 1) })
+	case "empty":
+		e = Tamper(func(to int, p []byte) []byte { return p[:0] })
+	case "silent":
+		e = Drop()
+	default:
+		return nil, fmt.Errorf("adversary: unknown expose attack %q", name)
+	}
+	return NewStrategy(seed).On(Match{Senders: senders}, e), nil
+}

@@ -67,18 +67,17 @@ var (
 	ErrClosed = errors.New("beacon: service closed")
 )
 
-// MaxDrawBits bounds a single DrawBits request so one client cannot occupy
-// the cluster for an unbounded number of exposure rounds.
+// MaxDrawBits bounds a single DrawBits request so one client cannot drain
+// an unbounded number of sealed coins (and the refills behind them) at once.
 const MaxDrawBits = 4096
 
-// MaxDrawBatch bounds a single DrawN request for the same reason: a batch
-// spends one exposure round per coin.
+// MaxDrawBatch bounds a single DrawN request for the same reason.
 const MaxDrawBatch = 256
 
 // serveMaxRounds is the round budget for the long-lived serving network
 // and for refill networks: effectively unlimited (the default simnet
 // budget of 1e5 exists to catch diverging protocols under test, but a
-// beacon consumes one round per coin by design).
+// beacon consumes one round per sweep for as long as it runs).
 const serveMaxRounds = 1 << 40
 
 // Config parameterizes a beacon Service.
@@ -99,7 +98,8 @@ type Config struct {
 	// ErrOverloaded. Defaults to 256.
 	QueueDepth int
 	// MaxBatch caps how many coins one lockstep sweep exposes; queued
-	// requests are coalesced up to this budget. Defaults to 32.
+	// requests are coalesced up to this budget, and the whole sweep is one
+	// vector Coin-Expose round (one per batch it touches). Defaults to 32.
 	MaxBatch int
 	// Rate and Burst configure the token-bucket rate limiter in requests
 	// per second. Rate == 0 disables limiting; Burst defaults to 1 when a
@@ -418,12 +418,31 @@ func (s *Service) DrawBits(ctx context.Context, nbits int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return packBits(vals, k, nbits), nil
+}
+
+// packBits concatenates the low k bits of each value, LSB-first, into
+// ⌈nbits/8⌉ bytes and zeroes everything past bit nbits. A coin lands with
+// one shift per output byte it touches, not one per bit.
+func packBits(vals []gf2k.Element, k, nbits int) []byte {
 	out := make([]byte, (nbits+7)/8)
-	for b := 0; b < nbits; b++ {
-		bit := (uint64(vals[b/k]) >> (b % k)) & 1
-		out[b/8] |= byte(bit << (b % 8))
+	bit := 0
+	for _, e := range vals {
+		v, width := uint64(e), k
+		if width > nbits-bit {
+			width = nbits - bit
+			v &= 1<<uint(width) - 1
+		}
+		end := bit + width
+		for bit < end {
+			sh := bit & 7
+			out[bit>>3] |= byte(v << uint(sh))
+			v >>= uint(8 - sh)
+			bit += 8 - sh
+		}
+		bit = end // the loop steps to a byte boundary, possibly past end
 	}
-	return out, nil
+	return out
 }
 
 // DrawMod returns a shared random value in [1, m], the 1-based reduction
@@ -563,7 +582,8 @@ func (s *Service) exec() {
 }
 
 // serve coalesces queued requests up to the MaxBatch coin budget and
-// exposes their coins in one lockstep sweep.
+// exposes their coins in one lockstep sweep: one vector Coin-Expose, so a
+// sweep of any width costs one network round per batch it touches.
 func (s *Service) serve(first *request) {
 	batch := make([]*request, 0, 8)
 	need := 0
@@ -609,7 +629,9 @@ gathered:
 		// handed to exactly one request in exposure order, so the counter's
 		// value before this request IS the sequence number of its first
 		// coin. Only the executive mutates it, so load-then-add is safe.
-		r.resp <- drawResult{vals: vals[off : off+r.need], seq: s.coinsDelivered.Load()}
+		// Full slice expressions: a caller appending to its result must
+		// reallocate, not write into the next request's coins.
+		r.resp <- drawResult{vals: vals[off : off+r.need : off+r.need], seq: s.coinsDelivered.Load()}
 		off += r.need
 		s.draws.Add(1)
 		s.coinsDelivered.Add(int64(r.need))
@@ -860,18 +882,10 @@ func (s *Service) worker(i int, nd *simnet.Node, rnd io.Reader) {
 	for cmd := range s.cmds[i] {
 		switch cmd.op {
 		case opExpose:
-			vals := make([]gf2k.Element, 0, cmd.k)
-			var err error
-			for j := 0; j < cmd.k; j++ {
-				// A dry store fails before consuming a round, so all
-				// workers stay at the same round even on this path.
-				v, e := g.Expose(nd)
-				if e != nil {
-					err = e
-					break
-				}
-				vals = append(vals, v)
-			}
+			// One round per batch touched, and a dry store fails before
+			// consuming any, so all workers stay at the same round even on
+			// the error path.
+			vals, err := g.ExposeN(nd, cmd.k)
 			s.results <- workerResult{player: i, vals: vals, err: err}
 		case opRefill:
 			s.results <- workerResult{player: i, err: g.Refill(nd, rnd)}

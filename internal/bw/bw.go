@@ -59,44 +59,82 @@ const evalChunk = 16
 // Decode. Results are identical at every width: each task writes only its
 // own chunk/row and outputs are combined in index order.
 func DecodeWith(f gf2k.Field, xs, ys []gf2k.Element, degree, maxErrors int, ctr *metrics.Counters, pl *parallel.Pool) (Result, error) {
-	n := len(xs)
-	if len(ys) != n {
-		return Result{}, fmt.Errorf("bw: %d xs vs %d ys", n, len(ys))
+	var d Decoder
+	if err := d.Reset(f, xs, degree, maxErrors, ctr, pl); err != nil {
+		return Result{}, err
 	}
+	return d.Decode(ys)
+}
+
+// Decoder decodes any number of words received over one point list: Reset
+// validates the point count against the error budget and resolves the cached
+// prefix domain once, and every Decode after it is the arithmetic alone. A
+// vector Coin-Expose decodes its k coordinates through one Decoder; the zero
+// value is ready for Reset, and a Decoder kept between rounds reuses its
+// candidate buffer.
+type Decoder struct {
+	f                 gf2k.Field
+	xs                []gf2k.Element
+	degree, maxErrors int
+	ctr               *metrics.Counters
+	pl                *parallel.Pool
+	dom               *poly.Domain // over xs[:degree+1]
+	cand              poly.Poly    // the fast path's interpolant
+}
+
+// Reset points the decoder at the list xs (retained, not copied: it must
+// stay unchanged until the next Reset) with Decode's requirements on
+// degree, maxErrors and len(xs).
+func (d *Decoder) Reset(f gf2k.Field, xs []gf2k.Element, degree, maxErrors int, ctr *metrics.Counters, pl *parallel.Pool) error {
+	n := len(xs)
 	if degree < 0 || maxErrors < 0 {
-		return Result{}, fmt.Errorf("bw: negative degree (%d) or error bound (%d)", degree, maxErrors)
+		return fmt.Errorf("bw: negative degree (%d) or error bound (%d)", degree, maxErrors)
 	}
 	if n < degree+2*maxErrors+1 {
-		return Result{}, fmt.Errorf("bw: need ≥ %d points for degree %d with %d errors, have %d",
+		return fmt.Errorf("bw: need ≥ %d points for degree %d with %d errors, have %d",
 			degree+2*maxErrors+1, degree, maxErrors, n)
+	}
+	// The prefix domain is cached across calls, so in steady state the fast
+	// path performs zero field inversions.
+	dom, err := poly.DomainFor(f, xs[:degree+1], ctr)
+	if err != nil {
+		return err
+	}
+	if cap(d.cand) < degree+1 {
+		d.cand = make(poly.Poly, degree+1)
+	}
+	*d = Decoder{f: f, xs: xs, degree: degree, maxErrors: maxErrors, ctr: ctr, pl: pl,
+		dom: dom, cand: d.cand[:degree+1]}
+	return nil
+}
+
+// Decode decodes the word ys[i] received at xs[i]. Result.Poly of an
+// error-free word is the decoder's own buffer: it is valid until the next
+// Decode or Reset.
+func (d *Decoder) Decode(ys []gf2k.Element) (Result, error) {
+	if len(ys) != len(d.xs) {
+		return Result{}, fmt.Errorf("bw: %d xs vs %d ys", len(d.xs), len(ys))
 	}
 
 	// Fast path: interpolate through the first degree+1 points and test the
-	// rest. Succeeds whenever there are no errors at all. The prefix domain
-	// is cached across calls, so in steady state this performs zero field
-	// inversions.
-	dom, err := poly.DomainFor(f, xs[:degree+1], ctr)
-	if err != nil {
+	// rest. Succeeds whenever there are no errors at all.
+	if err := d.dom.InterpolateInto(d.cand, ys[:d.degree+1], d.ctr); err != nil {
 		return Result{}, err
 	}
-	p, err := dom.Interpolate(ys[:degree+1], ctr)
-	if err != nil {
-		return Result{}, err
-	}
-	if idx := disagreements(f, p, xs, ys, pl); len(idx) == 0 {
-		return Result{Poly: p}, nil
+	if idx := disagreements(d.f, d.cand, d.xs, ys, d.pl); len(idx) == 0 {
+		return Result{Poly: d.cand}, nil
 	}
 
-	if maxErrors == 0 {
+	if d.maxErrors == 0 {
 		return Result{}, ErrNoCodeword
 	}
 
-	p, err = solve(f, xs, ys, degree, maxErrors, ctr, pl)
+	p, err := solve(d.f, d.xs, ys, d.degree, d.maxErrors, d.ctr, d.pl)
 	if err != nil {
 		return Result{}, err
 	}
-	idx := disagreements(f, p, xs, ys, pl)
-	if len(idx) > maxErrors {
+	idx := disagreements(d.f, p, d.xs, ys, d.pl)
+	if len(idx) > d.maxErrors {
 		return Result{}, ErrNoCodeword
 	}
 	return Result{Poly: p, ErrorIndexes: idx}, nil

@@ -279,3 +279,61 @@ func BenchmarkDecode(b *testing.B) {
 		})
 	}
 }
+
+// TestDecoderManyWordsOneSetUp: one Reset serves any number of words over
+// the same points — clean ones, dirty ones, undecodable ones, in any order —
+// each decoding exactly as a one-shot DecodeWith does, while the domain
+// cache is consulted once per Reset instead of once per word.
+func TestDecoderManyWordsOneSetUp(t *testing.T) {
+	const n, degree, maxErrors, words = 10, 3, 3, 12
+	var ctr metrics.Counters
+	f, xs, _, _ := setup(t, 32, n, degree, 1)
+	rng := rand.New(rand.NewSource(5))
+
+	var d Decoder
+	if err := d.Reset(f, xs, degree, maxErrors, &ctr, nil); err != nil {
+		t.Fatal(err)
+	}
+	lookups := func() int64 { s := ctr.Snapshot(); return s.DomainHits + s.DomainMisses }
+	after := lookups()
+	if after != 1 {
+		t.Fatalf("Reset consulted the domain cache %d times, want 1", after)
+	}
+	for w := 0; w < words; w++ {
+		p, err := poly.Random(f, degree, gf2k.Element(rng.Uint32()), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ys := poly.EvalMany(f, p, xs)
+		lies := w % (maxErrors + 2) // 0..maxErrors decodable, maxErrors+1 not
+		for _, i := range rng.Perm(n)[:lies] {
+			ys[i] ^= gf2k.Element(1 + rng.Intn(1000))
+		}
+		got, gotErr := d.Decode(ys)
+		want, wantErr := DecodeWith(f, xs, ys, degree, maxErrors, nil, nil)
+		if (gotErr == nil) != (wantErr == nil) || (lies > maxErrors) != (gotErr != nil) {
+			t.Fatalf("word %d with %d lies: Decoder err %v, DecodeWith err %v", w, lies, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if !errors.Is(gotErr, ErrNoCodeword) {
+				t.Fatalf("word %d: %v, want ErrNoCodeword", w, gotErr)
+			}
+			continue
+		}
+		if !polyEqual(f, got.Poly, p) || !polyEqual(f, want.Poly, p) {
+			t.Fatalf("word %d with %d lies: Decoder %v, DecodeWith %v, dealt %v", w, lies, got.Poly, want.Poly, p)
+		}
+		if len(got.ErrorIndexes) != lies {
+			t.Fatalf("word %d: %d error positions reported, %d planted", w, len(got.ErrorIndexes), lies)
+		}
+	}
+	if lookups() != after {
+		t.Fatalf("%d words cost %d more domain-cache lookups, want none", words, lookups()-after)
+	}
+	if _, err := d.Decode(make([]gf2k.Element, n-1)); err == nil {
+		t.Fatal("a word shorter than the point list was accepted")
+	}
+	if err := d.Reset(f, xs[:degree+2*maxErrors], degree, maxErrors, nil, nil); err == nil {
+		t.Fatal("Reset accepted a point list too short for its error budget")
+	}
+}

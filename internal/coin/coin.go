@@ -72,10 +72,29 @@ type Batch struct {
 	Pool *parallel.Pool
 
 	next int
-	// sids caches the field elements of the members of S. It is built
-	// lazily on first exposure (and after UnmarshalBatch, which leaves it
-	// nil) and never serialized.
-	sids []gf2k.Element
+	// sc is the exposure kernel's working state. Like Counters it is
+	// runtime-only: built lazily on first exposure (and again after
+	// UnmarshalBatch or Split, which leave it nil) and never serialized.
+	sc *scratch
+}
+
+// scratch is what one player's exposures of one batch keep between rounds,
+// so a steady-state exposure allocates its outgoing payload and nothing
+// that grows with S or with the number of coins opened.
+type scratch struct {
+	// sids are the field elements of the members of S, in S-order; player
+	// is the node index pos was resolved for, and pos that player's position
+	// in S (−1 outside S).
+	sids   []gf2k.Element
+	player int
+	pos    int
+	// first[i] is 1 + the index in the round's messages of the first message
+	// from player i, 0 when i sent none.
+	first []int
+	// xs is the round's point list and ys its share matrix, one row of
+	// len(S) columns per exposed coin (the first len(xs) columns are used).
+	xs, ys []gf2k.Element
+	dec    bw.Decoder
 }
 
 var _ Source = (*Batch)(nil)
@@ -155,12 +174,38 @@ func (b *Batch) Discard(count int) error {
 // through the received shares with the Berlekamp–Welch decoder, outputting
 // F(0). Consumes exactly one network round.
 func (b *Batch) Expose(nd *simnet.Node) (gf2k.Element, error) {
-	if b.Remaining() == 0 {
-		return 0, ErrExhausted
+	var out [1]gf2k.Element
+	err := b.exposeNext(nd, out[:])
+	return out[0], err
+}
+
+// ExposeN reveals the next k sealed coins in ONE network round — Fig. 6 run
+// on a k-vector: each member of S sends its k shares in one message and
+// every player decodes the k coordinates independently, so the values (and
+// their order) are exactly those of k successive Expose calls. It is all or
+// nothing: with fewer than k coins left it returns ErrExhausted before
+// anything is sent.
+func (b *Batch) ExposeN(nd *simnet.Node, k int) ([]gf2k.Element, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("coin: cannot expose %d coins", k)
+	}
+	out := make([]gf2k.Element, k)
+	if err := b.exposeNext(nd, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// exposeNext reveals the next len(out) coins into out. The cursor moves past
+// them before anything is sent: a round that fails midway must never lead to
+// a retry that transmits an already-sent share again.
+func (b *Batch) exposeNext(nd *simnet.Node, out []gf2k.Element) error {
+	if len(out) > b.Remaining() {
+		return ErrExhausted
 	}
 	h := b.next
-	b.next++
-	return b.exposeIndex(nd, h)
+	b.next += len(out)
+	return b.exposeRange(nd, h, out)
 }
 
 // ExposeAt reveals the coin with index h without touching the sequential
@@ -173,68 +218,111 @@ func (b *Batch) ExposeAt(nd *simnet.Node, h int) (gf2k.Element, error) {
 	if h < 0 || h >= len(b.Shares) {
 		return 0, fmt.Errorf("coin: index %d out of range [0,%d)", h, len(b.Shares))
 	}
-	return b.exposeIndex(nd, h)
+	var out [1]gf2k.Element
+	err := b.exposeRange(nd, h, out[:])
+	return out[0], err
 }
 
-// exposeIndex runs the Fig. 6 exposure for one share index. Every exposure
-// interpolates at (a subset of) the fixed member IDs of S, in S-order, so
-// bw.Decode's cached interpolation domain is shared by all coins of the
-// batch and by consecutive batches with the same S: the steady-state cost
-// of one exposure is a single inversion-free interpolation.
-func (b *Batch) exposeIndex(nd *simnet.Node, h int) (gf2k.Element, error) {
-	sp := nd.Tracer().Start(nd.Index(), nd.Round(), obs.KindPhase, "coin-expose")
-	defer func() { sp.End(nd.Round()) }()
-	if len(b.sids) != len(b.S) {
-		b.sids = make([]gf2k.Element, len(b.S))
+// scratchFor returns the kernel's working state for the player behind nd,
+// (re)building the parts that depend on S and on who is asking.
+func (b *Batch) scratchFor(nd *simnet.Node) (*scratch, error) {
+	sc := b.sc
+	if sc == nil {
+		sc = &scratch{}
+		b.sc = sc
+	}
+	if len(sc.sids) != len(b.S) {
+		sc.sids = make([]gf2k.Element, len(b.S))
 		for i, idx := range b.S {
 			id, err := b.Field.ElementFromID(idx + 1)
 			if err != nil {
-				return 0, err
+				sc.sids = nil
+				return nil, err
 			}
-			b.sids[i] = id
+			sc.sids[i] = id
+		}
+		sc.xs = make([]gf2k.Element, 0, len(b.S))
+		sc.player = -1
+	}
+	if sc.player != nd.Index() {
+		sc.player, sc.pos = nd.Index(), -1
+		for i, idx := range b.S {
+			if idx == nd.Index() {
+				sc.pos = i
+				break
+			}
 		}
 	}
+	return sc, nil
+}
 
-	inS := false
-	for _, idx := range b.S {
-		if idx == nd.Index() {
-			inS = true
-			break
-		}
+// exposeRange runs the Fig. 6 exposure for the k = len(out) share indices
+// h..h+k−1 in one round, writing coin h+j to out[j]. A member of S sends its
+// k shares back to back in one message (no length prefix: the single-coin
+// message is the bare share). A sender whose payload is not exactly k valid
+// elements is dropped for the whole round, as a malformed share always was,
+// so the k coordinates share one point list — a subset of the fixed member
+// IDs of S, in S-order — and one decoder set-up: the cached interpolation
+// domain is resolved once per round, shared by all coins of the batch and
+// by consecutive batches with the same S. Each coordinate is then decoded
+// on its own, deterministically (candidate through the first t+1 points,
+// disagreement scan, Berlekamp–Welch solve only when the scan fails), so
+// every honest player outputs the same k coins whatever ≤ t members sent.
+func (b *Batch) exposeRange(nd *simnet.Node, h int, out []gf2k.Element) error {
+	sp := nd.Tracer().Start(nd.Index(), nd.Round(), obs.KindPhase, "coin-expose")
+	defer func() { sp.End(nd.Round()) }()
+	sc, err := b.scratchFor(nd)
+	if err != nil {
+		return err
 	}
-	if inS && b.Silent {
-		inS = false
-	}
-	if inS {
-		nd.SendAll(b.Field.AppendElement(nil, b.Shares[h]))
+	k := len(out)
+	own := b.Shares[h : h+k]
+	// A silent player holds no valid shares: it sits in S but sends nothing
+	// and does not count its own share.
+	transmits := sc.pos >= 0 && !b.Silent
+	if transmits {
+		// The network keeps the payload until every receiver has read it,
+		// so it is the one buffer that cannot be reused.
+		nd.SendAll(b.Field.AppendElements(make([]byte, 0, k*b.Field.ByteLen()), own))
 	}
 	msgs, err := nd.EndRound()
 	if err != nil {
-		return 0, fmt.Errorf("coin: expose round: %w", err)
+		return fmt.Errorf("coin: expose round: %w", err)
 	}
 
-	first := simnet.FirstFromEach(msgs)
-	var xs, ys []gf2k.Element
-	for i, idx := range b.S {
-		var share gf2k.Element
-		if idx == nd.Index() {
-			if !inS {
-				continue
-			}
-			share = b.Shares[h]
-		} else {
-			payload, ok := first[idx]
-			if !ok {
-				continue
-			}
-			s, rest, err := b.Field.ReadElement(payload)
-			if err != nil || len(rest) != 0 {
-				continue // malformed share from a faulty player
-			}
-			share = s
+	if n := nd.N(); len(sc.first) != n {
+		sc.first = make([]int, n)
+	} else {
+		clear(sc.first)
+	}
+	for i, m := range msgs {
+		if sc.first[m.From] == 0 {
+			sc.first[m.From] = i + 1
 		}
-		xs = append(xs, b.sids[i])
-		ys = append(ys, share)
+	}
+	stride := len(b.S)
+	if cap(sc.ys) < k*stride {
+		sc.ys = make([]gf2k.Element, k*stride)
+	}
+	xs, ys := sc.xs[:0], sc.ys[:k*stride]
+	for i, idx := range b.S {
+		p := len(xs)
+		if i == sc.pos {
+			if !transmits {
+				continue
+			}
+			for j, share := range own {
+				ys[j*stride+p] = share
+			}
+		} else {
+			if idx >= len(sc.first) || sc.first[idx] == 0 {
+				continue
+			}
+			if !b.readShares(msgs[sc.first[idx]-1].Payload, ys[p:], stride, k) {
+				continue // malformed shares from a faulty player
+			}
+		}
+		xs = append(xs, sc.sids[i])
 	}
 
 	// The error budget adapts to the shares actually received: s silent
@@ -248,13 +336,35 @@ func (b *Batch) exposeIndex(nd *simnet.Node, h int) (gf2k.Element, error) {
 	if maxErr < 0 {
 		maxErr = 0
 	}
-	res, err := bw.DecodeWith(b.Field, xs, ys, b.T, maxErr, b.Counters, b.Pool)
-	if err != nil {
-		return 0, fmt.Errorf("coin: expose coin %d: %w", h, err)
+	if err := sc.dec.Reset(b.Field, xs, b.T, maxErr, b.Counters, b.Pool); err != nil {
+		return fmt.Errorf("coin: expose coin %d: %w", h, err)
 	}
-	value := poly.Eval(b.Field, res.Poly, 0)
-	nd.Tracer().CoinExposed(nd.Index(), h, uint64(value), nd.Round())
-	return value, nil
+	for j := range out {
+		res, err := sc.dec.Decode(ys[j*stride : j*stride+len(xs)])
+		if err != nil {
+			return fmt.Errorf("coin: expose coin %d: %w", h+j, err)
+		}
+		out[j] = poly.Eval(b.Field, res.Poly, 0)
+		nd.Tracer().CoinExposed(nd.Index(), h+j, uint64(out[j]), nd.Round())
+	}
+	return nil
+}
+
+// readShares decodes a sender's payload — exactly k elements — into
+// col[0], col[stride], …, reporting false (with col partly written) when the
+// length is off or an element is out of range.
+func (b *Batch) readShares(payload []byte, col []gf2k.Element, stride, k int) bool {
+	if len(payload) != k*b.Field.ByteLen() {
+		return false
+	}
+	for j := 0; j < k; j++ {
+		share, rest, err := b.Field.ReadElement(payload)
+		if err != nil {
+			return false
+		}
+		col[j*stride], payload = share, rest
+	}
+	return true
 }
 
 // ExposeBit reveals the next coin and reduces it to a single bit, the

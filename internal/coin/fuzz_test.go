@@ -1,10 +1,12 @@
 package coin
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"repro/internal/gf2k"
+	"repro/internal/simnet"
 )
 
 // FuzzUnmarshalBatch: the batch decoder must never panic, and everything it
@@ -104,6 +106,84 @@ func FuzzUnmarshalStore(f *testing.F) {
 		}
 		if s2.Universe != 0 || s2.Generation != 0 || s2.Remaining() != s.Remaining() {
 			t.Fatal("v1 decode changed semantics")
+		}
+	})
+}
+
+// FuzzExposeVector: the fuzz input is everything the t corrupted members of
+// S put on the wire in one vector Coin-Expose round at (n, t) = (7, 2),
+// k = 8 — for each corrupted member and each receiver a length byte (0xff:
+// send nothing) followed by that many payload bytes. Whatever they send, no
+// honest player may panic and every honest player must open the dealt coins.
+func FuzzExposeVector(f *testing.F) {
+	const n, tf, k = 7, 2, 8
+	field := gf2k.MustNew(16)
+	corrupt := []int{0, 4}
+	honestLen := byte(k * field.ByteLen())
+	var wellFormed, short, long, mixed []byte
+	for range corrupt {
+		for r := 0; r < n; r++ {
+			wellFormed = append(append(wellFormed, honestLen), make([]byte, honestLen)...)
+			short = append(append(short, honestLen-1), make([]byte, honestLen-1)...)
+			long = append(append(long, honestLen+2), make([]byte, honestLen+2)...)
+			mixed = append(mixed, byte(r)) // lengths 0..6, payload bytes run into the next length
+		}
+	}
+	f.Add(wellFormed)
+	f.Add(short)
+	f.Add(long)
+	f.Add(mixed)
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 2*n))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batches, values, err := DealTrusted(field, n, tf, k, rand.New(rand.NewSource(11)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fns := make([]simnet.PlayerFunc, n)
+		for i := range fns {
+			b := batches[i]
+			fns[i] = func(nd *simnet.Node) (interface{}, error) { return b.ExposeN(nd, k) }
+		}
+		for _, c := range corrupt {
+			var payloads [n][]byte
+			for r := range payloads {
+				if len(data) == 0 {
+					break
+				}
+				l := int(data[0])
+				data = data[1:]
+				if l == 0xff {
+					continue
+				}
+				if l > len(data) {
+					l = len(data)
+				}
+				payloads[r], data = data[:l:l], data[l:]
+			}
+			fns[c] = func(nd *simnet.Node) (interface{}, error) {
+				for r, p := range payloads {
+					if p != nil {
+						nd.Send(r, p)
+					}
+				}
+				_, err := nd.EndRound()
+				return nil, err
+			}
+		}
+		for i, r := range simnet.Run(simnet.New(n), fns) {
+			if i == corrupt[0] || i == corrupt[1] {
+				continue
+			}
+			if r.Err != nil {
+				t.Fatalf("honest player %d: %v", i, r.Err)
+			}
+			for h, got := range r.Value.([]gf2k.Element) {
+				if got != values[h] {
+					t.Fatalf("honest player %d coin %d: opened %#x, dealt %#x", i, h, got, values[h])
+				}
+			}
 		}
 	})
 }

@@ -177,14 +177,12 @@ func (s *Store) Discard(count int) error {
 		return fmt.Errorf("coin: cannot discard %d of %d remaining coins", count, s.Remaining())
 	}
 	for count > 0 {
-		for len(s.batches) > 0 && s.batches[0].Remaining() == 0 {
-			s.batches = s.batches[1:]
-		}
-		take := s.batches[0].Remaining()
+		b := s.front()
+		take := b.Remaining()
 		if take > count {
 			take = count
 		}
-		if err := s.batches[0].Discard(take); err != nil {
+		if err := b.Discard(take); err != nil {
 			return err
 		}
 		count -= take
@@ -201,15 +199,53 @@ func (s *Store) Remaining() int {
 	return total
 }
 
-// Expose reveals the next sealed coin from the oldest non-empty batch.
-func (s *Store) Expose(nd *simnet.Node) (gf2k.Element, error) {
+// front pops drained batches and returns the oldest one with coins left,
+// nil when the store is dry.
+func (s *Store) front() *Batch {
 	for len(s.batches) > 0 && s.batches[0].Remaining() == 0 {
 		s.batches = s.batches[1:]
 	}
 	if len(s.batches) == 0 {
+		return nil
+	}
+	return s.batches[0]
+}
+
+// Expose reveals the next sealed coin from the oldest non-empty batch.
+func (s *Store) Expose(nd *simnet.Node) (gf2k.Element, error) {
+	b := s.front()
+	if b == nil {
 		return 0, ErrExhausted
 	}
-	return s.batches[0].Expose(nd)
+	return b.Expose(nd)
+}
+
+// ExposeN reveals the next k sealed coins — the values k Expose calls would
+// return, in the same order — in one network round per batch touched: each
+// round takes min(coins still wanted, coins left in the front batch), so a
+// vector never mixes two reconstruction sets. It is all or nothing: with
+// fewer than k coins in the store it returns ErrExhausted before any round
+// is consumed, which keeps lockstep callers aligned on the error path.
+func (s *Store) ExposeN(nd *simnet.Node, k int) ([]gf2k.Element, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("coin: cannot expose %d coins", k)
+	}
+	if k > s.Remaining() {
+		return nil, ErrExhausted
+	}
+	out := make([]gf2k.Element, k)
+	for off := 0; off < k; {
+		b := s.front()
+		take := b.Remaining()
+		if take > k-off {
+			take = k - off
+		}
+		if err := b.exposeNext(nd, out[off:off+take]); err != nil {
+			return nil, err
+		}
+		off += take
+	}
+	return out, nil
 }
 
 // ExposeBit reveals the next coin reduced to one bit.
@@ -223,11 +259,9 @@ func (s *Store) ExposeBit(nd *simnet.Node) (byte, error) {
 
 // ExposeMod reveals the next coin reduced mod m into [1, m].
 func (s *Store) ExposeMod(nd *simnet.Node, m int) (int, error) {
-	for len(s.batches) > 0 && s.batches[0].Remaining() == 0 {
-		s.batches = s.batches[1:]
-	}
-	if len(s.batches) == 0 {
+	b := s.front()
+	if b == nil {
 		return 0, ErrExhausted
 	}
-	return s.batches[0].ExposeMod(nd, m)
+	return b.ExposeMod(nd, m)
 }

@@ -39,8 +39,8 @@ const TraceDirEnv = "CONFORMANCE_TRACE_DIR"
 // Scenario names one conformance case: a protocol under a named attack at a
 // given size, fully reproducible from Seed.
 type Scenario struct {
-	// Protocol selects the runner: "vss", "batch-vss", "gradecast", "ba" or
-	// "coingen".
+	// Protocol selects the runner: "vss", "batch-vss", "gradecast", "ba",
+	// "coingen" or "coin-expose".
 	Protocol string
 	// Attack is the runner-specific attack key; "honest" is the control.
 	Attack string
@@ -48,7 +48,7 @@ type Scenario struct {
 	// pattern).
 	Variant string
 	// N, T are the network size and fault bound; M the batch size where the
-	// protocol has one.
+	// protocol has one (for "coin-expose", the coins opened per round).
 	N, T, M int
 	// Seed derives every random choice in the scenario.
 	Seed int64

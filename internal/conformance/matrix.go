@@ -5,7 +5,11 @@ package conformance
 // the experiment driver (cmd/experiments) and the nightly fuzz driver
 // (cmd/schedulefuzz) can execute the exact same scenarios the suite gates.
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/adversary"
+)
 
 // vssAttacks is every VSS/Batch-VSS attack the suite sweeps; gradecast,
 // ba and coingen attacks below likewise. The "honest" entry is the control
@@ -44,6 +48,10 @@ var coingenAttacks = []string{
 	"coin-share-liar",
 }
 
+// coinExposeAttacks are the vector Coin-Expose corruptions; the attack keys
+// are adversary.ExposeAttack's.
+var coinExposeAttacks = append([]string{"honest"}, adversary.ExposeAttacks...)
+
 // Scenarios is the full {attack × protocol × (n,t)} sweep. Every entry
 // reproduces from its printed name alone: `go test -run 'TestSuite/<name>'`.
 func Scenarios() []Scenario {
@@ -73,6 +81,13 @@ func Scenarios() []Scenario {
 	for _, nt := range [][2]int{{7, 1}, {13, 2}} {
 		for _, a := range coingenAttacks {
 			scs = append(scs, Scenario{Protocol: "coingen", Attack: a, N: nt[0], T: nt[1], M: 3, Seed: 5})
+		}
+	}
+	// Vector Coin-Expose at n = 3t+1 (S is everyone, the attack spends the
+	// whole error budget), M = 8 coins per round.
+	for _, nt := range [][2]int{{4, 1}, {7, 2}} {
+		for _, a := range coinExposeAttacks {
+			scs = append(scs, Scenario{Protocol: "coin-expose", Attack: a, N: nt[0], T: nt[1], M: 8, Seed: 6})
 		}
 	}
 	return scs
@@ -130,6 +145,10 @@ func ScenarioActors(sc Scenario) (corrupt, pinned []int) {
 	case "coingen":
 		if sc.Attack != "honest" {
 			corrupt = []int{cgAttacker}
+		}
+	case "coin-expose":
+		if sc.Attack != "honest" {
+			corrupt = ceCorrupt(sc.T)
 		}
 	}
 	return corrupt, pinned
@@ -192,6 +211,19 @@ func RunScenario(sc Scenario) (string, error) {
 		for _, i := range o.Honest {
 			p := o.Players[i]
 			fp += fmt.Sprintf("%d:a%d,c%v,x%x;", i, p.Res.Attempts, p.Res.Clique, p.Coins)
+		}
+		return fp, nil
+	case "coin-expose":
+		o, err := RunCoinExpose(sc)
+		if err != nil {
+			return "", err
+		}
+		if err := o.Check(); err != nil {
+			return "", err
+		}
+		fp := ""
+		for _, i := range o.Honest {
+			fp += fmt.Sprintf("%d:%x;", i, o.Coins[i])
 		}
 		return fp, nil
 	}

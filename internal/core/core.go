@@ -280,6 +280,20 @@ func (g *Generator) Expose(nd *simnet.Node) (gf2k.Element, error) {
 	return e, nil
 }
 
+// ExposeN reveals the next k sealed coins, again with no refill check, in
+// one network round per batch touched (coin.Store.ExposeN) — the values k
+// Expose calls would return, for one barrier instead of k. All or nothing:
+// with fewer than k coins left it returns coin.ErrExhausted before any round
+// is consumed, so lockstep workers stay aligned on the error path too.
+func (g *Generator) ExposeN(nd *simnet.Node, k int) ([]gf2k.Element, error) {
+	vals, err := g.store.ExposeN(nd, k)
+	if err != nil {
+		return nil, err
+	}
+	g.stats.CoinsDelivered += k
+	return vals, nil
+}
+
 // DetachSeed carves the `count` newest sealed coins out of the store as a
 // standalone seed for an out-of-band refill (core.Mint on a separate
 // network), leaving the older coins behind for the serving path to keep

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -209,5 +211,84 @@ func TestNeedsRefillHighWater(t *testing.T) {
 	exposeSome(t, gens2, 3, 700)
 	if gens2[0].NeedsRefill() {
 		t.Fatal("NeedsRefill true above the threshold with HighWater disabled")
+	}
+}
+
+// TestExposeNDryStoreKeepsLockstep: a vector wider than the store fails
+// with coin.ErrExhausted before any round is consumed and without spending a
+// coin, at every player alike; the same generators then serve a vector that
+// fits, through a refill boundary, with the values single exposures give.
+func TestExposeNDryStoreKeepsLockstep(t *testing.T) {
+	cfg := defaultConfig(7, 1)
+	cfg.BatchSize = 16
+	deal := func() []*Generator {
+		gens, err := SetupTrusted(cfg, 8, rand.New(rand.NewSource(78)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gens
+	}
+	// Every player refuses the oversized vector, refills, and opens 20 of
+	// the 8 − (seed spent) + 16 coins: across the batch boundary.
+	run := func(gens []*Generator, vector bool) []gf2k.Element {
+		fns := make([]simnet.PlayerFunc, cfg.N)
+		for i := range fns {
+			g := gens[i]
+			fns[i] = func(nd *simnet.Node) (interface{}, error) {
+				if _, err := g.ExposeN(nd, 9); !errors.Is(err, coin.ErrExhausted) {
+					return nil, fmt.Errorf("ExposeN(9) of 8 coins: %v, want ErrExhausted", err)
+				}
+				if nd.Round() != 0 || g.Remaining() != 8 || g.Stats().CoinsDelivered != 0 {
+					return nil, fmt.Errorf("the refused vector cost %d rounds, left %d coins, delivered %d",
+						nd.Round(), g.Remaining(), g.Stats().CoinsDelivered)
+				}
+				if err := g.Refill(nd, rand.New(rand.NewSource(600+int64(nd.Index())))); err != nil {
+					return nil, err
+				}
+				const k = 20
+				if vector {
+					before := nd.Round()
+					vals, err := g.ExposeN(nd, k)
+					if err == nil && nd.Round()-before != 2 {
+						err = fmt.Errorf("a vector across the seed/minted boundary cost %d rounds, want 2", nd.Round()-before)
+					}
+					if err == nil && g.Stats().CoinsDelivered != k {
+						err = fmt.Errorf("CoinsDelivered %d, want %d", g.Stats().CoinsDelivered, k)
+					}
+					return vals, err
+				}
+				vals := make([]gf2k.Element, 0, k)
+				for len(vals) < k {
+					v, err := g.Expose(nd)
+					if err != nil {
+						return nil, err
+					}
+					vals = append(vals, v)
+				}
+				return vals, nil
+			}
+		}
+		var ref []gf2k.Element
+		for i, r := range simnet.Run(simnet.New(cfg.N), fns) {
+			if r.Err != nil {
+				t.Fatalf("player %d (vector=%v): %v", i, vector, r.Err)
+			}
+			vals := r.Value.([]gf2k.Element)
+			if i == 0 {
+				ref = vals
+			}
+			for h := range ref {
+				if vals[h] != ref[h] {
+					t.Fatalf("unanimity violated at player %d coin %d (vector=%v)", i, h, vector)
+				}
+			}
+		}
+		return ref
+	}
+	want, got := run(deal(), false), run(deal(), true)
+	for h := range want {
+		if got[h] != want[h] {
+			t.Fatalf("coin %d: vector %#x, one at a time %#x", h, got[h], want[h])
+		}
 	}
 }

@@ -136,16 +136,26 @@ func (d *Domain) Xs() []gf2k.Element { return append([]gf2k.Element(nil), d.xs..
 // plain Interpolate). Accounted as n multiplications and n additions per
 // nonzero value: a zero value contributes nothing and is not charged.
 func (d *Domain) Interpolate(ys []gf2k.Element, ctr *metrics.Counters) (Poly, error) {
+	out := make(Poly, len(d.xs))
+	if err := d.InterpolateInto(out, ys, ctr); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// InterpolateInto is Interpolate writing the n coefficients into dst, which
+// must have length n — for callers that interpolate many value vectors over
+// one domain and keep the coefficient buffer between calls.
+func (d *Domain) InterpolateInto(dst Poly, ys []gf2k.Element, ctr *metrics.Counters) error {
 	n := len(d.xs)
-	if len(ys) != n {
-		return nil, fmt.Errorf("poly: domain interpolate: %d xs vs %d ys", n, len(ys))
+	if len(ys) != n || len(dst) != n {
+		return fmt.Errorf("poly: domain interpolate: %d xs vs %d ys into %d coefficients", n, len(ys), len(dst))
 	}
 	if ctr != nil {
 		ctr.AddInterpolations(1)
 	}
-	out := make(Poly, n)
-	for j := range out {
-		out[j] = d.f.Dot(ys, d.coef[j])
+	for j := range dst {
+		dst[j] = d.f.Dot(ys, d.coef[j])
 	}
 	nonzero := 0
 	for _, y := range ys {
@@ -154,7 +164,7 @@ func (d *Domain) Interpolate(ys []gf2k.Element, ctr *metrics.Counters) (Poly, er
 		}
 	}
 	d.f.Tally(nonzero*n, nonzero*n)
-	return out, nil
+	return nil
 }
 
 // InterpolateAt0 returns the value at zero of the unique degree-<n
