@@ -40,8 +40,8 @@
 //	beacond -reshare-join 7 -config peers.yaml -reshare peers-g2.yaml -data DIR
 //
 // HTTP endpoints (single-process mode; daemon mode serves the observability
-// endpoints only — /v1/healthz, /metrics, /debug/vars, /debug/trace — on
-// -addr when set):
+// endpoints only — /v1/healthz, /metrics, /debug/trace — on -addr when
+// set):
 //
 //	GET /v1/coin        one shared coin (an element of GF(2^k))
 //	GET /v1/bits?n=128  n shared random bits, hex-encoded LSB-first
@@ -49,8 +49,6 @@
 //	GET /v1/healthz     liveness plus a stats summary
 //	GET /metrics        Prometheus text exposition (draw latency, refill
 //	                    pipeline, per-peer watermarks in daemon mode)
-//	GET /debug/vars     expvar, with the unified beacon.VarsSnapshot under
-//	                    the "beacon" key in both modes
 //	GET /debug/trace    last ?n= events from the in-memory flight recorder,
 //	                    as obs JSONL (mergeable with beaconctl timeline)
 //
@@ -64,7 +62,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -273,31 +270,45 @@ func (c *config) beaconConfig(ctr *metrics.Counters) (beacon.Config, error) {
 	return cfg, cfg.Validate()
 }
 
-// liveVars holds the current mode's snapshot function. expvar.Publish
-// panics on duplicate names and tests start several servers (of both modes)
-// in one process, so a single "beacon" key is registered once and
-// dispatches to whatever ran last — both modes publish the same unified
-// beacon.VarsSnapshot schema.
-var liveVars atomic.Value // of func() beacon.VarsSnapshot
+// observability is what both serving modes expose on -addr: the Prometheus
+// registry and the always-on flight recorder — the tracer feeds an
+// in-memory ring (served at /debug/trace) and, with -trace, a JSONL file as
+// well. beacon.NewDaemon stamps the tracer with the player's origin and
+// epoch, so dumps from different daemons correlate.
+type observability struct {
+	reg    *prom.Registry
+	ring   *obs.Ring
+	tracer *obs.Tracer
+	close  func() // flushes and closes the -trace file, if any
+}
 
-var publishOnce = func() func() {
-	var done atomic.Bool
-	return func() {
-		if done.CompareAndSwap(false, true) {
-			expvar.Publish("beacon", expvar.Func(func() any {
-				if f, ok := liveVars.Load().(func() beacon.VarsSnapshot); ok {
-					return f()
-				}
-				return nil
-			}))
+func newObservability(ctr *metrics.Counters, tracePath string) (*observability, error) {
+	o := &observability{reg: prom.NewRegistry(), ring: obs.NewRing(0), close: func() {}}
+	sinks := []obs.Sink{o.ring}
+	if tracePath != "" {
+		f, err := os.Create(tracePath)
+		if err != nil {
+			return nil, err
 		}
+		jsonl := obs.NewJSONL(f)
+		o.close = func() {
+			jsonl.Flush() //nolint:errcheck // best-effort trace file
+			f.Close()
+		}
+		sinks = append(sinks, jsonl)
 	}
-}()
+	o.tracer = obs.New(ctr, sinks...)
+	return o, nil
+}
 
-// publishVars installs f as the process's /debug/vars snapshot source.
-func publishVars(f func() beacon.VarsSnapshot) {
-	liveVars.Store(f)
-	publishOnce()
+// mux serves the endpoints the two modes share; healthz supplies the
+// mode's own /v1/healthz body.
+func (o *observability) mux(healthz func() map[string]any) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, healthz()) })
+	mux.Handle("GET /metrics", o.reg.Handler())
+	mux.HandleFunc("GET /debug/trace", traceHandler(o.ring))
+	return mux
 }
 
 // traceHandler serves the in-memory flight recorder as obs JSONL: the last
@@ -344,23 +355,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	reg := prom.NewRegistry()
-	cfg.Metrics = beacon.NewServiceMetrics(reg)
-	// Always-on flight recorder: the refill tracer feeds the in-memory ring
-	// (served at /debug/trace) and, with -trace, a JSONL file as well.
-	ring := obs.NewRing(0)
-	sinks := []obs.Sink{ring}
-	if c.trace != "" {
-		f, err := os.Create(c.trace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		jsonl := obs.NewJSONL(f)
-		defer jsonl.Flush() //nolint:errcheck // best-effort trace file
-		sinks = append(sinks, jsonl)
+	o, err := newObservability(ctr, c.trace)
+	if err != nil {
+		return err
 	}
-	cfg.Tracer = obs.New(ctr, sinks...)
+	defer o.close()
+	cfg.Metrics = beacon.NewServiceMetrics(o.reg)
+	cfg.Tracer = o.tracer
 
 	var svc *beacon.Service
 	switch {
@@ -381,13 +382,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "beacond: fresh start, one-time trusted-dealer seed of %d coins\n",
 			svc.Stats().Remaining)
 	}
-	publishVars(func() beacon.VarsSnapshot { return svc.Stats().Vars() })
 
 	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: newMux(svc, c.k, reg, ring)}
+	srv := &http.Server{Handler: newMux(svc, c.k, o)}
 	fmt.Fprintf(stdout, "beacond: listening on http://%s\n", ln.Addr())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
@@ -419,8 +419,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func newMux(svc *beacon.Service, k int, reg *prom.Registry, ring *obs.Ring) *http.ServeMux {
-	mux := http.NewServeMux()
+func newMux(svc *beacon.Service, k int, o *observability) *http.ServeMux {
+	mux := o.mux(func() map[string]any {
+		st := svc.Stats()
+		return map[string]any{
+			"status":    "ok",
+			"remaining": st.Remaining,
+			"queue":     st.QueueDepth,
+			"refilling": st.RefillInFlight,
+			"resumed":   st.Resumed,
+		}
+	})
 	mux.HandleFunc("GET /v1/coin", func(w http.ResponseWriter, r *http.Request) {
 		e, err := svc.Draw(r.Context())
 		if err != nil {
@@ -455,19 +464,6 @@ func newMux(svc *beacon.Service, k int, reg *prom.Registry, ring *obs.Ring) *htt
 		}
 		writeJSON(w, map[string]any{"value": v, "m": m})
 	})
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		st := svc.Stats()
-		writeJSON(w, map[string]any{
-			"status":    "ok",
-			"remaining": st.Remaining,
-			"queue":     st.QueueDepth,
-			"refilling": st.RefillInFlight,
-			"resumed":   st.Resumed,
-		})
-	})
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("GET /debug/trace", traceHandler(ring))
 	return mux
 }
 
@@ -547,26 +543,13 @@ func runPlayer(ctx context.Context, c *config, stdout, stderr io.Writer) error {
 		return runReshareCeremony(ctx, c, pc, next, c.player, nil, nil, nil, logf)
 	}
 	ctr := &metrics.Counters{}
-	// The flight recorder is always on: every daemon retains its recent
-	// protocol events in memory for /debug/trace, and -trace additionally
-	// streams them to a JSONL file. NewDaemon stamps the tracer with this
-	// player's origin and epoch, so dumps from different daemons correlate.
-	ring := obs.NewRing(0)
-	sinks := []obs.Sink{ring}
-	if c.trace != "" {
-		f, err := os.Create(c.trace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		jsonl := obs.NewJSONL(f)
-		defer jsonl.Flush() //nolint:errcheck // best-effort trace file
-		sinks = append(sinks, jsonl)
+	o, err := newObservability(ctr, c.trace)
+	if err != nil {
+		return err
 	}
-	tracer := obs.New(ctr, sinks...)
-	reg := prom.NewRegistry()
-	dm := beacon.NewDaemonMetrics(reg)
-	pm := simnet.NewPeerMetrics(reg)
+	defer o.close()
+	dm := beacon.NewDaemonMetrics(o.reg)
+	pm := simnet.NewPeerMetrics(o.reg)
 	d, err := beacon.NewDaemon(beacon.DaemonConfig{
 		Peers:          pc,
 		Self:           c.player,
@@ -575,7 +558,7 @@ func runPlayer(ctx context.Context, c *config, stdout, stderr io.Writer) error {
 		EmitInterval:   c.emitInterval,
 		Rand:           playerRand(c),
 		Counters:       ctr,
-		Tracer:         tracer,
+		Tracer:         o.tracer,
 		Metrics:        dm,
 		PeerMetrics:    pm,
 		RoundTimeout:   c.roundTimeout,
@@ -587,23 +570,18 @@ func runPlayer(ctx context.Context, c *config, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	publishVars(func() beacon.VarsSnapshot { return d.Stats().Vars() })
 
 	var srv *http.Server
 	if c.addr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		mux := o.mux(func() map[string]any {
 			st := d.Stats()
-			writeJSON(w, map[string]any{
+			return map[string]any{
 				"status": "ok", "player": st.Player, "joined": st.Joined,
 				"round": st.Round, "log": st.LogLen, "epoch": st.Epoch,
 				"remaining": st.Remaining, "refilling": st.Refilling, "peers": st.Peers,
 				"generation": st.Generation, "armed": st.ReshareArmed, "cutover": st.Cutover,
-			})
+			}
 		})
-		mux.Handle("GET /metrics", reg.Handler())
-		mux.Handle("GET /debug/vars", expvar.Handler())
-		mux.HandleFunc("GET /debug/trace", traceHandler(ring))
 		ln, err := net.Listen("tcp", c.addr)
 		if err != nil {
 			return err
@@ -623,7 +601,7 @@ func runPlayer(ctx context.Context, c *config, stdout, stderr io.Writer) error {
 		// endpoints still up so the reshare metrics can be scraped.
 		logf("cutover reached at log %d; starting the resharing ceremony to generation %d",
 			d.Stats().Cutover, next.Generation)
-		runErr = runReshareCeremony(ctx, c, pc, next, c.player, dm, pm, tracer, logf)
+		runErr = runReshareCeremony(ctx, c, pc, next, c.player, dm, pm, o.tracer, logf)
 		reshared = runErr == nil
 		if reshared && c.reshareLinger > 0 {
 			logf("observability endpoints linger %v for a final scrape", c.reshareLinger)
@@ -684,31 +662,20 @@ func runReshareJoin(ctx context.Context, c *config, stdout io.Writer) error {
 	return runReshareCeremony(ctx, c, old, next, -1, nil, nil, nil, logf)
 }
 
-// nextIndexOf maps an old-roster member to its index in the next roster by
-// dial address (-1: the member is leaving the committee).
-func nextIndexOf(old, next *simnet.PeerConfig, oldSelf int) int {
-	var addr string
-	for _, p := range old.Peers {
-		if p.ID == oldSelf {
-			addr = p.Addr
-		}
-	}
-	for _, p := range next.Peers {
-		if p.Addr == addr {
-			return p.ID
-		}
-	}
-	return -1
-}
-
 // runReshareCeremony executes this process's side of the dealer-free
 // handover (beacon.RunReshare) and tells the operator what to run next.
 func runReshareCeremony(ctx context.Context, c *config, old, next *simnet.PeerConfig,
 	oldSelf int, dm *beacon.DaemonMetrics, pm *simnet.PeerMetrics, tracer *obs.Tracer,
 	logf func(string, ...any)) error {
 	newSelf := c.reshareJoin
-	if oldSelf >= 0 {
-		newSelf = nextIndexOf(old, next, oldSelf)
+	if oldSelf >= 0 && oldSelf < old.N() { // out of range: RunReshare rejects it
+		// An old member's index in the next roster (-1: it is leaving) is
+		// the ceremony's own old → new map, matched by dial address.
+		_, newOf, err := beacon.CombinedConfig(old, next, 0)
+		if err != nil {
+			return err
+		}
+		newSelf = newOf[oldSelf]
 	}
 	res, err := beacon.RunReshare(ctx, beacon.ReshareConfig{
 		Old:          old,

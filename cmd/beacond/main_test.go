@@ -108,18 +108,28 @@ func getJSON(t *testing.T, base, path string) (int, map[string]any) {
 	return resp.StatusCode, body
 }
 
-// beaconVars reads the beacon Stats snapshot out of /debug/vars.
-func beaconVars(t *testing.T, base string) map[string]any {
+// scrape fetches and parses /metrics.
+func scrape(t *testing.T, base string) []prom.Sample {
 	t.Helper()
-	status, body := getJSON(t, base, "/debug/vars")
-	if status != http.StatusOK {
-		t.Fatalf("/debug/vars: status %d", status)
+	status, ctype, body := getRaw(t, base, "/metrics")
+	if status != http.StatusOK || !strings.Contains(ctype, "version=0.0.4") {
+		t.Fatalf("/metrics: status %d content-type %q", status, ctype)
 	}
-	st, ok := body["beacon"].(map[string]any)
+	samples, err := prom.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v\n%s", err, body)
+	}
+	return samples
+}
+
+// series reads one series out of a scrape; it must be present.
+func series(t *testing.T, samples []prom.Sample, name string, kv ...string) float64 {
+	t.Helper()
+	v, ok := prom.Value(samples, name, kv...)
 	if !ok {
-		t.Fatalf("/debug/vars has no beacon stats: %v", body)
+		t.Fatalf("/metrics has no %s%v", name, kv)
 	}
-	return st
+	return v
 }
 
 // getRaw fetches path and returns status, Content-Type, and the raw body.
@@ -137,10 +147,9 @@ func getRaw(t *testing.T, base, path string) (int, string, []byte) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), body
 }
 
-// TestObservabilityEndpoints covers the single-process mode's /metrics,
-// /debug/trace and unified /debug/vars surfaces: the exposition parses and
-// carries the key series, the trace dump is valid obs JSONL with refill
-// spans, and the expvar blob follows the unified schema.
+// TestObservabilityEndpoints covers the single-process mode's /metrics and
+// /debug/trace surfaces: the exposition parses and carries the key series,
+// and the trace dump is valid obs JSONL with refill spans.
 func TestObservabilityEndpoints(t *testing.T) {
 	d := startDaemon(t, "-n", "7", "-t", "1", "-k", "8",
 		"-batch", "24", "-threshold", "6", "-highwater", "16", "-insecure-rand")
@@ -151,29 +160,21 @@ func TestObservabilityEndpoints(t *testing.T) {
 		}
 	}
 
-	status, ctype, body := getRaw(t, d.url, "/metrics")
-	if status != http.StatusOK || !strings.Contains(ctype, "version=0.0.4") {
-		t.Fatalf("/metrics: status %d content-type %q", status, ctype)
-	}
-	samples, err := prom.ParseText(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("/metrics does not parse: %v\n%s", err, body)
-	}
-	if v, ok := prom.Value(samples, "beacon_draws_total"); !ok || v != draws {
-		t.Errorf("beacon_draws_total = %v, %v; want %d", v, ok, draws)
+	samples := scrape(t, d.url)
+	if v := series(t, samples, "beacon_draws_total"); v != draws {
+		t.Errorf("beacon_draws_total = %v; want %d", v, draws)
 	}
 	for _, name := range []string{"beacon_draw_latency_seconds_count", "beacon_store_remaining", "beacon_queue_depth"} {
-		if _, ok := prom.Value(samples, name); !ok {
-			t.Errorf("/metrics missing %s:\n%s", name, body)
-		}
+		series(t, samples, name)
 	}
 
 	// The pipelined refill runs asynchronously; wait for its spans to land
 	// in the flight recorder.
 	deadline := time.Now().Add(10 * time.Second)
 	var events []obs.Event
+	var err error
 	for {
-		_, ctype, body = getRaw(t, d.url, "/debug/trace")
+		_, ctype, body := getRaw(t, d.url, "/debug/trace")
 		if !strings.Contains(ctype, "ndjson") {
 			t.Fatalf("/debug/trace content-type %q", ctype)
 		}
@@ -195,14 +196,6 @@ func TestObservabilityEndpoints(t *testing.T) {
 	tailEvents, err := obs.ParseJSONL(bytes.NewReader(tail))
 	if err != nil || len(tailEvents) > 3 {
 		t.Errorf("/debug/trace?n=3 returned %d events, err %v", len(tailEvents), err)
-	}
-
-	vars := beaconVars(t, d.url)
-	if vars["Mode"] != "service" {
-		t.Errorf("unified expvar Mode = %v, want \"service\"", vars["Mode"])
-	}
-	if vars["Draws"].(float64) != draws {
-		t.Errorf("unified expvar Draws = %v, want %d", vars["Draws"], draws)
 	}
 	d.stop(t)
 }
@@ -324,8 +317,8 @@ func TestEndpoints(t *testing.T) {
 	if status != http.StatusOK || body["status"] != "ok" {
 		t.Fatalf("/v1/healthz: status %d body %v", status, body)
 	}
-	if vars := beaconVars(t, d.url); vars["CoinsDelivered"].(float64) < 3 {
-		t.Fatalf("expvar stats did not count the draws: %v", vars)
+	if got := series(t, scrape(t, d.url), "beacon_coins_delivered_total"); got < 3 {
+		t.Fatalf("beacon_coins_delivered_total = %v, did not count the draws", got)
 	}
 	out := d.stop(t)
 	if !strings.Contains(out, "served") {
@@ -379,18 +372,19 @@ func TestSoakPipelineAndResume(t *testing.T) {
 		t.Fatalf("soak client: %v", err)
 	}
 
-	vars := beaconVars(t, d.url)
-	if got := vars["CoinsDelivered"].(float64); got != clients*perClient {
-		t.Fatalf("CoinsDelivered=%v, want %d", got, clients*perClient)
+	samples := scrape(t, d.url)
+	if got := series(t, samples, "beacon_coins_delivered_total"); got != clients*perClient {
+		t.Fatalf("coins delivered = %v, want %d", got, clients*perClient)
 	}
-	if got := vars["PipelinedRefills"].(float64); got < 3 {
-		t.Fatalf("PipelinedRefills=%v after draining %d coins, want ≥ 3", got, clients*perClient)
+	if got := series(t, samples, "beacon_refills_total", "kind", "pipelined"); got < 3 {
+		t.Fatalf("pipelined refills = %v after draining %d coins, want ≥ 3", got, clients*perClient)
 	}
-	if got := vars["BlockedDraws"].(float64); got != 0 {
-		t.Fatalf("BlockedDraws=%v, want 0 — a draw waited on a Coin-Gen round", got)
+	if got := series(t, samples, "beacon_blocked_draws_total"); got != 0 {
+		t.Fatalf("blocked draws = %v, want 0 — a draw waited on a Coin-Gen round", got)
 	}
-	if got := vars["BlockingRefills"].(float64); got != 0 {
-		t.Fatalf("BlockingRefills=%v, want 0", got)
+	// A label value never incremented has no series yet: absent means 0.
+	if got, _ := prom.Value(samples, "beacon_refills_total", "kind", "blocking"); got != 0 {
+		t.Fatalf("blocking refills = %v, want 0", got)
 	}
 
 	out := d.stop(t)

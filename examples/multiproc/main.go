@@ -50,6 +50,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/beacon"
 	"repro/internal/obs"
 	"repro/internal/obs/prom"
 )
@@ -122,7 +123,7 @@ func run() error {
 
 	// Verdict: unanimity within the interrupted run, and byte-equality of
 	// the interrupted stream against the uninterrupted reference.
-	ref, err := os.ReadFile(coinLog(soakDir, 0))
+	ref, err := os.ReadFile(beacon.CoinLogFile(filepath.Join(soakDir, "data"), 0))
 	if err != nil {
 		return err
 	}
@@ -130,7 +131,7 @@ func run() error {
 		return fmt.Errorf("player 0 opened %d coins, want %d", got, *emit)
 	}
 	for i := 1; i < *n; i++ {
-		b, err := os.ReadFile(coinLog(soakDir, i))
+		b, err := os.ReadFile(beacon.CoinLogFile(filepath.Join(soakDir, "data"), i))
 		if err != nil {
 			return err
 		}
@@ -138,7 +139,7 @@ func run() error {
 			return fmt.Errorf("player %d's log differs from player 0's within the interrupted run (artifacts in %s)", i, dir)
 		}
 	}
-	unref, err := os.ReadFile(coinLog(refDir, 0))
+	unref, err := os.ReadFile(beacon.CoinLogFile(filepath.Join(refDir, "data"), 0))
 	if err != nil {
 		return err
 	}
@@ -162,10 +163,6 @@ func run() error {
 		os.RemoveAll(dir)
 	}
 	return nil
-}
-
-func coinLog(dataDir string, player int) string {
-	return filepath.Join(dataDir, "data", fmt.Sprintf("player-%03d.coins", player))
 }
 
 // runCluster performs one full cluster lifecycle under base: ceremony,
@@ -230,7 +227,7 @@ func runCluster(bin, ctl, base string, interrupt bool) error {
 			victims[v] = 1 + v // player 0 stays up as the comparison anchor
 		}
 		for _, v := range victims {
-			if err := waitLogLines(dataDir, v, *killAt, 60*time.Second); err != nil {
+			if err := waitLogLines(beacon.CoinLogFile(dataDir, v), *killAt, 60*time.Second); err != nil {
 				return err
 			}
 		}
@@ -249,7 +246,7 @@ func runCluster(bin, ctl, base string, interrupt bool) error {
 		}
 		// Survivors must demote the victims and keep the stream moving on
 		// their own before we bring the victims back.
-		if err := waitLogLines(dataDir, 0, *killAt+3, 60*time.Second); err != nil {
+		if err := waitLogLines(beacon.CoinLogFile(dataDir, 0), *killAt+3, 60*time.Second); err != nil {
 			return fmt.Errorf("survivors stalled after the kill: %w", err)
 		}
 		// The operator's view during the outage: beaconctl status must flag
@@ -272,7 +269,7 @@ func runCluster(bin, ctl, base string, interrupt bool) error {
 		// And after the rejoin: once the victims' logs catch back up, a
 		// status sweep must read healthy again — no DOWN, no STRAGGLER.
 		for _, v := range victims {
-			if err := waitLogLines(dataDir, v, *killAt+3, 60*time.Second); err != nil {
+			if err := waitLogLines(beacon.CoinLogFile(dataDir, v), *killAt+3, 60*time.Second); err != nil {
 				return fmt.Errorf("victim %d never caught up after restart: %w", v, err)
 			}
 		}
@@ -292,18 +289,17 @@ func runCluster(bin, ctl, base string, interrupt bool) error {
 	return firstErr
 }
 
-// waitLogLines polls player i's public coin log until it holds at least
+// waitLogLines polls the public coin log at path until it holds at least
 // `want` entries.
-func waitLogLines(dataDir string, player, want int, timeout time.Duration) error {
+func waitLogLines(path string, want int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	path := coinLog(filepath.Dir(dataDir), player)
 	for time.Now().Before(deadline) {
 		if b, err := os.ReadFile(path); err == nil && strings.Count(string(b), "\n") >= want {
 			return nil
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	return fmt.Errorf("player %d's log never reached %d coins within %v", player, want, timeout)
+	return fmt.Errorf("%s never reached %d coins within %v", path, want, timeout)
 }
 
 // writePeersYAML reserves 2n loopback ports (transport + observability per

@@ -42,6 +42,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/beacon"
 	"repro/internal/obs/prom"
 )
 
@@ -84,7 +85,7 @@ func runReshareLeg(bin, ctl, base string) error {
 	if err := rc.runCommittee(bin, rc.g1, rsEmitG1, 1); err != nil {
 		return fmt.Errorf("generation-1 serving: %w", err)
 	}
-	gen1, err := rsCoinValues(rsCoinLog(rc.newDirs[0], 0))
+	gen1, err := rsCoinValues(beacon.CoinLogFile(rc.newDirs[0], 0))
 	if err != nil {
 		return err
 	}
@@ -101,7 +102,7 @@ func runReshareLeg(bin, ctl, base string) error {
 	if err := rc.runReference(bin); err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
-	ref, err := rsCoinValues(rsCoinLog(filepath.Join(rc.base, "ref-0"), 0))
+	ref, err := rsCoinValues(beacon.CoinLogFile(filepath.Join(rc.base, "ref-0"), 0))
 	if err != nil {
 		return err
 	}
@@ -140,7 +141,7 @@ func runReshareLeg(bin, ctl, base string) error {
 	if _, err := os.Stat(filepath.Join(rc.newDirs[0], "reshare-journal.json")); !os.IsNotExist(err) {
 		return fmt.Errorf("reshare journal not cleared after the refresh (err=%v)", err)
 	}
-	prefix, err := rsCoinValues(rsCoinLog(rc.newDirs[0], 0))
+	prefix, err := rsCoinValues(beacon.CoinLogFile(rc.newDirs[0], 0))
 	if err != nil {
 		return err
 	}
@@ -153,7 +154,7 @@ func runReshareLeg(bin, ctl, base string) error {
 	if err := rc.checkLogsIdentical(rsEmitG2); err != nil {
 		return fmt.Errorf("generation-2 logs: %w", err)
 	}
-	final, err := rsCoinValues(rsCoinLog(rc.newDirs[0], 0))
+	final, err := rsCoinValues(beacon.CoinLogFile(rc.newDirs[0], 0))
 	if err != nil {
 		return err
 	}
@@ -292,7 +293,7 @@ func (rc *rsCluster) runHandover(bin, ctl string) (int, int, error) {
 
 	// Let the committee arm and start emitting, then check the operator's
 	// view: every row must carry a reshare flag.
-	if err := rsWaitLogLines(rsCoinLog(rc.oldDirs[rsLeaver], rsLeaver), 2, 60*time.Second); err != nil {
+	if err := waitLogLines(beacon.CoinLogFile(rc.oldDirs[rsLeaver], rsLeaver), 2, 60*time.Second); err != nil {
 		return 0, 0, err
 	}
 	out, err := exec.Command(ctl, "status", "-config", rc.g0, "-lag", "5").CombinedOutput()
@@ -362,7 +363,7 @@ func (rc *rsCluster) runHandover(bin, ctl string) (int, int, error) {
 	// number (from the stayer's log) tells how many tail coins were burned:
 	// attempt a consumes store positions cutover+2a and cutover+2a+1, so
 	// the new committee resumes at the old committee's coin cut+2(a+1).
-	vals, err := rsCoinValues(rsCoinLog(rc.newDirs[0], 0))
+	vals, err := rsCoinValues(beacon.CoinLogFile(rc.newDirs[0], 0))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -459,7 +460,7 @@ func (rc *rsCluster) runRefresh(bin string) (int, error) {
 			return 0, fmt.Errorf("refresh player %d exited: %w (see %s)", i, err, rsLogPath(rc.logDir, fmt.Sprintf("refresh-%d", i)))
 		}
 	}
-	vals, err := rsCoinValues(rsCoinLog(rc.newDirs[0], 0))
+	vals, err := rsCoinValues(beacon.CoinLogFile(rc.newDirs[0], 0))
 	if err != nil {
 		return 0, err
 	}
@@ -472,7 +473,7 @@ func (rc *rsCluster) runRefresh(bin string) (int, error) {
 // checkLogsIdentical asserts all rsNewN public logs hold exactly want
 // coins and are byte-identical.
 func (rc *rsCluster) checkLogsIdentical(want int) error {
-	ref, err := os.ReadFile(rsCoinLog(rc.newDirs[0], 0))
+	ref, err := os.ReadFile(beacon.CoinLogFile(rc.newDirs[0], 0))
 	if err != nil {
 		return err
 	}
@@ -480,7 +481,7 @@ func (rc *rsCluster) checkLogsIdentical(want int) error {
 		return fmt.Errorf("player 0 holds %d coins, want %d", got, want)
 	}
 	for i := 1; i < rsNewN; i++ {
-		b, err := os.ReadFile(rsCoinLog(rc.newDirs[i], i))
+		b, err := os.ReadFile(beacon.CoinLogFile(rc.newDirs[i], i))
 		if err != nil {
 			return err
 		}
@@ -515,10 +516,6 @@ func rsLaunch(bin, logDir, tag string, args ...string) (*exec.Cmd, error) {
 		return nil, err
 	}
 	return cmd, nil
-}
-
-func rsCoinLog(dir string, player int) string {
-	return filepath.Join(dir, fmt.Sprintf("player-%03d.coins", player))
 }
 
 // rsScatter copies player id's dealt state files (store + meta) from the
@@ -599,17 +596,6 @@ func rsParseAttempt(path string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("%s carries no \"handover complete ... attempt N\" line", path)
-}
-
-func rsWaitLogLines(path string, want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(path); err == nil && strings.Count(string(b), "\n") >= want {
-			return nil
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return fmt.Errorf("%s never reached %d coins within %v", path, want, timeout)
 }
 
 // rsCoinValues parses a public coin log into its hex value column (the

@@ -261,7 +261,7 @@ type Service struct {
 	stop       chan struct{}
 	execDone   chan struct{}
 
-	limiter *tokenBucket
+	limiter *TokenBucket
 	resumed bool
 
 	// Executive-owned state (no locking: only the exec goroutine touches
@@ -322,15 +322,11 @@ func Resume(cfg Config, stores []*coin.Store) (*Service, error) {
 
 func start(cfg Config, gens []*core.Generator, resumed bool) (*Service, error) {
 	n := cfg.Core.N
-	opts := []simnet.Option{simnet.WithMaxRounds(serveMaxRounds)}
-	if cfg.Counters != nil {
-		opts = append(opts, simnet.WithCounters(cfg.Counters))
-	}
 	s := &Service{
 		cfg:        cfg,
 		n:          n,
 		gens:       gens,
-		nw:         simnet.New(n, opts...),
+		nw:         simnet.New(n, simnet.WithMaxRounds(serveMaxRounds), simnet.WithCounters(cfg.Counters)),
 		cmds:       make([]chan command, n),
 		results:    make(chan workerResult, n),
 		reqs:       make(chan *request, cfg.QueueDepth),
@@ -344,7 +340,7 @@ func start(cfg Config, gens []*core.Generator, resumed bool) (*Service, error) {
 		s.pools[i] = cfg.Core.Pool.Fork()
 	}
 	if cfg.Rate > 0 {
-		s.limiter = newTokenBucket(cfg.Rate, cfg.Burst)
+		s.limiter = NewTokenBucket(cfg.Rate, cfg.Burst, nil)
 	}
 	s.remaining.Store(int64(gens[0].Remaining()))
 	cfg.Metrics.registerGauges(s)
@@ -503,7 +499,7 @@ func (s *Service) draw(ctx context.Context, need int) ([]gf2k.Element, int64, er
 	if s.closed.Load() {
 		return nil, 0, ErrClosed
 	}
-	if s.limiter != nil && !s.limiter.allow() {
+	if s.limiter != nil && !s.limiter.Allow() {
 		s.rateLimited.Add(1)
 		s.cfg.Metrics.rejected("rate-limited")
 		return nil, 0, ErrRateLimited
@@ -724,14 +720,8 @@ func (s *Service) startPipelineRefill() bool {
 	cfg := s.cfg
 	n := s.n
 	go func() {
-		opts := []simnet.Option{simnet.WithMaxRounds(serveMaxRounds)}
-		if cfg.Counters != nil {
-			opts = append(opts, simnet.WithCounters(cfg.Counters))
-		}
-		if cfg.Tracer != nil {
-			opts = append(opts, simnet.WithTracer(cfg.Tracer))
-		}
-		nwR := simnet.New(n, opts...)
+		nwR := simnet.New(n, simnet.WithMaxRounds(serveMaxRounds),
+			simnet.WithCounters(cfg.Counters), simnet.WithTracer(cfg.Tracer))
 		fns := make([]simnet.PlayerFunc, n)
 		for i := 0; i < n; i++ {
 			i := i

@@ -283,28 +283,25 @@ func TestRateLimiter(t *testing.T) {
 // TestTokenBucket unit-tests the limiter against a fake clock.
 func TestTokenBucket(t *testing.T) {
 	now := time.Unix(0, 0)
-	tb := newTokenBucket(10, 2) // 10 tokens/s, burst 2
-	tb.now = func() time.Time { return now }
-	tb.tokens = tb.burst
-	tb.last = now
-	if !tb.allow() || !tb.allow() {
+	tb := NewTokenBucket(10, 2, func() time.Time { return now }) // 10 tokens/s, burst 2
+	if !tb.Allow() || !tb.Allow() {
 		t.Fatal("burst tokens rejected")
 	}
-	if tb.allow() {
+	if tb.Allow() {
 		t.Fatal("empty bucket allowed a request")
 	}
 	now = now.Add(100 * time.Millisecond) // exactly one token refilled
-	if !tb.allow() {
+	if !tb.Allow() {
 		t.Fatal("refilled token rejected")
 	}
-	if tb.allow() {
+	if tb.Allow() {
 		t.Fatal("second request on one token allowed")
 	}
 	now = now.Add(time.Hour) // refill far beyond capacity
-	if !tb.allow() || !tb.allow() {
+	if !tb.Allow() || !tb.Allow() {
 		t.Fatal("bucket did not refill to burst")
 	}
-	if tb.allow() {
+	if tb.Allow() {
 		t.Fatal("bucket exceeded burst capacity")
 	}
 }

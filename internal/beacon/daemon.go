@@ -10,10 +10,8 @@ package beacon
 //   1. Ceremony (once): DealCluster runs the one-time trusted dealer and
 //      writes every player's initial store; the operator distributes each
 //      player-NNN.* file set to its machine (docs/OPERATIONS.md).
-//   2. Each daemon loads its own store, reconciles it against its public
-//      coin log (the store snapshot is only taken at refill boundaries, so
-//      after a crash the log is ahead of the snapshot — the difference is
-//      discarded to realign the cursor), and joins the cluster.
+//   2. Each daemon opens its own state — store reconciled against the
+//      public coin log, see openPlayerState — and joins the cluster.
 //   3. Joining is self-synchronizing, with no extra consensus round:
 //      - Cold start: no peer is running rounds yet. Wait for the full
 //        mesh, agree on the longest public log among the peers (a crashed
@@ -70,12 +68,6 @@ import (
 // (docs/OPERATIONS.md, "Membership change & proactive refresh").
 var ErrEpochMismatch = errors.New("beacon: refill epoch mismatch (this player missed a Coin-Gen; recover it with a proactive reshare — docs/OPERATIONS.md)")
 
-// errLogAppend marks a failed write to the on-disk public coin log (disk
-// full, I/O error). Once an append fails the in-memory log may be ahead of
-// the file, so the operation that hit it must halt rather than retry — the
-// next restart heals the tail from the verified in-memory entries.
-var errLogAppend = errors.New("beacon: public coin log append failed")
-
 // DaemonConfig parameterizes one per-player daemon.
 type DaemonConfig struct {
 	// Peers is the cluster roster and protocol parameters (peers.yaml).
@@ -110,10 +102,9 @@ type DaemonConfig struct {
 	// same registry (watermarks, lag, demotions, handshakes).
 	Metrics     *DaemonMetrics
 	PeerMetrics *simnet.PeerMetrics
-	// RoundTimeout, WriteTimeout and DialBackoffMax tune the peer
-	// transport (zero = simnet defaults).
+	// RoundTimeout and DialBackoffMax tune the peer transport (zero =
+	// simnet defaults).
 	RoundTimeout   time.Duration
-	WriteTimeout   time.Duration
 	DialBackoffMax time.Duration
 	// JoinTimeout bounds the whole join choreography — mesh wait, state
 	// queries, backfill (default 30s).
@@ -135,11 +126,7 @@ type DaemonConfig struct {
 // the same defaults everywhere — they are part of the config digest, so
 // mismatched daemons cannot even connect).
 func CoreConfig(pc *simnet.PeerConfig, ctr *metrics.Counters) (core.Config, error) {
-	k := pc.K
-	if k == 0 {
-		k = 32
-	}
-	field, err := gf2k.New(k)
+	field, err := gf2k.New(effectiveK(pc))
 	if err != nil {
 		return core.Config{}, err
 	}
@@ -192,14 +179,36 @@ func DealCluster(pc *simnet.PeerConfig, dir string, rnd io.Reader) error {
 		return err
 	}
 	for i, g := range gens {
-		if err := SaveStore(dir, i, g.Store()); err != nil {
-			return err
-		}
-		if err := SaveMeta(dir, i, Meta{}); err != nil {
+		if err := writeGeneration(dir, i, nil, playerMeta{}, g.Store()); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// queryTimeout bounds one peer query (STATE, LOG, RESHARE, RPOS, RLOG).
+const queryTimeout = 2 * time.Second
+
+// transportOptions turns what a daemon or a ceremony participant was
+// configured with — instrumentation, the two transport timings and its
+// query handler — into peer-transport options. Zero values are passed
+// through: simnet reads a nil or zero setting as "use the default".
+func transportOptions(ctr *metrics.Counters, tr *obs.Tracer, pm *simnet.PeerMetrics,
+	roundTimeout, dialBackoffMax time.Duration, h simnet.QueryHandler) []simnet.Option {
+	opts := []simnet.Option{simnet.WithQueryHandler(h), simnet.WithCounters(ctr), simnet.WithTracer(tr),
+		simnet.WithPeerMetrics(pm), simnet.WithRoundTimeout(roundTimeout)}
+	if dialBackoffMax > 0 {
+		opts = append(opts, simnet.WithDialBackoff(50*time.Millisecond, dialBackoffMax))
+	}
+	return opts
+}
+
+// closeOnDone closes nw as soon as ctx ends — which is what unblocks a
+// pending EndRound or Query — and, through the returned func (meant to be
+// deferred), when the caller is done with the network.
+func closeOnDone(ctx context.Context, nw *simnet.Network) func() {
+	stop := context.AfterFunc(ctx, func() { nw.Close() })
+	return func() { stop(); nw.Close() }
 }
 
 // daemonState is the STATE query answer: where this daemon is, precisely
@@ -219,7 +228,7 @@ type daemonState struct {
 	Cutover int `json:"cutover"`
 }
 
-// DaemonStats is a point-in-time snapshot for expvar/health reporting.
+// DaemonStats is a point-in-time snapshot for health reporting.
 type DaemonStats struct {
 	Player     int
 	Round      int
@@ -245,8 +254,8 @@ type Daemon struct {
 	nw   *simnet.Network
 	nd   *simnet.Node
 	rnd  io.Reader
-
-	logFile *os.File
+	// ps is this player's on-disk state; the run loop is its only mutator.
+	ps *playerState
 
 	// reshareAttempt mirrors the journal's attempt counter so cutover
 	// re-commits do not clobber it (guarded by mu); resharePause marks
@@ -259,7 +268,6 @@ type Daemon struct {
 
 	mu    sync.Mutex
 	state daemonState
-	log   []gf2k.Element
 }
 
 // NewDaemon loads player cfg.Self's persisted state, reconciles the store
@@ -283,98 +291,46 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
 
-	st, err := LoadStore(cfg.StateDir, cfg.Self)
-	if err != nil {
-		return nil, fmt.Errorf("%w (run the dealer ceremony first: beacond -deal)", err)
-	}
-	meta, err := LoadMeta(cfg.StateDir, cfg.Self)
-	if err != nil {
-		return nil, err
-	}
-	// Generation fencing: a daemon restarted against the wrong roster file
-	// — or against state a reshare already superseded — must fail loudly
-	// here, not desync later. (The config digest separates the meshes
-	// regardless; this check turns a confusing connect-timeout into a
-	// pointed error.)
-	if st.Generation != cfg.Peers.Generation || meta.Generation != cfg.Peers.Generation {
-		return nil, fmt.Errorf("beacon: player %d state is generation %d/%d (store/meta) but peers.yaml says %d — finish the reshare or point the daemon at the matching roster file",
-			cfg.Self, st.Generation, meta.Generation, cfg.Peers.Generation)
-	}
+	cutover, attempt := -1, 0
 	if cfg.ReshareNext != nil {
 		if _, _, err := CombinedConfig(cfg.Peers, cfg.ReshareNext, 0); err != nil {
 			return nil, err
 		}
-	}
-	log, err := LoadCoinLog(CoinLogFile(cfg.StateDir, cfg.Self))
-	if err != nil {
-		return nil, err
-	}
-	// Crash reconciliation: the log advances one line per coin while the
-	// store snapshot only advances at refill boundaries — replay the gap.
-	gap := len(log) - meta.LogLen
-	if gap < 0 {
-		return nil, fmt.Errorf("beacon: player %d log (%d entries) is behind its store snapshot (%d) — state dir corrupt",
-			cfg.Self, len(log), meta.LogLen)
-	}
-	if err := st.Discard(gap); err != nil {
-		return nil, fmt.Errorf("beacon: player %d crash reconciliation: %w", cfg.Self, err)
-	}
-	gen, err := core.NewFromStore(coreCfg, st)
-	if err != nil {
-		return nil, err
-	}
-	logFile, err := openCoinLog(CoinLogFile(cfg.StateDir, cfg.Self), log)
-	if err != nil {
-		return nil, err
-	}
-
-	d := &Daemon{cfg: cfg, core: coreCfg, gen: gen, rnd: cfg.Rand, logFile: logFile, log: log}
-	d.state = daemonState{Epoch: meta.Epoch, LogLen: len(log), Remaining: gen.Remaining(),
-		Generation: meta.Generation, Cutover: -1}
-	if cfg.ReshareNext != nil {
 		// A crash after the cutover was journaled must not renegotiate a
 		// different position: re-adopt the committed one.
 		j, err := LoadReshareJournal(cfg.StateDir)
 		if err != nil {
-			logFile.Close()
 			return nil, err
 		}
 		if j != nil {
 			if j.ToGeneration != cfg.ReshareNext.Generation {
-				logFile.Close()
 				return nil, fmt.Errorf("beacon: reshare journal targets generation %d but -reshare says %d — mixed roster files?",
 					j.ToGeneration, cfg.ReshareNext.Generation)
 			}
-			d.state.Cutover = j.Cutover
-			d.reshareAttempt = j.Attempt
+			cutover, attempt = j.Cutover, j.Attempt
 		}
 	}
+	ps, err := openPlayerState(cfg.StateDir, cfg.Self, cfg.Peers.Generation, false)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w (run the dealer ceremony first: beacond -deal)", err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	gen, err := core.NewFromStore(coreCfg, ps.store)
+	if err != nil {
+		ps.close()
+		return nil, err
+	}
+	d := &Daemon{cfg: cfg, core: coreCfg, gen: gen, rnd: cfg.Rand, ps: ps, reshareAttempt: attempt}
+	d.state = daemonState{Epoch: ps.meta.Epoch, LogLen: len(ps.log), Remaining: gen.Remaining(),
+		Generation: ps.meta.Generation, Cutover: cutover}
 
-	opts := []simnet.Option{
-		simnet.WithMaxRounds(serveMaxRounds),
-		simnet.WithQueryHandler(d.handleQuery),
-	}
-	if cfg.Counters != nil {
-		opts = append(opts, simnet.WithCounters(cfg.Counters))
-	}
-	if cfg.Tracer != nil {
-		opts = append(opts, simnet.WithTracer(cfg.Tracer))
-	}
-	if cfg.RoundTimeout > 0 {
-		opts = append(opts, simnet.WithRoundTimeout(cfg.RoundTimeout))
-	}
-	if cfg.WriteTimeout > 0 {
-		opts = append(opts, simnet.WithWriteTimeout(cfg.WriteTimeout))
-	}
-	if cfg.DialBackoffMax > 0 {
-		opts = append(opts, simnet.WithDialBackoff(50*time.Millisecond, cfg.DialBackoffMax))
-	}
-	if cfg.PeerMetrics != nil {
-		opts = append(opts, simnet.WithPeerMetrics(cfg.PeerMetrics))
-	}
+	opts := append(transportOptions(cfg.Counters, cfg.Tracer, cfg.PeerMetrics, cfg.RoundTimeout, cfg.DialBackoffMax, d.handleQuery),
+		simnet.WithMaxRounds(serveMaxRounds))
 	nw, err := simnet.NewPeer(cfg.Peers, cfg.Self, opts...)
 	if err != nil {
-		d.logFile.Close()
+		ps.close()
 		return nil, err
 	}
 	d.nw = nw
@@ -382,13 +338,13 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	// Correlation keys: every trace event and peer frame this process emits
 	// carries who it is and which refill epoch it is in.
 	cfg.Tracer.SetOrigin(cfg.Self)
-	cfg.Tracer.SetEpoch(meta.Epoch)
-	nw.SetEpoch(meta.Epoch)
+	cfg.Tracer.SetEpoch(ps.meta.Epoch)
+	nw.SetEpoch(ps.meta.Epoch)
 	cfg.Metrics.registerGauges(d)
 	return d, nil
 }
 
-// Stats snapshots the daemon's position for health/expvar reporting.
+// Stats snapshots the daemon's position for health reporting.
 func (d *Daemon) Stats() DaemonStats {
 	d.mu.Lock()
 	st := d.state
@@ -406,13 +362,6 @@ func (d *Daemon) Stats() DaemonStats {
 		Cutover:      st.Cutover,
 		Peers:        d.nw.PeerConnected(),
 	}
-}
-
-// Log returns a copy of the public coin log (the beacon output stream).
-func (d *Daemon) Log() []gf2k.Element {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]gf2k.Element(nil), d.log...)
 }
 
 // handleQuery answers peer STATE and LOG requests on the transport's
@@ -434,22 +383,7 @@ func (d *Daemon) handleQuery(from int, req []byte) []byte {
 		d.mu.Unlock()
 		return []byte(fmt.Sprintf("%t %d", d.cfg.ReshareNext != nil, cut))
 	case strings.HasPrefix(s, "LOG "):
-		var lo, count int
-		if _, err := fmt.Sscanf(s, "LOG %d %d", &lo, &count); err != nil || lo < 0 || count < 1 {
-			return nil
-		}
-		d.mu.Lock()
-		hi := lo + count
-		if hi > len(d.log) {
-			hi = len(d.log)
-		}
-		var b strings.Builder
-		for i := lo; i < hi; i++ {
-			b.WriteString(FormatLogEntry(i, d.log[i]))
-			b.WriteByte('\n')
-		}
-		d.mu.Unlock()
-		return []byte(b.String())
+		return d.ps.serve(s)
 	}
 	return nil
 }
@@ -463,19 +397,10 @@ func parseState(resp []byte) (daemonState, error) {
 
 // Run joins the cluster and drives the emission loop until the context is
 // cancelled or the Emit target is reached. It owns the node goroutine; all
-// other access goes through Stats/Log.
+// other access goes through Stats.
 func (d *Daemon) Run(ctx context.Context) error {
-	defer d.logFile.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			d.nw.Close() // unblocks EndRound and Query
-		case <-stop:
-		}
-	}()
-	defer d.nw.Close()
+	defer d.ps.close()
+	defer closeOnDone(ctx, d.nw)()
 
 	if err := d.join(ctx); err != nil {
 		return err
@@ -485,13 +410,13 @@ func (d *Daemon) Run(ctx context.Context) error {
 			// The pause position is the handover state: snapshot it so the
 			// ceremony (a separate process invocation) reshapes exactly the
 			// tail behind the cutover.
-			if perr := d.persist(); perr != nil {
+			if perr := d.ps.snapshot(); perr != nil {
 				return perr
 			}
 		}
 		return err
 	}
-	return d.persist()
+	return d.ps.snapshot()
 }
 
 // reshareStep runs one iteration of the armed daemon's cutover
@@ -534,7 +459,7 @@ func (d *Daemon) reshareStep(ctx context.Context, logLen int) (bool, error) {
 		}
 		answered := false
 		if up {
-			if resp, err := d.nw.Query(j, []byte("RESHARE"), 2*time.Second); err == nil {
+			if resp, err := d.query(j, []byte("RESHARE")); err == nil {
 				var armed bool
 				var cut int
 				if _, err := fmt.Sscanf(string(resp), "%t %d", &armed, &cut); err == nil {
@@ -682,7 +607,7 @@ func (d *Daemon) queryStates() ([]daemonState, []int) {
 		if !up {
 			continue
 		}
-		resp, err := d.nw.Query(j, []byte("STATE"), 2*time.Second)
+		resp, err := d.query(j, []byte("STATE"))
 		if err != nil {
 			continue
 		}
@@ -700,9 +625,7 @@ func (d *Daemon) queryStates() ([]daemonState, []int) {
 // fast-forwards to the longest public log (a crashed cluster's logs differ
 // by at most the final in-flight coins) and starts at round 0.
 func (d *Daemon) coldStart(states []daemonState, peers []int) error {
-	d.mu.Lock()
-	target, epoch := d.state.LogLen, d.state.Epoch
-	d.mu.Unlock()
+	target, epoch := len(d.ps.log), d.ps.meta.Epoch
 	for i, st := range states {
 		if st.Epoch != epoch {
 			return fmt.Errorf("%w: peer %d at epoch %d, this player at %d", ErrEpochMismatch, peers[i], st.Epoch, epoch)
@@ -735,9 +658,7 @@ func (d *Daemon) rejoin(states []daemonState, peers []int, leadIdx int) error {
 	if lead.Refilling {
 		return fmt.Errorf("peer %d is mid-refill", peers[leadIdx])
 	}
-	d.mu.Lock()
-	epoch := d.state.Epoch
-	d.mu.Unlock()
+	epoch := d.ps.meta.Epoch
 	if lead.Epoch != epoch {
 		return fmt.Errorf("%w: cluster at epoch %d, this player at %d", ErrEpochMismatch, lead.Epoch, epoch)
 	}
@@ -769,123 +690,25 @@ func (d *Daemon) start(round int) error {
 	return nil
 }
 
-// fastForward advances the store cursor to absolute position target and
-// backfills the skipped public values from the peers' logs, requiring
-// min(t+1, responders) identical answers for every entry. Values opened
-// after the peers answered trickle into their logs within a round or two,
-// so the fetch retries briefly.
-//
-// Order matters for retry safety: the whole range is fetched and verified
-// BEFORE any local state is touched. A transient backfill failure (query
-// timeout, stalled fetch, quorum not met) therefore leaves the store and
-// log exactly as they were, so join() can rerun the choreography from the
-// same position — Store.Discard is not idempotent, and discarding twice
-// for one target would desynchronize this player's share cursor from the
-// cluster's forever.
+// fastForward advances store and log to absolute position target (see
+// playerState.fastForward for the order that makes a retry safe) and
+// refreshes the queryable mirror.
 func (d *Daemon) fastForward(target int, peers []int) error {
+	pos := len(d.ps.log)
+	err := d.ps.fastForward(target, d.query, peers, d.core.T+1, d.cfg.JoinTimeout/2)
 	d.mu.Lock()
-	pos := len(d.log)
+	d.state.LogLen = len(d.ps.log)
+	d.state.Remaining = d.gen.Remaining()
 	d.mu.Unlock()
-	if target < pos {
-		return fmt.Errorf("beacon: player %d log (%d entries) is ahead of the cluster position %d — state dirs mixed up?",
-			d.cfg.Self, pos, target)
+	if err == nil && target > pos {
+		d.cfg.Logf("backfilled %d missed public coins [%d,%d)", target-pos, pos, target)
 	}
-	if target == pos {
-		return nil
-	}
-
-	need := target - pos
-	quorum := d.core.T + 1
-	if len(peers) < quorum {
-		quorum = len(peers)
-	}
-	if quorum < 1 {
-		return errors.New("beacon: no peers reachable for log backfill")
-	}
-	deadline := time.Now().Add(d.cfg.JoinTimeout / 2)
-	entries := make([]gf2k.Element, 0, need)
-	for len(entries) < need {
-		got, err := d.fetchLogRange(pos+len(entries), need-len(entries), peers, quorum)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, got...)
-		if len(entries) < need {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("beacon: backfill stalled at %d/%d entries", len(entries), need)
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-	}
-
-	// The full range is verified in hand — now commit: advance the share
-	// cursor past the coins the cluster opened without us and append their
-	// public values to our log.
-	if err := d.gen.Store().Discard(need); err != nil {
-		return fmt.Errorf("%w: %v", ErrEpochMismatch, err)
-	}
-	d.syncShared()
-	d.mu.Lock()
-	var werr error
-	for _, v := range entries {
-		if _, werr = fmt.Fprintln(d.logFile, FormatLogEntry(len(d.log), v)); werr != nil {
-			break
-		}
-		d.log = append(d.log, v)
-	}
-	d.state.LogLen = len(d.log)
-	d.mu.Unlock()
-	if werr != nil {
-		// The on-disk log is now behind the in-memory one; retrying the
-		// join would double-discard, so this failure is terminal.
-		return fmt.Errorf("%w: %v", errLogAppend, werr)
-	}
-	d.cfg.Logf("backfilled %d missed public coins [%d,%d)", need, pos, target)
-	return nil
+	return err
 }
 
-// fetchLogRange fetches log entries [lo, lo+count) from up to `quorum`
-// peers and cross-checks them: any disagreement on an entry is a fault and
-// aborts the join. Returns however many contiguous verified entries the
-// peers could serve (possibly zero if the coins are not yet opened).
-func (d *Daemon) fetchLogRange(lo, count int, peers []int, quorum int) ([]gf2k.Element, error) {
-	var verified []gf2k.Element
-	responders := 0
-	for _, j := range shuffledCopy(peers) {
-		resp, err := d.nw.Query(j, []byte(fmt.Sprintf("LOG %d %d", lo, count)), 2*time.Second)
-		if err != nil {
-			continue
-		}
-		got, err := parseLogEntries(resp, lo)
-		if err != nil {
-			return nil, fmt.Errorf("beacon: peer %d served a malformed log: %w", j, err)
-		}
-		if responders == 0 {
-			verified = got
-		} else {
-			shorter := len(verified)
-			if len(got) < shorter {
-				shorter = len(got)
-			}
-			for i := 0; i < shorter; i++ {
-				if got[i] != verified[i] {
-					return nil, fmt.Errorf("beacon: peers disagree on public coin %d (%x vs %x) — Byzantine log server",
-						lo+i, uint64(verified[i]), uint64(got[i]))
-				}
-			}
-			if len(got) < len(verified) {
-				verified = verified[:len(got)] // only cross-checked entries count
-			}
-		}
-		responders++
-		if responders == quorum {
-			break
-		}
-	}
-	if responders < quorum {
-		return nil, fmt.Errorf("beacon: only %d/%d peers answered the log fetch", responders, quorum)
-	}
-	return verified, nil
+// query asks one peer one question, bounded by queryTimeout.
+func (d *Daemon) query(peer int, req []byte) ([]byte, error) {
+	return d.nw.Query(peer, req, queryTimeout)
 }
 
 // shuffledCopy is a deterministic rotation (not a random shuffle — the
@@ -904,30 +727,12 @@ func shuffledCopy(peers []int) []int {
 	return out
 }
 
-func parseLogEntries(resp []byte, lo int) ([]gf2k.Element, error) {
-	var out []gf2k.Element
-	for _, line := range strings.Split(string(resp), "\n") {
-		if line == "" {
-			continue
-		}
-		var idx int
-		var val uint64
-		if _, err := fmt.Sscanf(line, "%d %x", &idx, &val); err != nil || idx != lo+len(out) {
-			return nil, fmt.Errorf("bad entry %q at offset %d", line, len(out))
-		}
-		out = append(out, gf2k.Element(val))
-	}
-	return out, nil
-}
-
 // emit is the daemon's main loop: one shared coin per iteration (with
 // inline blocking refills when the store runs low), every value appended
 // to the public log, the store snapshotted after each refill.
 func (d *Daemon) emit(ctx context.Context) error {
 	for {
-		d.mu.Lock()
-		logLen := len(d.log)
-		d.mu.Unlock()
+		logLen := len(d.ps.log)
 		if d.cfg.Emit > 0 && logLen >= d.cfg.Emit {
 			d.cfg.Logf("emit target %d reached; stopping", d.cfg.Emit)
 			return nil
@@ -950,7 +755,7 @@ func (d *Daemon) emit(ctx context.Context) error {
 			d.mu.Lock()
 			d.state.Refilling = true
 			d.mu.Unlock()
-			d.cfg.Logf("refill starting at log position %d (epoch %d)", logLen, d.epoch())
+			d.cfg.Logf("refill starting at log position %d (epoch %d)", logLen, d.ps.meta.Epoch)
 		}
 		batchesBefore := d.gen.Stats().Batches
 		var t0 time.Time
@@ -969,38 +774,32 @@ func (d *Daemon) emit(ctx context.Context) error {
 			d.cfg.Metrics.observeEmit(time.Since(t0).Seconds(), refilled)
 		}
 
+		werr := d.ps.append(v)
+		d.ps.meta.Epoch += refilled
 		d.mu.Lock()
-		_, werr := fmt.Fprintln(d.logFile, FormatLogEntry(len(d.log), v))
-		if werr == nil {
-			d.log = append(d.log, v)
-		}
-		d.state.LogLen = len(d.log)
+		d.state.LogLen = len(d.ps.log)
 		d.state.Round = d.nd.Round()
 		d.state.Remaining = d.gen.Remaining()
+		d.state.Epoch = d.ps.meta.Epoch
 		if refilled > 0 {
-			d.state.Epoch += refilled
 			d.state.Refilling = false
 		}
-		newEpoch := d.state.Epoch
 		d.mu.Unlock()
-		if refilled > 0 {
-			// Re-stamp the correlation keys: trace events and peer frames
-			// emitted from here on belong to the new epoch.
-			d.cfg.Tracer.SetEpoch(newEpoch)
-			d.nw.SetEpoch(newEpoch)
-		}
 		if werr != nil {
 			// Halt without persisting: the meta snapshot must not record a
 			// LogLen the on-disk log never reached, and the restart replays
 			// the lost tail from peers.
-			return fmt.Errorf("%w: player %d at log position %d: %v", errLogAppend, d.cfg.Self, logLen, werr)
+			return werr
 		}
-
 		if refilled > 0 {
-			if err := d.persist(); err != nil {
+			// Re-stamp the correlation keys: trace events and peer frames
+			// emitted from here on belong to the new epoch.
+			d.cfg.Tracer.SetEpoch(d.ps.meta.Epoch)
+			d.nw.SetEpoch(d.ps.meta.Epoch)
+			if err := d.ps.snapshot(); err != nil {
 				return err
 			}
-			d.cfg.Logf("refill complete: epoch %d, %d coins in store", d.epoch(), d.gen.Remaining())
+			d.cfg.Logf("refill complete: epoch %d, %d coins in store", d.ps.meta.Epoch, d.gen.Remaining())
 		}
 
 		if d.cfg.EmitInterval > 0 {
@@ -1010,32 +809,4 @@ func (d *Daemon) emit(ctx context.Context) error {
 			}
 		}
 	}
-}
-
-func (d *Daemon) epoch() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state.Epoch
-}
-
-// syncShared refreshes the queryable state mirror from the generator.
-func (d *Daemon) syncShared() {
-	d.mu.Lock()
-	d.state.Remaining = d.gen.Remaining()
-	d.mu.Unlock()
-}
-
-// persist snapshots the store and meta; the log file is already on disk
-// (appended per coin, synced by the OS).
-func (d *Daemon) persist() error {
-	if err := d.logFile.Sync(); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	meta := Meta{Epoch: d.state.Epoch, LogLen: len(d.log), Generation: d.state.Generation}
-	d.mu.Unlock()
-	if err := SaveStore(d.cfg.StateDir, d.cfg.Self, d.gen.Store()); err != nil {
-		return err
-	}
-	return SaveMeta(d.cfg.StateDir, d.cfg.Self, meta)
 }

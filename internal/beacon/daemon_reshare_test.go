@@ -60,7 +60,7 @@ func runArmedCluster(t *testing.T, pc, next *simnet.PeerConfig, dirs []string, s
 	}
 	cut := -1
 	for i := 0; i < n; i++ {
-		meta, err := LoadMeta(dirs[i], i)
+		meta, err := loadMeta(dirs[i], i)
 		if err != nil {
 			t.Fatalf("player %d meta: %v", i, err)
 		}
@@ -140,7 +140,7 @@ func runCeremony(t *testing.T, old, next *simnet.PeerConfig, parts []resharePart
 
 func loadValues(t *testing.T, dir string, player int) []gf2k.Element {
 	t.Helper()
-	vals, err := LoadCoinLog(CoinLogFile(dir, player))
+	vals, err := loadCoinLog(CoinLogFile(dir, player))
 	if err != nil {
 		t.Fatalf("load log %s player %d: %v", dir, player, err)
 	}
@@ -296,7 +296,7 @@ func TestDaemonReshareHandover(t *testing.T) {
 		if log := readLogFile(t, newDirs[j], j); log != ref {
 			t.Fatalf("new member %d log differs", j)
 		}
-		meta, err := LoadMeta(newDirs[j], j)
+		meta, err := loadMeta(newDirs[j], j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +423,7 @@ func TestDaemonStaleMemberRecoversViaRefresh(t *testing.T) {
 			t.Fatalf("player %d log differs after stale recovery", i)
 		}
 	}
-	meta, err := LoadMeta(dirs[stale], stale)
+	meta, err := loadMeta(dirs[stale], stale)
 	if err != nil {
 		t.Fatal(err)
 	}

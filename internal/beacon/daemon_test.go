@@ -126,7 +126,7 @@ func TestDaemonClusterRoundTrip(t *testing.T) {
 		}
 	}
 	// Seed 24 coins, threshold 6: the refill must have fired before coin 30.
-	meta, err := LoadMeta(dirs[0], 0)
+	meta, err := loadMeta(dirs[0], 0)
 	if err != nil {
 		t.Fatalf("meta: %v", err)
 	}

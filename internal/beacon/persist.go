@@ -1,38 +1,72 @@
 package beacon
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
+	"sync"
+	"time"
 
 	"repro/internal/coin"
 	"repro/internal/gf2k"
 )
 
-// Store persistence: one file per player, written atomically
-// (temp-file + rename), holding that player's coin.Store in the
-// length-prefixed Batch wire format. In a real deployment each player
-// writes only its own file on its own machine; the simulated cluster
-// writes all n side by side. The share bytes are the players' secrets —
-// files are created 0600 and the directory 0700.
+// Player state: everything a player keeps on disk — player-NNN.store (the
+// SECRET shares), player-NNN.meta and the public log player-NNN.coins —
+// goes through this file. ARCHITECTURE.md ("Player state") describes the
+// files, the four operations and the two write orders. Files are created
+// 0600 and the directory 0700; store and meta are replaced atomically, the
+// log is only ever appended to. The single-process Service keeps only the
+// store files, n side by side.
 
-// storeFile names player i's store file inside dir.
 func storeFile(dir string, player int) string {
 	return filepath.Join(dir, fmt.Sprintf("player-%03d.store", player))
+}
+
+func metaFile(dir string, player int) string {
+	return filepath.Join(dir, fmt.Sprintf("player-%03d.meta", player))
+}
+
+// CoinLogFile names player i's public coin log inside dir: one line per
+// opened coin, "<index> <value-hex>", append-only. Identical at every
+// honest player — this file IS the beacon's public output stream.
+func CoinLogFile(dir string, player int) string {
+	return filepath.Join(dir, fmt.Sprintf("player-%03d.coins", player))
+}
+
+func saveStore(dir string, player int, st *coin.Store) error {
+	enc, err := st.MarshalBinary()
+	if err != nil {
+		return fmt.Errorf("beacon: marshal player %d store: %w", player, err)
+	}
+	if err := writeAtomic(storeFile(dir, player), enc); err != nil {
+		return fmt.Errorf("beacon: persist player %d store: %w", player, err)
+	}
+	return nil
+}
+
+func loadStore(dir string, player int) (*coin.Store, error) {
+	var st *coin.Store
+	data, err := os.ReadFile(storeFile(dir, player))
+	if err == nil {
+		st, err = coin.UnmarshalStore(data)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("beacon: load player %d store: %w", player, err)
+	}
+	return st, nil
 }
 
 // Persist writes every player's store under dir. Call only after Close
 // has returned: the stores must be quiescent. A restarted process resumes
 // with LoadStores + Resume, never re-running the trusted dealer.
 func (s *Service) Persist(dir string) error {
-	if !s.closed.Load() {
-		return fmt.Errorf("beacon: persist requires a closed service")
-	}
 	select {
-	case <-s.execDone:
+	case <-s.execDone: // the executive only exits after Close
 	default:
 		return fmt.Errorf("beacon: persist requires a closed service")
 	}
@@ -40,12 +74,8 @@ func (s *Service) Persist(dir string) error {
 		return err
 	}
 	for i, g := range s.gens {
-		enc, err := g.Store().MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("beacon: marshal player %d store: %w", i, err)
-		}
-		if err := writeAtomic(storeFile(dir, i), enc); err != nil {
-			return fmt.Errorf("beacon: persist player %d store: %w", i, err)
+		if err := saveStore(dir, i, g.Store()); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -56,14 +86,10 @@ func (s *Service) Persist(dir string) error {
 // distinguish "fresh start" from genuine corruption.
 func LoadStores(dir string, n int) ([]*coin.Store, error) {
 	stores := make([]*coin.Store, n)
-	for i := 0; i < n; i++ {
-		data, err := os.ReadFile(storeFile(dir, i))
+	for i := range stores {
+		st, err := loadStore(dir, i)
 		if err != nil {
-			return nil, fmt.Errorf("beacon: load player %d store: %w", i, err)
-		}
-		st, err := coin.UnmarshalStore(data)
-		if err != nil {
-			return nil, fmt.Errorf("beacon: load player %d store: %w", i, err)
+			return nil, err
 		}
 		stores[i] = st
 	}
@@ -77,44 +103,8 @@ func HaveStores(dir string) bool {
 	return err == nil
 }
 
-// --- single-player persistence (daemon mode) ---------------------------------
-//
-// A multi-process daemon owns exactly one player's state: the sealed store
-// (snapshotted after every refill and at graceful shutdown), a small meta
-// file pinning the refill epoch and the public-log length the snapshot
-// corresponds to, and the append-only public coin log itself. The log is
-// the beacon's output stream AND the crash-recovery ledger: the store
-// snapshot is only taken at refill boundaries, so after a crash the store
-// cursor is rewound to the snapshot while the log records how far the
-// daemon actually got — the difference is replayed with coin.Store.Discard.
-
-// SaveStore atomically writes one player's store snapshot under dir.
-func SaveStore(dir string, player int, st *coin.Store) error {
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return err
-	}
-	enc, err := st.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("beacon: marshal player %d store: %w", player, err)
-	}
-	return writeAtomic(storeFile(dir, player), enc)
-}
-
-// LoadStore reads one player's persisted store from dir.
-func LoadStore(dir string, player int) (*coin.Store, error) {
-	data, err := os.ReadFile(storeFile(dir, player))
-	if err != nil {
-		return nil, fmt.Errorf("beacon: load player %d store: %w", player, err)
-	}
-	st, err := coin.UnmarshalStore(data)
-	if err != nil {
-		return nil, fmt.Errorf("beacon: load player %d store: %w", player, err)
-	}
-	return st, nil
-}
-
-// Meta is the per-player daemon metadata persisted next to the store.
-type Meta struct {
+// playerMeta is the per-player daemon metadata persisted next to the store.
+type playerMeta struct {
 	// Epoch counts absorbed Coin-Gen refills since the current committee
 	// took over (the dealer ceremony, or the last reshare). A rejoining
 	// daemon whose epoch differs from the cluster's has missed a refill and
@@ -124,19 +114,11 @@ type Meta struct {
 	// written; the recovery discard is len(log) − LogLen.
 	LogLen int
 	// Generation counts committee handovers: 0 for the dealt committee,
-	// bumped by every reshare. Must match the store's generation and the
-	// peers.yaml generation field, so a daemon restarted against the wrong
-	// roster generation fails loudly instead of joining a mesh it cannot
-	// serve (the config digest separates the meshes anyway).
+	// bumped by every reshare. openPlayerState fences on it.
 	Generation int `json:",omitempty"`
 }
 
-func metaFile(dir string, player int) string {
-	return filepath.Join(dir, fmt.Sprintf("player-%03d.meta", player))
-}
-
-// SaveMeta atomically writes the player's daemon metadata.
-func SaveMeta(dir string, player int, m Meta) error {
+func saveMeta(dir string, player int, m playerMeta) error {
 	enc, err := json.Marshal(m)
 	if err != nil {
 		return err
@@ -144,45 +126,63 @@ func SaveMeta(dir string, player int, m Meta) error {
 	return writeAtomic(metaFile(dir, player), enc)
 }
 
-// LoadMeta reads the player's daemon metadata; a missing file is the zero
-// Meta (fresh post-ceremony state).
-func LoadMeta(dir string, player int) (Meta, error) {
-	var m Meta
+// loadMeta reads the player's daemon metadata; a missing file is the zero
+// meta (fresh post-ceremony state).
+func loadMeta(dir string, player int) (playerMeta, error) {
+	var m playerMeta
 	data, err := os.ReadFile(metaFile(dir, player))
-	if os.IsNotExist(err) {
-		return m, nil
+	if err == nil {
+		err = json.Unmarshal(data, &m)
 	}
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return m, fmt.Errorf("beacon: player %d meta: %w", player, err)
 	}
 	return m, nil
 }
 
-// CoinLogFile names player i's public coin log inside dir: one line per
-// opened coin, "<index> <value-hex>", append-only. Identical at every
-// honest player — this file IS the beacon's public output stream.
-func CoinLogFile(dir string, player int) string {
-	return filepath.Join(dir, fmt.Sprintf("player-%03d.coins", player))
+// appendLogLines is the public-log line codec, shared by the file and the
+// wire: it renders vals as the lines numbered from..from+len(vals)-1, each
+// '\n'-terminated. Every writer — the log file, the LOG and RLOG query
+// answers — goes through it, so logs stay byte-comparable across daemons.
+func appendLogLines(dst []byte, from int, vals []gf2k.Element) []byte {
+	for i, v := range vals {
+		dst = fmt.Appendf(dst, "%d %x\n", from+i, uint64(v))
+	}
+	return dst
 }
 
-// FormatLogEntry renders one public-log line (without newline); every
-// writer must use it so logs stay byte-comparable across daemons.
-func FormatLogEntry(index int, value gf2k.Element) string {
-	return fmt.Sprintf("%d %x", index, uint64(value))
+// parseLogLines is appendLogLines' inverse: data must be whole lines,
+// numbered contiguously from `from`, each byte-for-byte what appendLogLines
+// renders. A line that merely parses ("07 AA", trailing junk) is rejected:
+// a file or a peer that is not canonical is damaged or lying, and silently
+// normalizing it would hide that.
+func parseLogLines(data []byte, from int) ([]gf2k.Element, error) {
+	var out []gf2k.Element
+	var canon []byte
+	for len(data) > 0 {
+		line, rest, _ := bytes.Cut(data, []byte{'\n'})
+		var idx int
+		var val uint64
+		_, err := fmt.Sscanf(string(line), "%d %x", &idx, &val)
+		out = append(out, gf2k.Element(val))
+		canon = appendLogLines(canon[:0], idx, out[len(out)-1:])
+		if err != nil || idx != from+len(out)-1 || !bytes.HasPrefix(data, canon) {
+			return nil, fmt.Errorf("bad entry %q at offset %d", line, len(out)-1)
+		}
+		data = rest
+	}
+	return out, nil
 }
 
-// LoadCoinLog reads a public coin log back into memory. A final line not
+// loadCoinLog reads a public coin log back into memory. A final line not
 // terminated by '\n' (the signature of a crash mid-append) is dropped
 // unconditionally — even when it happens to parse: "5 deadbeef\n" torn to
 // "5 dead" yields the right index with a WRONG value, and loading it would
 // silently fork this daemon's public log from the cluster's. The dropped
 // entry replays from peers at rejoin. Any line inside the terminated
-// prefix that fails to parse is corruption and fails. Entries must be
+// prefix that is not canonical is corruption and fails. Entries must be
 // contiguous from 0.
-func LoadCoinLog(path string) ([]gf2k.Element, error) {
+func loadCoinLog(path string) ([]gf2k.Element, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -190,52 +190,291 @@ func LoadCoinLog(path string) ([]gf2k.Element, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := string(data)
-	if i := strings.LastIndexByte(s, '\n'); i >= 0 {
-		s = s[:i+1]
-	} else {
-		s = "" // a single torn line, no terminated prefix at all
+	log, err := parseLogLines(data[:bytes.LastIndexByte(data, '\n')+1], 0)
+	if err != nil {
+		return nil, fmt.Errorf("beacon: coin log %s corrupt: %v", path, err)
 	}
-	var out []gf2k.Element
-	for i, line := range strings.Split(s, "\n") {
-		if line == "" {
-			continue
-		}
-		var idx int
-		var val uint64
-		if _, err := fmt.Sscanf(line, "%d %x", &idx, &val); err != nil || idx != len(out) {
-			return nil, fmt.Errorf("beacon: coin log %s corrupt at line %d", path, i+1)
-		}
-		out = append(out, gf2k.Element(val))
-	}
-	return out, nil
+	return log, nil
 }
 
-// openCoinLog opens the log for appending, verifying it against the
-// already-loaded entries by rewriting it when the file holds a torn tail.
-func openCoinLog(path string, entries []gf2k.Element) (*os.File, error) {
-	// Rewrite from the verified in-memory entries: this heals a torn final
-	// line and guarantees the bytes on disk match FormatLogEntry exactly.
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
+// logRange answers a "<verb> <lo> <count>" query (LOG on the serving mesh,
+// RLOG on the ceremony mesh) with the canonical lines of log[lo:lo+count],
+// clipped to what the log holds; nil for a malformed request.
+func logRange(log []gf2k.Element, verb, req string) []byte {
+	var lo, count int
+	if _, err := fmt.Sscanf(req, verb+" %d %d", &lo, &count); err != nil || lo < 0 || count < 1 {
+		return nil
+	}
+	hi := min(lo+count, len(log))
+	if lo >= hi {
+		return nil // not opened yet: an empty answer, retried by backfill
+	}
+	return appendLogLines(nil, lo, log[lo:hi])
+}
+
+// queryFunc asks one peer one question over the transport's query channel.
+type queryFunc func(peer int, req []byte) ([]byte, error)
+
+// backfill fetches public-log entries [lo, hi) from servers with "<verb> lo
+// count" queries and cross-checks them: each entry must be served
+// identically by min(quorum, len(servers)) of them (with quorum = t+1 a
+// value that passes is the honest committee's), and any disagreement is a
+// fault that aborts. Values opened after the servers answered trickle into
+// their logs within a round or two, so a short answer is retried until
+// patience runs out. It returns the whole verified range or an error, never
+// a partial one, and touches no local state.
+func backfill(query queryFunc, verb string, servers []int, quorum, lo, hi int, patience time.Duration) ([]gf2k.Element, error) {
+	quorum = min(quorum, len(servers))
+	if quorum < 1 {
+		return nil, errors.New("beacon: no peers reachable for log backfill")
+	}
+	deadline := time.Now().Add(patience)
+	entries := make([]gf2k.Element, 0, hi-lo)
+	for {
+		pos := lo + len(entries)
+		var verified []gf2k.Element
+		responders := 0
+		for _, j := range shuffledCopy(servers) {
+			resp, err := query(j, fmt.Appendf(nil, "%s %d %d", verb, pos, hi-pos))
+			if err != nil {
+				continue
+			}
+			got, err := parseLogLines(resp, pos)
+			if err != nil {
+				return nil, fmt.Errorf("beacon: peer %d served a malformed log: %w", j, err)
+			}
+			if len(got) > hi-pos {
+				got = got[:hi-pos]
+			}
+			if responders == 0 {
+				verified = got
+			}
+			// Only cross-checked entries count: clip to the shorter answer.
+			verified = verified[:min(len(verified), len(got))]
+			for i, v := range verified {
+				if got[i] != v {
+					return nil, fmt.Errorf("beacon: peers disagree on public coin %d (%x vs %x) — Byzantine log server",
+						pos+i, uint64(v), uint64(got[i]))
+				}
+			}
+			if responders++; responders == quorum {
+				break
+			}
+		}
+		if responders < quorum {
+			return nil, fmt.Errorf("beacon: only %d/%d peers answered the log fetch", responders, quorum)
+		}
+		entries = append(entries, verified...)
+		if len(entries) == hi-lo {
+			return entries, nil
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("beacon: backfill stalled at %d/%d entries", len(entries), hi-lo)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// playerState is one player's open on-disk state. It is the only code that
+// reconciles a loaded store against the log, appends log lines, snapshots,
+// or writes a generation's first files. One goroutine (the daemon's run
+// loop) mutates it; mu lets the transport's reader goroutines serve the
+// log meanwhile.
+type playerState struct {
+	dir    string
+	player int
+	// store is the live store (the one the daemon's core.Generator draws
+	// from). meta.Epoch is kept current by the run loop, one bump per
+	// absorbed refill; meta.LogLen is stamped by snapshot.
+	store *coin.Store
+	meta  playerMeta
+
+	mu   sync.Mutex
+	log  []gf2k.Element // guarded by mu
+	file *os.File       // append handle on the coin log
+}
+
+// openPlayerLog opens (creating it when missing) player's public coin log
+// for appending. A torn final line is healed in place: the file is
+// truncated to its verified prefix and fsynced — never rewritten, so a
+// power cut during start-up cannot roll the public log back.
+func openPlayerLog(dir string, player int) (*playerState, error) {
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		return nil, err
+	}
+	path := CoinLogFile(dir, player)
+	log, err := loadCoinLog(path)
 	if err != nil {
 		return nil, err
 	}
-	w := bufio.NewWriter(f)
-	for i, v := range entries {
-		fmt.Fprintln(w, FormatLogEntry(i, v))
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o600)
+	if err != nil {
+		return nil, err
 	}
-	if err := w.Flush(); err != nil {
+	// Every loaded line is canonical, so the verified prefix is exactly as
+	// long as its re-rendering; whatever lies beyond is the torn tail.
+	verified := int64(len(appendLogLines(nil, 0, log)))
+	fi, err := f.Stat()
+	if err == nil && fi.Size() != verified {
+		if err = f.Truncate(verified); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := f.Close(); err != nil {
+	return &playerState{dir: dir, player: player, log: log, file: f}, nil
+}
+
+// openPlayerState loads player's store, meta and log and reconciles them.
+//
+// Generation fence: state from another committee generation — a daemon
+// pointed at the wrong roster file, or at state a reshare already
+// superseded — fails here with a pointed error instead of desyncing later
+// (the config digest separates the meshes anyway; this turns a confusing
+// connect-timeout into a diagnosis). handover relaxes the fence for the
+// resharing ceremony only: a meta one generation AHEAD of the store is the
+// signature of a ceremony that crashed between its meta and store writes
+// (writeGeneration), and the retry must be able to load the old store again.
+//
+// Crash reconciliation: the log advances one line per coin while the store
+// snapshot only advances at refill boundaries — the gap is replayed onto
+// the share cursor. This is the only place that rule is applied.
+func openPlayerState(dir string, player, generation int, handover bool) (*playerState, error) {
+	st, err := loadStore(dir, player)
+	if err != nil {
 		return nil, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	meta, err := loadMeta(dir, player)
+	if err != nil {
 		return nil, err
 	}
-	return os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o600)
+	metaOK := meta.Generation == generation || handover && meta.Generation == generation+1
+	if st.Generation != generation || !metaOK {
+		return nil, fmt.Errorf("beacon: player %d state is generation %d/%d (store/meta) but peers.yaml says %d — finish the reshare or point the daemon at the matching roster file",
+			player, st.Generation, meta.Generation, generation)
+	}
+	ps, err := openPlayerLog(dir, player)
+	if err != nil {
+		return nil, err
+	}
+	gap := len(ps.log) - meta.LogLen
+	if gap < 0 {
+		ps.close()
+		return nil, fmt.Errorf("beacon: player %d log (%d entries) is behind its store snapshot (%d) — state dir corrupt",
+			player, len(ps.log), meta.LogLen)
+	}
+	if err := st.Discard(gap); err != nil {
+		ps.close()
+		return nil, fmt.Errorf("beacon: player %d crash reconciliation: %w", player, err)
+	}
+	ps.store, ps.meta = st, meta
+	return ps, nil
+}
+
+func (ps *playerState) close() { ps.file.Close() }
+
+// serve answers a peer's LOG query from the live log.
+func (ps *playerState) serve(req string) []byte {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return logRange(ps.log, "LOG", req)
+}
+
+// errLogAppend marks a failed write to the public coin log (disk full, I/O
+// error). The file may now hold part of the write, so the operation that
+// hit it must halt rather than retry or snapshot — the next start heals
+// the tail and replays the rest from peers.
+var errLogAppend = errors.New("beacon: public coin log append failed")
+
+// append writes vals as the next log lines, in one write, and only then
+// extends the in-memory log. It is the only writer of a log line.
+func (ps *playerState) append(vals ...gf2k.Element) error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if _, err := ps.file.Write(appendLogLines(nil, len(ps.log), vals)); err != nil {
+		return fmt.Errorf("%w: player %d at log position %d: %v", errLogAppend, ps.player, len(ps.log), err)
+	}
+	ps.log = append(ps.log, vals...)
+	return nil
+}
+
+// fastForward advances to absolute log position target: the share cursor
+// skips the coins the cluster opened without this player, and their public
+// values, backfilled from servers' logs, join the log.
+//
+// Order matters for retry safety: the whole range is fetched and verified
+// BEFORE any local state is touched. A transient backfill failure (query
+// timeout, stalled fetch, quorum not met) therefore leaves the store and
+// log exactly as they were, so the join can rerun from the same position —
+// Store.Discard is not idempotent, and discarding twice for one target
+// would desynchronize this player's share cursor from the cluster's
+// forever.
+func (ps *playerState) fastForward(target int, query queryFunc, servers []int, quorum int, patience time.Duration) error {
+	pos := len(ps.log) // the caller is the log's only writer
+	if target < pos {
+		return fmt.Errorf("beacon: player %d log (%d entries) is ahead of the cluster position %d — state dirs mixed up?",
+			ps.player, pos, target)
+	}
+	if target == pos {
+		return nil
+	}
+	entries, err := backfill(query, "LOG", servers, quorum, pos, target, patience)
+	if err != nil {
+		return err
+	}
+	if err := ps.store.Discard(len(entries)); err != nil {
+		return fmt.Errorf("%w: %v", ErrEpochMismatch, err)
+	}
+	return ps.append(entries...)
+}
+
+// snapshot makes the current position durable: log fsync, then store, then
+// meta. The log goes first because meta.LogLen must never point past the
+// durable log (open treats a log behind its snapshot as corruption); the
+// log is otherwise only synced by the OS, one snapshot per refill.
+func (ps *playerState) snapshot() error {
+	if err := ps.file.Sync(); err != nil {
+		return err
+	}
+	ps.meta.LogLen = len(ps.log)
+	if err := saveStore(ps.dir, ps.player, ps.store); err != nil {
+		return err
+	}
+	return saveMeta(ps.dir, ps.player, ps.meta)
+}
+
+// writeGeneration writes the first files of a committee generation for
+// player — the dealer ceremony's generation 0, or a resharing ceremony's
+// next one: the public log up to the handover position, then meta, then the
+// store, each durable before the next is started. The store goes LAST so
+// that finding a generation's store on disk proves its log and meta are
+// there too (RunReshare's idempotent completion check relies on it).
+//
+// Whatever log the identity already holds must be a prefix of log (a member
+// keeping its index, a retry after a crash): only the missing suffix is
+// appended, nothing is rewritten.
+func writeGeneration(dir string, player int, log []gf2k.Element, meta playerMeta, st *coin.Store) error {
+	ps, err := openPlayerLog(dir, player)
+	if err != nil {
+		return err
+	}
+	defer ps.close()
+	if len(ps.log) > len(log) || !slices.Equal(ps.log, log[:len(ps.log)]) {
+		return fmt.Errorf("beacon: player %d's log on disk (%d entries) is not a prefix of the committee's (%d) — state dir mixed up?",
+			player, len(ps.log), len(log))
+	}
+	if err := ps.append(log[len(ps.log):]...); err != nil {
+		return err
+	}
+	if err := ps.file.Sync(); err != nil {
+		return err
+	}
+	if err := saveMeta(dir, player, meta); err != nil {
+		return err
+	}
+	return saveStore(dir, player, st)
 }
 
 // writeAtomic writes data to path via a temp file, fsync and rename, so a

@@ -5,30 +5,33 @@ import (
 	"time"
 )
 
-// tokenBucket is a classic token-bucket rate limiter: capacity `burst`
-// tokens, refilled continuously at `rate` tokens per second. allow spends
-// one token if available.
-type tokenBucket struct {
+// TokenBucket is a classic token-bucket rate limiter: capacity `burst`
+// tokens, refilled continuously at `rate` tokens per second. A Service
+// guards its request queue with one; multicell guards each tenant with
+// one, in front of routing.
+type TokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second
 	burst  float64 // bucket capacity
 	tokens float64
 	last   time.Time
-	now    func() time.Time // injectable clock for tests
+	now    func() time.Time
 }
 
-func newTokenBucket(rate float64, burst int) *tokenBucket {
-	tb := &tokenBucket{
-		rate:  rate,
-		burst: float64(burst),
-		now:   time.Now,
+// NewTokenBucket returns a full bucket reading time from now (nil means
+// time.Now; tests inject a fake clock).
+func NewTokenBucket(rate float64, burst int, now func() time.Time) *TokenBucket {
+	if now == nil {
+		now = time.Now
 	}
+	tb := &TokenBucket{rate: rate, burst: float64(burst), now: now}
 	tb.tokens = tb.burst
 	tb.last = tb.now()
 	return tb
 }
 
-func (tb *tokenBucket) allow() bool {
+// Allow spends one token if one is available.
+func (tb *TokenBucket) Allow() bool {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	now := tb.now()

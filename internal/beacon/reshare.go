@@ -22,9 +22,8 @@ package beacon
 // dies mid-ceremony retries with a bumped attempt number (stale attempts
 // consumed their challenge coin publicly, so an attempt number is never
 // reused — reshare.Config.Attempt); a process that dies after the new
-// store was written finds it on restart and only clears the journal. The
-// ceremony writes log, then meta, then store, in that order, so a
-// next-generation store on disk proves the earlier files are durable.
+// store was written finds it on restart and only clears the journal (the
+// store is the last file written — see writeGeneration).
 
 import (
 	"context"
@@ -216,10 +215,9 @@ type ReshareConfig struct {
 	// the journaled attempt number first.
 	MaxAttempts int
 	// JoinTimeout bounds each attempt's mesh formation and backfill
-	// (default 30s). RoundTimeout/WriteTimeout tune the ceremony transport.
+	// (default 30s). RoundTimeout tunes the ceremony transport.
 	JoinTimeout  time.Duration
 	RoundTimeout time.Duration
-	WriteTimeout time.Duration
 
 	Counters    *metrics.Counters
 	Tracer      *obs.Tracer
@@ -283,21 +281,18 @@ func RunReshare(ctx context.Context, rc ReshareConfig) (*ReshareResult, error) {
 		return nil, errors.New("beacon: only an old member can be stale")
 	}
 
-	// Idempotent completion: the store is written LAST, so finding the
-	// next-generation store on disk proves log and meta are durable too —
-	// the crash happened between the writes and the journal removal.
+	// Idempotent completion: the store is written LAST (writeGeneration),
+	// so next-generation state that opens cleanly means the crash happened
+	// between the writes and the journal removal.
 	if rc.NewSelf >= 0 {
-		if st, err := LoadStore(rc.StateDir, rc.NewSelf); err == nil && st.Generation == rc.Next.Generation {
-			meta, err := LoadMeta(rc.StateDir, rc.NewSelf)
-			if err != nil {
-				return nil, err
-			}
+		if ps, err := openPlayerState(rc.StateDir, rc.NewSelf, rc.Next.Generation, false); err == nil {
+			ps.close()
 			if err := ClearReshareJournal(rc.StateDir); err != nil {
 				return nil, err
 			}
 			rc.Logf("reshare to generation %d already completed; cleared journal", rc.Next.Generation)
-			return &ReshareResult{Generation: rc.Next.Generation, Cutover: meta.LogLen,
-				Coins: st.Remaining(), Resumed: true}, nil
+			return &ReshareResult{Generation: rc.Next.Generation, Cutover: ps.meta.LogLen,
+				Coins: ps.store.Remaining(), Resumed: true}, nil
 		}
 	}
 
@@ -361,106 +356,54 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 			self, newOf[self], rc.NewSelf)
 	}
 
+	coreCfg, err := CoreConfig(rc.Old, rc.Counters)
+	if err != nil {
+		return nil, err
+	}
+
 	// Old members load their persisted state; a stale member loads only
 	// its (possibly short) public log and abstains from sub-dealing.
 	var oldStore *coin.Store
 	var log []gf2k.Element
-	if rc.OldSelf >= 0 {
-		log, err = LoadCoinLog(CoinLogFile(rc.StateDir, rc.OldSelf))
+	switch {
+	case rc.OldSelf < 0: // pure joiner: nothing on disk yet
+	case rc.Stale:
+		if log, err = loadCoinLog(CoinLogFile(rc.StateDir, rc.OldSelf)); err != nil {
+			return nil, err
+		}
+	default:
+		ps, err := openPlayerState(rc.StateDir, rc.OldSelf, rc.Old.Generation, true)
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("%w (a member without a current store joins with -reshare-stale)", err)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if !rc.Stale {
-			st, err := LoadStore(rc.StateDir, rc.OldSelf)
-			if err != nil {
-				return nil, fmt.Errorf("%w (a member without a current store joins with -reshare-stale)", err)
-			}
-			if st.Generation != rc.Old.Generation {
-				return nil, fmt.Errorf("beacon: store is generation %d, old config says %d — wrong roster file?",
-					st.Generation, rc.Old.Generation)
-			}
-			meta, err := LoadMeta(rc.StateDir, rc.OldSelf)
-			if err != nil {
-				return nil, err
-			}
-			gap := len(log) - meta.LogLen
-			if gap < 0 {
-				return nil, fmt.Errorf("beacon: player %d log (%d entries) behind its store snapshot (%d)",
-					rc.OldSelf, len(log), meta.LogLen)
-			}
-			if err := st.Discard(gap); err != nil {
-				return nil, fmt.Errorf("beacon: player %d reshare reconciliation: %w", rc.OldSelf, err)
-			}
-			oldStore = st
-		}
+		ps.close()
+		oldStore, log = ps.store, ps.log
 	}
 
 	// The ceremony mesh answers two queries, both served from the loaded
 	// log: RPOS (the cutover position) and RLOG (public-log backfill for
 	// joiners and stale members). Only non-stale old members may answer
 	// RPOS — a stale member's log can be behind the cutover.
-	serveLog := append([]gf2k.Element(nil), log...)
-	servePos := -1
-	if rc.OldSelf >= 0 && !rc.Stale {
-		servePos = len(serveLog)
-	}
+	served := log // as loaded: what this participant vouches for
 	handler := func(from int, req []byte) []byte {
-		s := string(req)
-		switch {
-		case s == "RPOS":
-			if servePos < 0 {
-				return nil
-			}
-			return []byte(fmt.Sprintf("%d", servePos))
+		switch s := string(req); {
+		case s == "RPOS" && oldStore != nil:
+			return []byte(fmt.Sprintf("%d", len(served)))
 		case strings.HasPrefix(s, "RLOG "):
-			var lo, count int
-			if _, err := fmt.Sscanf(s, "RLOG %d %d", &lo, &count); err != nil || lo < 0 || count < 1 {
-				return nil
-			}
-			hi := lo + count
-			if hi > len(serveLog) {
-				hi = len(serveLog)
-			}
-			var b strings.Builder
-			for i := lo; i < hi; i++ {
-				b.WriteString(FormatLogEntry(i, serveLog[i]))
-				b.WriteByte('\n')
-			}
-			return []byte(b.String())
+			return logRange(served, "RLOG", s)
 		}
 		return nil
 	}
 
-	opts := []simnet.Option{simnet.WithQueryHandler(handler)}
-	if rc.Counters != nil {
-		opts = append(opts, simnet.WithCounters(rc.Counters))
-	}
-	if rc.Tracer != nil {
-		opts = append(opts, simnet.WithTracer(rc.Tracer))
-	}
-	if rc.RoundTimeout > 0 {
-		opts = append(opts, simnet.WithRoundTimeout(rc.RoundTimeout))
-	}
-	if rc.WriteTimeout > 0 {
-		opts = append(opts, simnet.WithWriteTimeout(rc.WriteTimeout))
-	}
-	if rc.PeerMetrics != nil {
-		opts = append(opts, simnet.WithPeerMetrics(rc.PeerMetrics))
-	}
-	nw, err := simnet.NewPeer(cc, self, opts...)
+	nw, err := simnet.NewPeer(cc, self,
+		transportOptions(rc.Counters, rc.Tracer, rc.PeerMetrics, rc.RoundTimeout, 0, handler)...)
 	if err != nil {
 		return nil, err
 	}
-	defer nw.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			nw.Close()
-		case <-stop:
-		}
-	}()
+	defer closeOnDone(ctx, nw)()
 
 	// Mesh formation. The ceremony can tolerate ≤ t unreachable OLD
 	// members (they become silent sub-dealers), but every NEW member must
@@ -469,6 +412,7 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 	meshErr := nw.WaitPeers(cc.N()-1, rc.JoinTimeout/2)
 	up := nw.PeerConnected()
 	oldDown := 0
+	var oldUp []int // the reachable old members: who RPOS and RLOG are asked of
 	for node, j := range newOf {
 		if node == self {
 			continue
@@ -479,6 +423,8 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 		}
 		if node < oldN && !up[node] {
 			oldDown++
+		} else if node < oldN {
+			oldUp = append(oldUp, node)
 		}
 	}
 	if oldDown > rc.Old.T {
@@ -492,13 +438,14 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 	// disagrees missed the cutover memo while partitioned — its store
 	// cursor is misaligned, so sub-dealing would only get it branded a
 	// cheater; fail it loudly toward the stale path instead.
-	cutover, err := queryCutover(nw, oldN, rc.Old.T, up, self)
+	query := func(peer int, req []byte) ([]byte, error) { return nw.Query(peer, req, queryTimeout) }
+	cutover, err := queryCutover(query, oldUp, rc.Old.T+1)
 	if err != nil {
 		return nil, err
 	}
-	if servePos >= 0 && servePos != cutover {
+	if oldStore != nil && len(served) != cutover {
 		return nil, fmt.Errorf("beacon: this member paused at %d but the committee's cutover is %d — rejoin the ceremony as stale (-reshare-stale)",
-			servePos, cutover)
+			len(served), cutover)
 	}
 	if journal.Cutover >= 0 && journal.Cutover != cutover {
 		return nil, fmt.Errorf("beacon: journal cutover %d disagrees with the cluster's %d — state dir mixed up?",
@@ -514,7 +461,7 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 	// Continuing members need the public log up to the cutover: backfill
 	// whatever is missing (everything, for a joiner) with t+1 agreement.
 	if rc.NewSelf >= 0 && len(log) < cutover {
-		got, err := fetchCeremonyLog(nw, oldN, rc.Old.T, up, self, len(log), cutover, rc.JoinTimeout/2)
+		got, err := backfill(query, "RLOG", oldUp, rc.Old.T+1, len(log), cutover, rc.JoinTimeout/2)
 		if err != nil {
 			return nil, err
 		}
@@ -529,7 +476,7 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 		return nil, err
 	}
 	cfg := reshare.Config{
-		Field:      coreFieldFor(rc.Old, rc.Counters),
+		Field:      coreCfg.Field,
 		OldN:       oldN,
 		OldT:       rc.Old.T,
 		NewN:       rc.Next.N(),
@@ -550,44 +497,31 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 
 	out := &ReshareResult{Generation: rc.Next.Generation, Cutover: cutover,
 		Coins: res.Coins, Cheaters: res.Cheaters, Attempt: attempt}
-	if rc.NewSelf < 0 {
+	// retired is the old-identity state this handover kills, removed only
+	// once the next generation's files are durable.
+	var retired []string
+	switch {
+	case rc.NewSelf < 0:
 		// Leaving member: its job was sub-dealing. Destroy the old store —
 		// after the handover its shares are toxic waste that could erode
 		// the new committee's proactive-security margin if exfiltrated
 		// later. The public log stays (it is public output).
-		if err := os.Remove(storeFile(rc.StateDir, rc.OldSelf)); err != nil && !os.IsNotExist(err) {
+		retired = []string{storeFile(rc.StateDir, rc.OldSelf)}
+	case rc.OldSelf >= 0 && rc.OldSelf != rc.NewSelf:
+		// The member continues under a different index: all its
+		// old-identity files are dead (and the store, again, toxic waste).
+		retired = []string{storeFile(rc.StateDir, rc.OldSelf),
+			metaFile(rc.StateDir, rc.OldSelf), CoinLogFile(rc.StateDir, rc.OldSelf)}
+	}
+	if rc.NewSelf >= 0 {
+		meta := playerMeta{Epoch: 0, LogLen: cutover, Generation: rc.Next.Generation}
+		if err := writeGeneration(rc.StateDir, rc.NewSelf, log, meta, res.Store); err != nil {
 			return nil, err
 		}
-		if err := ClearReshareJournal(rc.StateDir); err != nil {
+	}
+	for _, f := range retired {
+		if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
 			return nil, err
-		}
-		return out, nil
-	}
-
-	// Continuing member: write the next generation's state files — log,
-	// meta, store, in that order (see the package comment's crash story).
-	var b strings.Builder
-	for i, v := range log {
-		b.WriteString(FormatLogEntry(i, v))
-		b.WriteByte('\n')
-	}
-	if err := writeAtomic(CoinLogFile(rc.StateDir, rc.NewSelf), []byte(b.String())); err != nil {
-		return nil, err
-	}
-	if err := SaveMeta(rc.StateDir, rc.NewSelf, Meta{Epoch: 0, LogLen: cutover, Generation: rc.Next.Generation}); err != nil {
-		return nil, err
-	}
-	if err := SaveStore(rc.StateDir, rc.NewSelf, res.Store); err != nil {
-		return nil, err
-	}
-	if rc.OldSelf >= 0 && rc.OldSelf != rc.NewSelf {
-		// The member continues under a different index: its old-identity
-		// files are dead state (and the store, again, toxic waste).
-		for _, f := range []string{storeFile(rc.StateDir, rc.OldSelf),
-			metaFile(rc.StateDir, rc.OldSelf), CoinLogFile(rc.StateDir, rc.OldSelf)} {
-			if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
 		}
 	}
 	if err := ClearReshareJournal(rc.StateDir); err != nil {
@@ -596,16 +530,13 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 	return out, nil
 }
 
-// queryCutover asks the old committee for the committed cutover position,
-// requiring t+1 identical answers — at most t Byzantine members exist, so
-// any (t+1)-supported value is the honest committee's.
-func queryCutover(nw *simnet.Network, oldN, oldT int, up []bool, self int) (int, error) {
+// queryCutover asks the reachable old members for the committed cutover
+// position, requiring quorum = t+1 identical answers — at most t Byzantine
+// members exist, so any (t+1)-supported value is the honest committee's.
+func queryCutover(query queryFunc, oldUp []int, quorum int) (int, error) {
 	votes := map[int]int{}
-	for node := 0; node < oldN; node++ {
-		if node == self || !up[node] {
-			continue
-		}
-		resp, err := nw.Query(node, []byte("RPOS"), 2*time.Second)
+	for _, node := range oldUp {
+		resp, err := query(node, []byte("RPOS"))
 		if err != nil || len(resp) == 0 {
 			continue
 		}
@@ -614,85 +545,9 @@ func queryCutover(nw *simnet.Network, oldN, oldT int, up []bool, self int) (int,
 			continue
 		}
 		votes[p]++
-		if votes[p] >= oldT+1 {
+		if votes[p] >= quorum {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("beacon: no cutover position with %d matching answers (votes: %v)", oldT+1, votes)
-}
-
-// fetchCeremonyLog backfills public-log entries [lo, hi) over the ceremony
-// mesh, cross-checking min(t+1, reachable) old members per entry.
-func fetchCeremonyLog(nw *simnet.Network, oldN, oldT int, up []bool, self, lo, hi int, patience time.Duration) ([]gf2k.Element, error) {
-	var servers []int
-	for node := 0; node < oldN; node++ {
-		if node != self && up[node] {
-			servers = append(servers, node)
-		}
-	}
-	quorum := oldT + 1
-	if len(servers) < quorum {
-		quorum = len(servers)
-	}
-	if quorum < 1 {
-		return nil, errors.New("beacon: no old members reachable for ceremony log backfill")
-	}
-	deadline := time.Now().Add(patience)
-	entries := make([]gf2k.Element, 0, hi-lo)
-	for len(entries) < hi-lo {
-		pos := lo + len(entries)
-		var verified []gf2k.Element
-		responders := 0
-		for _, node := range shuffledCopy(servers) {
-			resp, err := nw.Query(node, []byte(fmt.Sprintf("RLOG %d %d", pos, hi-pos)), 2*time.Second)
-			if err != nil {
-				continue
-			}
-			got, err := parseLogEntries(resp, pos)
-			if err != nil {
-				return nil, fmt.Errorf("beacon: node %d served a malformed ceremony log: %w", node, err)
-			}
-			if responders == 0 {
-				verified = got
-			} else {
-				shorter := len(verified)
-				if len(got) < shorter {
-					shorter = len(got)
-				}
-				for i := 0; i < shorter; i++ {
-					if got[i] != verified[i] {
-						return nil, fmt.Errorf("beacon: old members disagree on public coin %d (%x vs %x)",
-							pos+i, uint64(verified[i]), uint64(got[i]))
-					}
-				}
-				if len(got) < len(verified) {
-					verified = verified[:len(got)]
-				}
-			}
-			responders++
-			if responders == quorum {
-				break
-			}
-		}
-		if responders < quorum {
-			return nil, fmt.Errorf("beacon: only %d/%d old members answered the ceremony log fetch", responders, quorum)
-		}
-		entries = append(entries, verified...)
-		if len(entries) < hi-lo {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("beacon: ceremony backfill stalled at %d/%d entries", len(entries), hi-lo)
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-	}
-	return entries, nil
-}
-
-// coreFieldFor builds the coin field the cluster's core config uses.
-func coreFieldFor(pc *simnet.PeerConfig, ctr *metrics.Counters) gf2k.Field {
-	f := gf2k.MustNew(effectiveK(pc))
-	if ctr != nil {
-		f = f.WithCounters(ctr)
-	}
-	return f
+	return 0, fmt.Errorf("beacon: no cutover position with %d matching answers (votes: %v)", quorum, votes)
 }

@@ -3,6 +3,8 @@ package multicell
 import (
 	"sync"
 	"time"
+
+	"repro/internal/beacon"
 )
 
 // tenantTable owns the per-tenant serving state: a token-bucket rate
@@ -28,7 +30,7 @@ type tenantTable struct {
 }
 
 type tenantState struct {
-	bucket  *tokenBucket
+	bucket  *beacon.TokenBucket
 	streams int
 }
 
@@ -68,7 +70,7 @@ func (t *tenantTable) state(tenant string) *tenantState {
 func (t *tenantTable) newState() *tenantState {
 	st := &tenantState{}
 	if t.rate > 0 {
-		st.bucket = newTokenBucket(t.rate, t.burst, t.now)
+		st.bucket = beacon.NewTokenBucket(t.rate, t.burst, t.now)
 	}
 	return st
 }
@@ -80,7 +82,7 @@ func (t *tenantTable) allow(tenant string) bool {
 	if st.bucket == nil {
 		return true
 	}
-	return st.bucket.allow()
+	return st.bucket.Allow()
 }
 
 // acquireStream claims one live-stream slot for the tenant; the returned
@@ -102,43 +104,4 @@ func (t *tenantTable) acquireStream(tenant string) (release func(), ok bool) {
 			t.mu.Unlock()
 		})
 	}, true
-}
-
-// tokenBucket is a classic token bucket: capacity `burst`, refilled
-// continuously at `rate` tokens/second. (internal/beacon has a private
-// twin guarding one Service's queue; this one guards a tenant across the
-// whole cluster, in front of routing.)
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-	now    func() time.Time
-}
-
-func newTokenBucket(rate float64, burst int, now func() time.Time) *tokenBucket {
-	if now == nil {
-		now = time.Now
-	}
-	tb := &tokenBucket{rate: rate, burst: float64(burst), now: now}
-	tb.tokens = tb.burst
-	tb.last = tb.now()
-	return tb
-}
-
-func (tb *tokenBucket) allow() bool {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	now := tb.now()
-	tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
-	tb.last = now
-	if tb.tokens > tb.burst {
-		tb.tokens = tb.burst
-	}
-	if tb.tokens < 1 {
-		return false
-	}
-	tb.tokens--
-	return true
 }

@@ -62,6 +62,11 @@ var ErrNotStarted = errors.New("simnet: peer network not started (call StartAt)"
 // ErrPeerClosed is the base error after Close tears the peer network down.
 var ErrPeerClosed = errors.New("simnet: peer network closed")
 
+// writeTimeout is the per-frame socket write (and dial) deadline. A blocked
+// write marks the connection broken and hands it to the redial loop rather
+// than stalling the round.
+const writeTimeout = 5 * time.Second
+
 // maxFutureWindow bounds how far ahead of the newest known round a frame may
 // be staged; anything further is dropped as garbage. One round of real
 // traffic is small, so the window is generous.
@@ -77,7 +82,6 @@ type QueryHandler func(from int, req []byte) []byte
 // regular Option mechanism (in-memory networks ignore them).
 type peerOptions struct {
 	roundTimeout time.Duration
-	writeTimeout time.Duration
 	backoffMin   time.Duration
 	backoffMax   time.Duration
 	scheduleUnit time.Duration
@@ -91,13 +95,6 @@ type peerOptions struct {
 // too high stalls the beacon that long when a daemon crashes.
 func WithRoundTimeout(d time.Duration) Option {
 	return func(nw *Network) { nw.peerOpts.roundTimeout = d }
-}
-
-// WithWriteTimeout sets the per-frame socket write deadline in peer mode
-// (default 5s). A blocked write marks the connection broken and hands it to
-// the redial loop rather than stalling the round.
-func WithWriteTimeout(d time.Duration) Option {
-	return func(nw *Network) { nw.peerOpts.writeTimeout = d }
 }
 
 // WithDialBackoff sets the bounds of the exponential redial backoff in peer
@@ -210,9 +207,6 @@ func NewPeer(cfg *PeerConfig, self int, opts ...Option) (*Network, error) {
 	if nw.peerOpts.roundTimeout <= 0 {
 		nw.peerOpts.roundTimeout = 10 * time.Second
 	}
-	if nw.peerOpts.writeTimeout <= 0 {
-		nw.peerOpts.writeTimeout = 5 * time.Second
-	}
 	if nw.peerOpts.backoffMin <= 0 {
 		nw.peerOpts.backoffMin = 100 * time.Millisecond
 	}
@@ -285,7 +279,7 @@ func (pc *peerConn) dialLoop() {
 			return
 		default:
 		}
-		conn, err := net.DialTimeout("tcp", pn.cfg.Peers[pc.to].Addr, pn.opts.writeTimeout)
+		conn, err := net.DialTimeout("tcp", pn.cfg.Peers[pc.to].Addr, writeTimeout)
 		if err != nil {
 			pn.inst.handshake('d')
 		} else {
@@ -384,7 +378,7 @@ func (pc *peerConn) write(typ byte, arg int, payload []byte) error {
 	if pc.conn == nil {
 		return fmt.Errorf("simnet: peer %d not connected", pc.to)
 	}
-	pc.conn.SetWriteDeadline(time.Now().Add(pc.pn.opts.writeTimeout))
+	pc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := writeFrame(pc.conn, typ, arg, payload); err != nil {
 		pc.conn.Close()
 		pc.conn = nil
@@ -556,7 +550,7 @@ func (pn *peerNet) ingest(from int, conn net.Conn) {
 				defer pn.wg.Done()
 				wmu.Lock()
 				defer wmu.Unlock()
-				conn.SetWriteDeadline(time.Now().Add(pn.opts.writeTimeout))
+				conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 				_ = writeFrame(conn, framePeerReply, 0, append(append([]byte{}, id...), resp...))
 				conn.SetWriteDeadline(time.Time{})
 			}(append([]byte{}, id...), resp)

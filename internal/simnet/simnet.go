@@ -31,9 +31,9 @@
 //
 // Interceptors apply to the in-memory transport only (adversarial tests
 // need a vantage point that sees all n players' traffic, which no single
-// daemon has); WithRoundTimeout, WithWriteTimeout, WithDialBackoff,
-// WithScheduleUnit and WithQueryHandler apply to peer networks only, and
-// the remaining Options apply to both.
+// daemon has); WithRoundTimeout, WithDialBackoff, WithScheduleUnit and
+// WithQueryHandler apply to peer networks only, and the remaining Options
+// apply to both.
 package simnet
 
 import (
