@@ -71,7 +71,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -303,7 +302,7 @@ func newObservability(ctr *metrics.Counters, tracePath string) (*observability, 
 
 // mux serves the endpoints the two modes share; healthz supplies the
 // mode's own /v1/healthz body.
-func (o *observability) mux(healthz func() map[string]any) *http.ServeMux {
+func (o *observability) mux(healthz func() any) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, healthz()) })
 	mux.Handle("GET /metrics", o.reg.Handler())
@@ -420,7 +419,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 }
 
 func newMux(svc *beacon.Service, k int, o *observability) *http.ServeMux {
-	mux := o.mux(func() map[string]any {
+	mux := o.mux(func() any {
 		st := svc.Stats()
 		return map[string]any{
 			"status":    "ok",
@@ -478,20 +477,11 @@ func writeErr(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		http.Error(w, err.Error(), 499) // client closed request
+	case errors.Is(err, beacon.ErrBadRequest):
+		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
-		var status = http.StatusInternalServerError
-		if isValidation(err) {
-			status = http.StatusBadRequest
-		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// isValidation distinguishes argument errors (bad bit counts, bad moduli)
-// from internal protocol failures.
-func isValidation(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "outside") || strings.Contains(s, "invalid modulus")
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -573,14 +563,11 @@ func runPlayer(ctx context.Context, c *config, stdout, stderr io.Writer) error {
 
 	var srv *http.Server
 	if c.addr != "" {
-		mux := o.mux(func() map[string]any {
-			st := d.Stats()
-			return map[string]any{
-				"status": "ok", "player": st.Player, "joined": st.Joined,
-				"round": st.Round, "log": st.LogLen, "epoch": st.Epoch,
-				"remaining": st.Remaining, "refilling": st.Refilling, "peers": st.Peers,
-				"generation": st.Generation, "armed": st.ReshareArmed, "cutover": st.Cutover,
-			}
+		mux := o.mux(func() any {
+			return struct {
+				Status string `json:"status"`
+				beacon.DaemonStats
+			}{"ok", d.Stats()}
 		})
 		ln, err := net.Listen("tcp", c.addr)
 		if err != nil {

@@ -6,15 +6,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/beacon"
+	"repro/internal/coin"
+	"repro/internal/core"
+	"repro/internal/gf2k"
 	"repro/internal/obs"
 	"repro/internal/obs/prom"
 )
@@ -413,5 +422,237 @@ func TestSoakPipelineAndResume(t *testing.T) {
 	}
 	if out := d2.stop(t); !strings.Contains(out, "persisted 7 player stores") {
 		t.Fatalf("second shutdown did not persist; output:\n%s", out)
+	}
+}
+
+// inventory reduces a text exposition to its sorted family list, one
+// "name type label,names help" line per family: what dashboards and alert
+// rules key on, whatever the sample values are.
+func inventory(t *testing.T, body []byte) []string {
+	t.Helper()
+	typ, help, labels := map[string]string{}, map[string]string{}, map[string]map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.SplitN(line, " ", 4); len(f) == 4 && f[0] == "#" {
+			switch f[1] {
+			case "TYPE":
+				typ[f[2]], labels[f[2]] = f[3], map[string]bool{}
+			case "HELP":
+				help[f[2]] = f[3]
+			}
+		}
+	}
+	samples, err := prom.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, body)
+	}
+	for _, s := range samples {
+		fam := s.Name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base := strings.TrimSuffix(fam, suffix); typ[fam] == "" && typ[base] == "histogram" {
+				fam = base
+			}
+		}
+		if typ[fam] == "" {
+			t.Fatalf("sample %s has no # TYPE line", s.Name)
+		}
+		for l := range s.Labels {
+			if l != "le" {
+				labels[fam][l] = true
+			}
+		}
+	}
+	var out []string
+	for fam, ty := range typ {
+		var ls []string
+		for l := range labels[fam] {
+			ls = append(ls, l)
+		}
+		sort.Strings(ls)
+		out = append(out, fmt.Sprintf("%s %s [%s] %s", fam, ty, strings.Join(ls, ","), help[fam]))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// checkSurface compares one process's /metrics family list and /v1/healthz
+// key set with the lists recorded from the commit before the counters were
+// unified (5da2673): names, types, label names, help text and JSON keys are
+// what dashboards, alert rules and beaconctl parse, so they must not move.
+func checkSurface(t *testing.T, base string, families, healthzKeys []string) {
+	t.Helper()
+	_, _, body := getRaw(t, base, "/metrics")
+	if got := inventory(t, body); !reflect.DeepEqual(got, families) {
+		t.Errorf("/metrics families moved:\n got %q\nwant %q", got, families)
+	}
+	_, hz := getJSON(t, base, "/v1/healthz")
+	var keys []string
+	for k := range hz {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if !reflect.DeepEqual(keys, healthzKeys) {
+		t.Errorf("/v1/healthz keys moved: got %q, want %q", keys, healthzKeys)
+	}
+}
+
+// TestSurfaceInventorySingleProcess pins the single-process surface after
+// a load that touches every family (served draws, pipelined refills, a
+// rate-limited draw).
+func TestSurfaceInventorySingleProcess(t *testing.T) {
+	d := startDaemon(t, "-n", "7", "-t", "1", "-k", "8", "-batch", "24", "-threshold", "6",
+		"-highwater", "16", "-rate", "0.000001", "-burst", "30", "-insecure-rand")
+	for i := 0; i < 31; i++ {
+		if status, _ := getJSON(t, d.url, "/v1/coin"); (status != http.StatusOK) != (i == 30) {
+			t.Fatalf("draw %d: status %d", i, status)
+		}
+	}
+	checkSurface(t, d.url, []string{
+		"beacon_blocked_draws_total counter [] Draws that waited on a Coin-Gen round.",
+		"beacon_coins_delivered_total counter [] Coins handed out across all draws.",
+		"beacon_draw_latency_seconds histogram [] Latency of successful draws, enqueue to response.",
+		"beacon_draws_total counter [] Draw requests served.",
+		"beacon_queue_depth gauge [] Draw requests waiting in the bounded queue.",
+		"beacon_refill_duration_seconds histogram [kind] Coin-Gen wall-clock duration by kind (pipelined, blocking).",
+		"beacon_refill_in_flight gauge [] 1 while a pipelined Coin-Gen is running.",
+		"beacon_refills_total counter [kind] Absorbed Coin-Gen batches by kind (pipelined, blocking).",
+		"beacon_rejected_total counter [reason] Draws rejected before reaching the queue (overloaded, rate-limited).",
+		"beacon_store_remaining gauge [] Sealed coins left in the store.",
+	}, []string{"queue", "refilling", "remaining", "resumed", "status"})
+}
+
+// startPlayers deals a 7-player loopback cluster and runs every player's
+// daemon in-process (-player mode) until the test ends; it returns the
+// players' observability base URLs.
+func startPlayers(t *testing.T) []string {
+	t.Helper()
+	const n = 7
+	reserve := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "peers.yaml")
+	var b strings.Builder
+	fmt.Fprintf(&b, "cluster: inventory\nsecret: %s\nt: 1\nk: 32\nbatch: 24\nthreshold: 6\nseedcoins: 24\npeers:\n", strings.Repeat("ab", 32))
+	urls := make([]string, n)
+	for i := range urls {
+		http := reserve()
+		urls[i] = "http://" + http
+		fmt.Fprintf(&b, "  - id: %d\n    addr: %s\n    http: %s\n", i, reserve(), http)
+	}
+	if err := os.WriteFile(cfgPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := &syncBuf{}
+	if err := run(context.Background(), []string{"-deal", "-config", cfgPath, "-data", dir, "-insecure-rand"}, out, out); err != nil {
+		t.Fatalf("ceremony: %v\n%s", err, out.String())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			run(ctx, []string{"-player", fmt.Sprint(i), "-config", cfgPath, "-data", dir, //nolint:errcheck // ends by cancellation
+				"-emit-interval", "5ms", "-round-timeout", "2s", "-dial-backoff", "200ms",
+				"-insecure-rand", "-addr", strings.TrimPrefix(urls[i], "http://")}, out, out)
+		}(i)
+	}
+	t.Cleanup(func() { cancel(); wg.Wait() })
+	return urls
+}
+
+// TestSurfaceInventoryPlayer pins the -player surface (daemon plus peer
+// transport families) of a 7-daemon cluster once it has crossed a refill.
+func TestSurfaceInventoryPlayer(t *testing.T) {
+	urls := startPlayers(t)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(urls[0] + "/v1/healthz")
+		if err == nil {
+			var hz struct{ Epoch int }
+			err = json.NewDecoder(resp.Body).Decode(&hz)
+			resp.Body.Close()
+			if err == nil && hz.Epoch >= 1 {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("player 0 never reported a refill (last error: %v)", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	checkSurface(t, urls[0], []string{
+		"beacond_coins_total counter [] Coins appended to the public log.",
+		"beacond_emit_latency_seconds histogram [] Duration of one emission iteration (exposure, plus inline refill when triggered).",
+		"beacond_epoch gauge [] Refill epoch (batches absorbed since the ceremony).",
+		"beacond_generation gauge [] Committee generation (0 = dealt, +1 per reshare).",
+		"beacond_join_attempts_total counter [] Join choreography attempts (1 = clean first try).",
+		"beacond_joined gauge [] 1 once the daemon has joined the cluster.",
+		"beacond_log_len gauge [] Coins in the public log.",
+		"beacond_refill_duration_seconds histogram [] Wall-clock duration of inline Coin-Gens.",
+		"beacond_refilling gauge [] 1 while an inline Coin-Gen is running.",
+		"beacond_refills_total counter [] Inline blocking Coin-Gens completed.",
+		"beacond_reshare_duration_seconds histogram [] Wall-clock duration of one resharing ceremony attempt.",
+		"beacond_round gauge [] Completed-round count of the local node.",
+		"beacond_store_remaining gauge [] Sealed coins left in the store.",
+		"simnet_handshake_total counter [result] Outgoing dial attempts by outcome (ok, reject, dial-error).",
+		"simnet_peer_connected gauge [peer] 1 while the authenticated outgoing connection to the peer is up.",
+		"simnet_peer_demotions_total counter [peer] Round barriers that timed out waiting for the peer and demoted it.",
+		"simnet_peer_epoch gauge [peer] Beacon epoch the peer last announced (-1 if never announced).",
+		"simnet_peer_query_rtt_seconds histogram [peer] Round-trip time of out-of-band peer queries.",
+		"simnet_peer_reconnects_total counter [peer] Successful authenticated dials to the peer (first connect included).",
+		"simnet_peer_redial_backoff_seconds gauge [peer] Current redial backoff delay while disconnected (0 when connected).",
+		"simnet_peer_watermark gauge [peer] Highest round the peer declared complete (-1 if never heard from).",
+		"simnet_peer_watermark_lag gauge [peer] Rounds the peer trails the cluster lead.",
+		"simnet_round_duration_seconds histogram [] EndRound wall-clock time: flush plus distributed barrier wait.",
+	}, []string{"armed", "cutover", "epoch", "generation", "joined", "log", "peers", "player", "refilling", "remaining", "round", "status"})
+}
+
+// TestWriteErrStatus: the HTTP status follows the error's identity, not its
+// text. The store error below contains "outside", which used to turn an
+// internal failure (raised while absorbing a refill) into a 400.
+func TestWriteErrStatus(t *testing.T) {
+	f := gf2k.MustNew(8)
+	svc, err := beacon.New(beacon.Config{Core: core.Config{Field: f, N: 7, T: 1, BatchSize: 24}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background()) //nolint:errcheck // nothing in flight
+	ctx := context.Background()
+	_, _, errN := svc.DrawN(ctx, 0)
+	_, errBits := svc.DrawBits(ctx, beacon.MaxDrawBits+1)
+	_, errMod := svc.DrawMod(ctx, -2)
+	_, errModWide := svc.DrawMod(ctx, 1<<9) // beyond GF(2^8)'s draw space
+
+	batches, _, err := coin.DealTrusted(f, 7, 1, 2, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errStore := (&coin.Store{Universe: 1}).Add(batches[0])
+	if errStore == nil || !strings.Contains(errStore.Error(), "outside") {
+		t.Fatalf("store accepted a batch from a larger universe: %v", errStore)
+	}
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{errN, http.StatusBadRequest},
+		{errBits, http.StatusBadRequest},
+		{errMod, http.StatusBadRequest},
+		{errModWide, http.StatusBadRequest},
+		{fmt.Errorf("beacon: absorb minted batch, player 0: %w", errStore), http.StatusInternalServerError},
+		{beacon.ErrOverloaded, http.StatusTooManyRequests},
+		{beacon.ErrClosed, http.StatusServiceUnavailable},
+	} {
+		rec := httptest.NewRecorder()
+		writeErr(rec, tc.err)
+		if rec.Code != tc.want {
+			t.Errorf("%v: status %d, want %d", tc.err, rec.Code, tc.want)
+		}
 	}
 }

@@ -47,7 +47,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -308,6 +307,7 @@ func newMux(cl *multicell.Cluster, mets *multicell.Metrics, reg *prom.Registry, 
 		} else if rst.CellsDown > 0 {
 			status = "degraded"
 		}
+		w.Header().Set("Content-Type", "application/json") // before WriteHeader freezes the header set
 		w.WriteHeader(code)
 		writeJSON(w, map[string]any{
 			"status": status, "cells": cl.Cells(), "cells_down": rst.CellsDown,
@@ -337,12 +337,10 @@ func writeErr(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		http.Error(w, err.Error(), 499) // client closed request
+	case errors.Is(err, beacon.ErrBadRequest):
+		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
-		status := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "outside") {
-			status = http.StatusBadRequest
-		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 

@@ -18,12 +18,10 @@
 //	-trace coins.jsonl   write the full protocol trace as JSONL (replayable
 //	                     with obs.ParseJSONL)
 //	-timeline            print a per-round timeline (player 0 + network view)
-//	-pprof :6060         serve net/http/pprof and live counters (expvar) on
-//	                     the given address while the simulation runs
+//	-pprof :6060         serve net/http/pprof here while the simulation runs
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -33,7 +31,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/adversary"
@@ -83,7 +80,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		verbose  = fs.Bool("v", false, "print every coin")
 		trace    = fs.String("trace", "", "write a JSONL protocol trace to this file")
 		timeline = fs.Bool("timeline", false, "print a per-round timeline after the run")
-		pprofA   = fs.String("pprof", "", "serve net/http/pprof and expvar counters on this address (e.g. :6060)")
+		pprofA   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -142,25 +139,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	}, nil
 }
 
-// publishCounters exposes the live counter snapshot as the expvar variable
-// "dprbg.counters". expvar.Publish panics on duplicate names, so the
-// registration is process-global and sticky: the last-started run wins.
-var publishCounters = sync.OnceFunc(func() {
-	expvar.Publish("dprbg.counters", expvar.Func(func() interface{} {
-		liveCounters.mu.Lock()
-		defer liveCounters.mu.Unlock()
-		if liveCounters.ctr == nil {
-			return nil
-		}
-		return liveCounters.ctr.Snapshot()
-	}))
-})
-
-var liveCounters struct {
-	mu  sync.Mutex
-	ctr *metrics.Counters
-}
-
 func run(args []string, stdout, stderr io.Writer) error {
 	cfg, err := parseFlags(args, stderr)
 	if err != nil {
@@ -174,16 +152,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var ctr metrics.Counters
 	if cfg.pprof != "" {
-		liveCounters.mu.Lock()
-		liveCounters.ctr = &ctr
-		liveCounters.mu.Unlock()
-		publishCounters()
 		go func() {
 			if err := http.ListenAndServe(cfg.pprof, nil); err != nil {
 				fmt.Fprintf(stderr, "dprbgsim: pprof server: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(stderr, "dprbgsim: pprof + expvar on http://%s/debug/pprof/ (counters at /debug/vars)\n", cfg.pprof)
+		fmt.Fprintf(stderr, "dprbgsim: pprof on http://%s/debug/pprof/\n", cfg.pprof)
 	}
 
 	// Assemble the tracer: a JSONL export, an in-memory ring for the

@@ -22,8 +22,7 @@
 // sent both values.
 //
 // Coin-Gen runs in the paper's n ≥ 6t+1 regime, which satisfies both bounds
-// with slack. Any other agreement protocol can be plugged in through the
-// Protocol interface.
+// with slack.
 package ba
 
 import (
@@ -33,17 +32,6 @@ import (
 	"repro/internal/simnet"
 )
 
-// Protocol is a binary Byzantine agreement protocol. Run must be invoked by
-// every honest player in the same round with its input bit (0 or 1) and
-// returns the agreed bit.
-type Protocol interface {
-	// Run executes the agreement; it must consume the same number of rounds
-	// at every honest player.
-	Run(nd *simnet.Node, input byte) (byte, error)
-	// Rounds returns the exact number of network rounds one execution takes.
-	Rounds() int
-}
-
 // PhaseKing is the deterministic phase-king protocol with t+1 phases of two
 // rounds each. See the package comment for its resilience bounds.
 type PhaseKing struct {
@@ -51,16 +39,13 @@ type PhaseKing struct {
 	T int
 }
 
-var _ Protocol = PhaseKing{}
-
 // MinPlayers returns the network size required for both validity and
 // agreement, 5t+1 (see package comment).
 func MinPlayers(t int) int { return 5*t + 1 }
 
-// Rounds returns 2(t+1): two rounds per phase.
-func (p PhaseKing) Rounds() int { return 2 * (p.T + 1) }
-
-// Run executes the protocol. input must be 0 or 1.
+// Run executes the protocol: every honest player calls it in the same round
+// with its input bit (0 or 1), all consume exactly 2(t+1) rounds, and all
+// return the agreed bit.
 func (p PhaseKing) Run(nd *simnet.Node, input byte) (byte, error) {
 	n := nd.N()
 	if n < MinPlayers(p.T) {

@@ -195,7 +195,7 @@ func TestRoundsExact(t *testing.T) {
 			return nd.Round(), nil
 		}
 	}
-	want := PhaseKing{T: tf}.Rounds()
+	want := 2 * (tf + 1) // two rounds per phase, t+1 phases
 	for i, r := range simnet.Run(nw, fns) {
 		if r.Err != nil {
 			t.Fatalf("player %d: %v", i, r.Err)

@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/coin"
 	"repro/internal/core"
@@ -65,6 +64,10 @@ var (
 	ErrRateLimited = errors.New("beacon: rate limit exceeded")
 	// ErrClosed is returned for draws after Close has begun.
 	ErrClosed = errors.New("beacon: service closed")
+	// ErrBadRequest wraps every error that rejects a draw for its arguments
+	// (batch size, bit count, modulus) before anything is queued — the
+	// caller's fault, HTTP 400, as opposed to a failure of the service.
+	ErrBadRequest = errors.New("bad request")
 )
 
 // MaxDrawBits bounds a single DrawBits request so one client cannot drain
@@ -73,6 +76,11 @@ const MaxDrawBits = 4096
 
 // MaxDrawBatch bounds a single DrawN request for the same reason.
 const MaxDrawBatch = 256
+
+// sweepCoins caps how many coins one lockstep sweep exposes: queued
+// requests are coalesced up to this budget, and the whole sweep is one
+// vector Coin-Expose round (one per batch it touches).
+const sweepCoins = 32
 
 // serveMaxRounds is the round budget for the long-lived serving network
 // and for refill networks: effectively unlimited (the default simnet
@@ -90,17 +98,9 @@ type Config struct {
 	// SeedCoins is the size of the one-time trusted-dealer seed used by
 	// New. Defaults to Core.BatchSize. Resume ignores it.
 	SeedCoins int
-	// SeedReserve is the number of coins detached from the store tail to
-	// fund each pipelined refill (the out-of-band Coin-Gen's challenge and
-	// leader draws). Defaults to the effective Core threshold.
-	SeedReserve int
 	// QueueDepth bounds the request queue; a full queue rejects with
 	// ErrOverloaded. Defaults to 256.
 	QueueDepth int
-	// MaxBatch caps how many coins one lockstep sweep exposes; queued
-	// requests are coalesced up to this budget, and the whole sweep is one
-	// vector Coin-Expose round (one per batch it touches). Defaults to 32.
-	MaxBatch int
 	// Rate and Burst configure the token-bucket rate limiter in requests
 	// per second. Rate == 0 disables limiting; Burst defaults to 1 when a
 	// rate is set.
@@ -117,8 +117,8 @@ type Config struct {
 	// instead.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, exports the service's Prometheus families
-	// (draw latency, queue depth, refill pipeline — see NewServiceMetrics).
-	// Nil leaves the draw hot path free of any timing or allocation.
+	// (draw latency, queue depth, refill pipeline — see NewServiceMetrics);
+	// one bundle per Service. Nil keeps the draw path free of clock reads.
 	Metrics *ServiceMetrics
 	// Rand supplies each player's private randomness (polynomial dealing
 	// in Coin-Gen). Defaults to crypto/rand for every player; tests
@@ -133,14 +133,8 @@ func (c Config) withDefaults() Config {
 	if c.SeedCoins == 0 {
 		c.SeedCoins = c.Core.BatchSize
 	}
-	if c.SeedReserve == 0 {
-		c.SeedReserve = c.Core.Threshold
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 32
 	}
 	if c.Rate > 0 && c.Burst == 0 {
 		c.Burst = 1
@@ -149,6 +143,23 @@ func (c Config) withDefaults() Config {
 		c.Rand = func(int) io.Reader { return cryptorand.Reader }
 	}
 	return c
+}
+
+// seedReserve is the number of coins detached from the store tail to fund
+// each pipelined refill (the out-of-band Coin-Gen's challenge and leader
+// draws): one blocking-refill budget, ≥ 2 by core's rule. Defaults applied.
+func (c Config) seedReserve() int { return c.Core.Threshold }
+
+// WaterMarks returns the two store depths a router in front of several
+// Services derives its policy from. A draw that would leave fewer than low
+// coins behind has to wait on a Coin-Gen: the store can no longer fund a
+// pipelined refill's seed on top of the blocking-refill budget. minHigh is
+// the least Core.HighWater at which a loaded Service never falls back to a
+// blocking refill: one full sweep above low.
+func (c Config) WaterMarks() (low, minHigh int) {
+	c = c.withDefaults()
+	low = c.Core.Threshold + c.seedReserve()
+	return low, low + sweepCoins
 }
 
 // Validate checks the configuration.
@@ -160,14 +171,8 @@ func (c Config) Validate() error {
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("beacon: queue depth must be ≥ 1, got %d", c.QueueDepth)
 	}
-	if c.MaxBatch < 1 {
-		return fmt.Errorf("beacon: max batch must be ≥ 1, got %d", c.MaxBatch)
-	}
 	if c.Rate < 0 {
 		return fmt.Errorf("beacon: negative rate %v", c.Rate)
-	}
-	if c.SeedReserve < 2 {
-		return fmt.Errorf("beacon: seed reserve must be ≥ 2 (a refill spends a challenge plus leader draws), got %d", c.SeedReserve)
 	}
 	return nil
 }
@@ -265,22 +270,18 @@ type Service struct {
 	resumed bool
 
 	// Executive-owned state (no locking: only the exec goroutine touches
-	// these after Start).
-	refillInFlight bool
-	dead           error
+	// these after Start). seq is the stream cursor: the number of coins
+	// handed out so far, hence the position of the next one.
+	dead error
+	seq  int64
 
-	// Stats mirrors, updated by the executive / request path.
-	remaining        atomic.Int64
-	coinsDelivered   atomic.Int64
-	draws            atomic.Int64
-	refills          atomic.Int64
-	pipelinedRefills atomic.Int64
-	blockingRefills  atomic.Int64
-	blockedDraws     atomic.Int64
-	overloaded       atomic.Int64
-	rateLimited      atomic.Int64
-	inFlight         atomic.Bool
-	closed           atomic.Bool
+	// met holds the one counter per serving event (never nil); Stats and
+	// /metrics both read it. The atomics are written by the executive
+	// (inFlight: a pipelined Coin-Gen is running) and read by those two.
+	met       *ServiceMetrics
+	remaining atomic.Int64
+	inFlight  atomic.Bool
+	closed    atomic.Bool
 }
 
 // New creates and starts a beacon from a fresh one-time trusted-dealer
@@ -322,6 +323,9 @@ func Resume(cfg Config, stores []*coin.Store) (*Service, error) {
 
 func start(cfg Config, gens []*core.Generator, resumed bool) (*Service, error) {
 	n := cfg.Core.N
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewServiceMetrics(nil)
+	}
 	s := &Service{
 		cfg:        cfg,
 		n:          n,
@@ -335,6 +339,7 @@ func start(cfg Config, gens []*core.Generator, resumed bool) (*Service, error) {
 		execDone:   make(chan struct{}),
 		resumed:    resumed,
 		pools:      make([]*parallel.Pool, n),
+		met:        cfg.Metrics,
 	}
 	for i := range s.pools {
 		s.pools[i] = cfg.Core.Pool.Fork()
@@ -343,7 +348,7 @@ func start(cfg Config, gens []*core.Generator, resumed bool) (*Service, error) {
 		s.limiter = NewTokenBucket(cfg.Rate, cfg.Burst, nil)
 	}
 	s.remaining.Store(int64(gens[0].Remaining()))
-	cfg.Metrics.registerGauges(s)
+	s.met.registerGauges(s)
 	for i := 0; i < n; i++ {
 		s.cmds[i] = make(chan command)
 		go s.worker(i, s.nw.Node(i), cfg.Rand(i))
@@ -352,22 +357,20 @@ func start(cfg Config, gens []*core.Generator, resumed bool) (*Service, error) {
 	return s, nil
 }
 
-// Resumed reports whether the service was restored from persisted stores.
-func (s *Service) Resumed() bool { return s.resumed }
-
 // Stats returns a snapshot of the service's activity.
 func (s *Service) Stats() Stats {
+	pipelined, blocking := s.met.pipelined.Value(), s.met.blocking.Value()
 	st := Stats{
 		QueueDepth:       len(s.reqs),
 		Remaining:        int(s.remaining.Load()),
-		CoinsDelivered:   s.coinsDelivered.Load(),
-		Draws:            s.draws.Load(),
-		Refills:          s.refills.Load(),
-		PipelinedRefills: s.pipelinedRefills.Load(),
-		BlockingRefills:  s.blockingRefills.Load(),
-		BlockedDraws:     s.blockedDraws.Load(),
-		Overloaded:       s.overloaded.Load(),
-		RateLimited:      s.rateLimited.Load(),
+		CoinsDelivered:   s.met.Coins.Value(),
+		Draws:            s.met.Draws.Value(),
+		Refills:          pipelined + blocking,
+		PipelinedRefills: pipelined,
+		BlockingRefills:  blocking,
+		BlockedDraws:     s.met.Blocked.Value(),
+		Overloaded:       s.met.overloaded.Value(),
+		RateLimited:      s.met.rateLimited.Value(),
 		RefillInFlight:   s.inFlight.Load(),
 		Resumed:          s.resumed,
 	}
@@ -395,7 +398,7 @@ func (s *Service) Draw(ctx context.Context) (gf2k.Element, error) {
 // coin. n must be in [1, MaxDrawBatch].
 func (s *Service) DrawN(ctx context.Context, n int) ([]gf2k.Element, int64, error) {
 	if n < 1 || n > MaxDrawBatch {
-		return nil, 0, fmt.Errorf("beacon: batch size %d outside [1,%d]", n, MaxDrawBatch)
+		return nil, 0, fmt.Errorf("beacon: batch size %d outside [1,%d]: %w", n, MaxDrawBatch, ErrBadRequest)
 	}
 	return s.draw(ctx, n)
 }
@@ -407,7 +410,7 @@ func (s *Service) DrawN(ctx context.Context, n int) ([]gf2k.Element, int64, erro
 // [1, MaxDrawBits].
 func (s *Service) DrawBits(ctx context.Context, nbits int) ([]byte, error) {
 	if nbits < 1 || nbits > MaxDrawBits {
-		return nil, fmt.Errorf("beacon: bit count %d outside [1,%d]", nbits, MaxDrawBits)
+		return nil, fmt.Errorf("beacon: bit count %d outside [1,%d]: %w", nbits, MaxDrawBits, ErrBadRequest)
 	}
 	k := s.cfg.Core.Field.K()
 	vals, _, err := s.draw(ctx, (nbits+k-1)/k)
@@ -451,11 +454,11 @@ func packBits(vals []gf2k.Element, k, nbits int) []byte {
 // overhead is below one extra coin per call (acceptance > 1/2 always).
 func (s *Service) DrawMod(ctx context.Context, m int) (int, error) {
 	if m <= 0 {
-		return 0, fmt.Errorf("beacon: invalid modulus %d", m)
+		return 0, fmt.Errorf("beacon: invalid modulus %d: %w", m, ErrBadRequest)
 	}
 	k := uint(s.cfg.Core.Field.K())
 	if k < 64 && uint64(m) > 1<<k {
-		return 0, fmt.Errorf("beacon: modulus %d exceeds the field's %d-bit draw space", m, k)
+		return 0, fmt.Errorf("beacon: modulus %d exceeds the field's %d-bit draw space: %w", m, k, ErrBadRequest)
 	}
 	if m == 1 {
 		return 1, nil // the only outcome; no entropy to spend
@@ -500,45 +503,35 @@ func (s *Service) draw(ctx context.Context, need int) ([]gf2k.Element, int64, er
 		return nil, 0, ErrClosed
 	}
 	if s.limiter != nil && !s.limiter.Allow() {
-		s.rateLimited.Add(1)
-		s.cfg.Metrics.rejected("rate-limited")
+		s.met.rateLimited.Inc()
 		return nil, 0, ErrRateLimited
 	}
-	// The disabled-metrics path must not pay for a clock read: time.Now is
-	// taken only when a latency histogram will consume it.
-	var t0 time.Time
-	if s.cfg.Metrics != nil {
-		t0 = time.Now()
-	}
+	t0 := s.met.stamp()
 	req := &request{ctx: ctx, need: need, resp: make(chan drawResult, 1)}
 	select {
 	case s.reqs <- req:
 	default:
-		s.overloaded.Add(1)
-		s.cfg.Metrics.rejected("overloaded")
+		s.met.overloaded.Inc()
 		return nil, 0, ErrOverloaded
 	}
+	var r drawResult
 	select {
-	case r := <-req.resp:
-		if r.err == nil {
-			s.cfg.Metrics.observeDraw(t0, need)
-		}
-		return r.vals, r.seq, r.err
+	case r = <-req.resp:
 	case <-ctx.Done():
 		// The executive may still expose coins for this request; the
 		// buffered resp channel absorbs the late result.
 		return nil, 0, ctx.Err()
 	case <-s.execDone:
 		select {
-		case r := <-req.resp:
-			if r.err == nil {
-				s.cfg.Metrics.observeDraw(t0, need)
-			}
-			return r.vals, r.seq, r.err
+		case r = <-req.resp:
 		default:
 			return nil, 0, ErrClosed
 		}
 	}
+	if r.err == nil {
+		since(s.met.DrawLatency, t0)
+	}
+	return r.vals, r.seq, r.err
 }
 
 // Close shuts the service down gracefully: it stops accepting draws, waits
@@ -577,7 +570,7 @@ func (s *Service) exec() {
 	}
 }
 
-// serve coalesces queued requests up to the MaxBatch coin budget and
+// serve coalesces queued requests up to the sweepCoins budget and
 // exposes their coins in one lockstep sweep: one vector Coin-Expose, so a
 // sweep of any width costs one network round per batch it touches.
 func (s *Service) serve(first *request) {
@@ -593,7 +586,7 @@ func (s *Service) serve(first *request) {
 		return true
 	}
 	add(first)
-	for need < s.cfg.MaxBatch {
+	for need < sweepCoins {
 		select {
 		case r := <-s.reqs:
 			add(r)
@@ -621,16 +614,16 @@ gathered:
 	}
 	off := 0
 	for _, r := range batch {
-		// coinsDelivered doubles as the stream cursor: every exposed coin is
-		// handed to exactly one request in exposure order, so the counter's
-		// value before this request IS the sequence number of its first
-		// coin. Only the executive mutates it, so load-then-add is safe.
+		// Every exposed coin is handed to exactly one request in exposure
+		// order, so the cursor's value before this request IS the sequence
+		// number of its first coin.
 		// Full slice expressions: a caller appending to its result must
 		// reallocate, not write into the next request's coins.
-		r.resp <- drawResult{vals: vals[off : off+r.need : off+r.need], seq: s.coinsDelivered.Load()}
+		r.resp <- drawResult{vals: vals[off : off+r.need : off+r.need], seq: s.seq}
 		off += r.need
-		s.draws.Add(1)
-		s.coinsDelivered.Add(int64(r.need))
+		s.seq += int64(r.need)
+		s.met.Draws.Inc()
+		s.met.Coins.Add(int64(r.need))
 	}
 }
 
@@ -647,29 +640,21 @@ func (s *Service) ensure(need, nreqs int) error {
 	for int(s.remaining.Load()) < need+s.cfg.Core.Threshold {
 		if !blocked {
 			blocked = true
-			s.blockedDraws.Add(int64(nreqs))
-			s.cfg.Metrics.blocked(nreqs)
+			s.met.Blocked.Add(int64(nreqs))
 		}
 		switch {
-		case s.refillInFlight:
+		case s.inFlight.Load():
 			s.absorbRefill(<-s.refillDone)
 		case s.canPipeline() && s.startPipelineRefill():
 			// A mint is now in flight; the next iteration waits for it.
 		default:
-			var t0 time.Time
-			if s.cfg.Metrics != nil {
-				t0 = time.Now()
-			}
+			t0 := s.met.stamp()
 			if err := s.commandRefill(); err != nil {
 				s.fail(err)
 				break
 			}
-			s.refills.Add(1)
-			s.blockingRefills.Add(1)
-			s.cfg.Metrics.refill("blocking")
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.observeRefill("blocking", time.Since(t0).Seconds())
-			}
+			s.met.blocking.Inc()
+			since(s.met.blockingDur, t0)
 		}
 		if s.dead != nil {
 			return s.dead
@@ -681,8 +666,8 @@ func (s *Service) ensure(need, nreqs int) error {
 // canPipeline reports whether an out-of-band refill could be funded right
 // now without dropping the serving store below Threshold.
 func (s *Service) canPipeline() bool {
-	return s.cfg.Core.HighWater > 0 && !s.refillInFlight &&
-		int(s.remaining.Load())-s.cfg.SeedReserve >= s.cfg.Core.Threshold
+	return s.cfg.Core.HighWater > 0 && !s.inFlight.Load() &&
+		int(s.remaining.Load())-s.cfg.seedReserve() >= s.cfg.Core.Threshold
 }
 
 // maybePipelineRefill starts an ahead-of-demand mint when the store has
@@ -701,7 +686,7 @@ func (s *Service) maybePipelineRefill() {
 func (s *Service) startPipelineRefill() bool {
 	seeds := make([]*coin.Store, s.n)
 	for i, g := range s.gens {
-		st, err := g.DetachSeed(s.cfg.SeedReserve)
+		st, err := g.DetachSeed(s.cfg.seedReserve())
 		if err != nil {
 			// The stores are structurally identical, so a failure can only
 			// hit player 0 before anything was detached — but reabsorb
@@ -715,7 +700,6 @@ func (s *Service) startPipelineRefill() bool {
 		}
 		seeds[i] = st
 	}
-	s.refillInFlight = true
 	s.inFlight.Store(true)
 	cfg := s.cfg
 	n := s.n
@@ -734,10 +718,7 @@ func (s *Service) startPipelineRefill() bool {
 				return core.Mint(coreCfg, nd, seeds[i], cfg.Rand(i))
 			}
 		}
-		var t0 time.Time
-		if cfg.Metrics != nil {
-			t0 = time.Now()
-		}
+		t0 := s.met.stamp()
 		out := &refillOutcome{seeds: seeds, mints: make([]*core.MintResult, n)}
 		for i, r := range simnet.Run(nwR, fns) {
 			if r.Err != nil {
@@ -746,9 +727,7 @@ func (s *Service) startPipelineRefill() bool {
 			}
 			out.mints[i] = r.Value.(*core.MintResult)
 		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.observeRefill("pipelined", time.Since(t0).Seconds())
-		}
+		since(s.met.pipelinedDur, t0)
 		s.refillDone <- out
 	}()
 	return true
@@ -758,7 +737,6 @@ func (s *Service) startPipelineRefill() bool {
 // first the unspent seed coins, then the fresh batch, in the same order at
 // every player.
 func (s *Service) absorbRefill(out *refillOutcome) {
-	s.refillInFlight = false
 	s.inFlight.Store(false)
 	for i, g := range s.gens {
 		for _, b := range out.seeds[i].Batches() {
@@ -780,9 +758,7 @@ func (s *Service) absorbRefill(out *refillOutcome) {
 		s.fail(out.err)
 		return
 	}
-	s.refills.Add(1)
-	s.pipelinedRefills.Add(1)
-	s.cfg.Metrics.refill("pipelined")
+	s.met.pipelined.Inc()
 }
 
 // fail moves the service into a terminal error state: subsequent draws
@@ -800,7 +776,7 @@ func (s *Service) syncRemaining() {
 // drainAndStop completes shutdown: absorb an in-flight mint, serve the
 // queue, stop the workers.
 func (s *Service) drainAndStop() {
-	if s.refillInFlight {
+	if s.inFlight.Load() {
 		s.absorbRefill(<-s.refillDone)
 	}
 	for {

@@ -408,7 +408,7 @@ func TestPersistResume(t *testing.T) {
 		t.Fatalf("Resume: %v", err)
 	}
 	defer mustClose(t, s2)
-	if !s2.Resumed() || !s2.Stats().Resumed {
+	if !s2.Stats().Resumed {
 		t.Fatal("resumed service does not report Resumed")
 	}
 	if got := s2.Stats().Remaining; got != left {
@@ -455,7 +455,7 @@ func TestConfigValidate(t *testing.T) {
 		{"valid", func(*Config) {}, true},
 		{"zero field", func(c *Config) { c.Core.Field = gf2k.Field{} }, false},
 		{"negative rate", func(c *Config) { c.Rate = -1 }, false},
-		{"seed reserve too small", func(c *Config) { c.SeedReserve = 1 }, false},
+		{"threshold (= seed reserve) below a refill's own cost", func(c *Config) { c.Core.Threshold = 1 }, false},
 		{"high water below threshold", func(c *Config) { c.Core.HighWater = 3 }, false},
 	}
 	for _, tc := range cases {

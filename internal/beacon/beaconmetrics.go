@@ -3,10 +3,11 @@ package beacon
 // Prometheus instrumentation for the serving layer. Two bundles mirror the
 // two deployments: ServiceMetrics for the single-process Service (draw
 // latency, queue pressure, refill pipeline), DaemonMetrics for the
-// per-player Daemon (emission latency, join/refill progress). Both follow
-// the package-wide disabled-path convention: a nil bundle — or one built
-// from a nil registry — adds nothing to the hot path beyond a nil check,
-// which the AllocsPerRun tests pin.
+// per-player Daemon (emission latency, join/refill progress). Inside the
+// package a bundle is never nil — a deployment that configures none gets one
+// built on a nil registry — so call sites use the handles directly; a nil
+// registry switches off the export and the Service's clock reads, and the
+// AllocsPerRun tests pin that no site allocates either way.
 
 import (
 	"time"
@@ -14,16 +15,19 @@ import (
 	"repro/internal/obs/prom"
 )
 
-// ServiceMetrics declares the Service metric families on a registry.
-// Attach via Config.Metrics; the gauge families (queue depth, store
-// remaining, refill in-flight) are registered as scrape-time GaugeFuncs
-// when the Service starts.
+// ServiceMetrics holds the Service's counters and latency histograms.
+// Attach one bundle per Service via Config.Metrics to export it; a Service
+// without one builds its own on no registry, because each event is counted
+// once, here: Stats() and /metrics are two renderings of these counters.
+// The gauge families (queue depth, store remaining, refill in-flight) are
+// registered as scrape-time GaugeFuncs when the Service starts.
 type ServiceMetrics struct {
 	reg *prom.Registry
 
 	// DrawLatency is beacon_draw_latency_seconds: wall-clock time a
 	// successful draw spent from enqueue to response, including any
-	// exposure rounds and blocking refills it waited on.
+	// exposure rounds and blocking refills it waited on. Nil (like the
+	// refill durations) on no registry, and then no clock is read.
 	DrawLatency *prom.Histogram
 	// Draws is beacon_draws_total; Coins is beacon_coins_delivered_total.
 	Draws *prom.Counter
@@ -31,89 +35,73 @@ type ServiceMetrics struct {
 	// Blocked is beacon_blocked_draws_total: requests that had to wait on a
 	// Coin-Gen (the pipeline fell behind demand).
 	Blocked *prom.Counter
-	// Rejected is beacon_rejected_total{reason}: overloaded | rate-limited.
-	Rejected *prom.CounterVec
-	// Refills is beacon_refills_total{kind}; RefillDuration is
-	// beacon_refill_duration_seconds{kind}: kind is pipelined (ran on the
-	// dedicated refill network, ahead of demand) or blocking (stalled the
-	// serving network).
-	Refills        *prom.CounterVec
-	RefillDuration *prom.HistogramVec
+	// beacon_rejected_total{reason}: overloaded | rate-limited.
+	overloaded, rateLimited *prom.Counter
+	// beacon_refills_total{kind} and beacon_refill_duration_seconds{kind}:
+	// kind is pipelined (ran on the dedicated refill network, ahead of
+	// demand) or blocking (stalled the serving network).
+	pipelined, blocking       *prom.Counter
+	pipelinedDur, blockingDur *prom.Histogram
 }
 
-// NewServiceMetrics registers the Service families on r (nil r → disabled).
+// NewServiceMetrics registers the Service families on r. On a nil r the
+// counters still count but nothing is exported and the histograms are off.
 func NewServiceMetrics(r *prom.Registry) *ServiceMetrics {
+	live := r
+	if live == nil {
+		live = prom.NewRegistry()
+	}
+	rejected := live.CounterVec("beacon_rejected_total", "Draws rejected before reaching the queue (overloaded, rate-limited).", "reason")
+	refills := live.CounterVec("beacon_refills_total", "Absorbed Coin-Gen batches by kind (pipelined, blocking).", "kind")
+	refillDur := r.HistogramVec("beacon_refill_duration_seconds", "Coin-Gen wall-clock duration by kind (pipelined, blocking).",
+		prom.ExpBuckets(0.005, 2, 14), "kind")
 	return &ServiceMetrics{
-		reg:         r,
-		DrawLatency: r.Histogram("beacon_draw_latency_seconds", "Latency of successful draws, enqueue to response.", nil),
-		Draws:       r.Counter("beacon_draws_total", "Draw requests served."),
-		Coins:       r.Counter("beacon_coins_delivered_total", "Coins handed out across all draws."),
-		Blocked:     r.Counter("beacon_blocked_draws_total", "Draws that waited on a Coin-Gen round."),
-		Rejected:    r.CounterVec("beacon_rejected_total", "Draws rejected before reaching the queue (overloaded, rate-limited).", "reason"),
-		Refills:     r.CounterVec("beacon_refills_total", "Absorbed Coin-Gen batches by kind (pipelined, blocking).", "kind"),
-		RefillDuration: r.HistogramVec("beacon_refill_duration_seconds", "Coin-Gen wall-clock duration by kind (pipelined, blocking).",
-			prom.ExpBuckets(0.005, 2, 14), "kind"),
+		reg:          r,
+		DrawLatency:  r.Histogram("beacon_draw_latency_seconds", "Latency of successful draws, enqueue to response.", nil),
+		Draws:        live.Counter("beacon_draws_total", "Draw requests served."),
+		Coins:        live.Counter("beacon_coins_delivered_total", "Coins handed out across all draws."),
+		Blocked:      live.Counter("beacon_blocked_draws_total", "Draws that waited on a Coin-Gen round."),
+		overloaded:   rejected.With("overloaded"),
+		rateLimited:  rejected.With("rate-limited"),
+		pipelined:    refills.With("pipelined"),
+		blocking:     refills.With("blocking"),
+		pipelinedDur: refillDur.With("pipelined"),
+		blockingDur:  refillDur.With("blocking"),
 	}
 }
 
 // registerGauges installs the scrape-time gauges for a running service.
 func (m *ServiceMetrics) registerGauges(s *Service) {
-	if m == nil || m.reg == nil {
-		return
-	}
 	m.reg.GaugeFunc("beacon_queue_depth", "Draw requests waiting in the bounded queue.",
 		func() float64 { return float64(len(s.reqs)) })
 	m.reg.GaugeFunc("beacon_store_remaining", "Sealed coins left in the store.",
 		func() float64 { return float64(s.remaining.Load()) })
 	m.reg.GaugeFunc("beacon_refill_in_flight", "1 while a pipelined Coin-Gen is running.",
-		func() float64 {
-			if s.inFlight.Load() {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return b2f(s.inFlight.Load()) })
 }
 
-// rejected counts one pre-queue rejection (nil-safe).
-func (m *ServiceMetrics) rejected(reason string) {
-	if m == nil {
-		return
+// b2f renders a flag the way a gauge carries one.
+func b2f(b bool) float64 {
+	if b {
+		return 1
 	}
-	m.Rejected.With(reason).Inc()
+	return 0
 }
 
-// refill counts one absorbed batch of the given kind (nil-safe).
-func (m *ServiceMetrics) refill(kind string) {
-	if m == nil {
-		return
+// stamp reads the clock only when the latency histograms are on: a Service
+// nobody scrapes must not pay for time.Now on the draw path.
+func (m *ServiceMetrics) stamp() (t0 time.Time) {
+	if m.DrawLatency != nil {
+		t0 = time.Now()
 	}
-	m.Refills.With(kind).Inc()
+	return t0
 }
 
-// observeDraw records one served draw (nil-safe).
-func (m *ServiceMetrics) observeDraw(t0 time.Time, need int) {
-	if m == nil {
-		return
+// since feeds h the time elapsed since a stamp taken with the histograms on.
+func since(h *prom.Histogram, t0 time.Time) {
+	if h != nil {
+		h.Observe(time.Since(t0).Seconds())
 	}
-	m.DrawLatency.Observe(time.Since(t0).Seconds())
-	m.Draws.Inc()
-	m.Coins.Add(int64(need))
-}
-
-// blocked counts nreqs draws that hit the slow path (nil-safe).
-func (m *ServiceMetrics) blocked(nreqs int) {
-	if m == nil {
-		return
-	}
-	m.Blocked.Add(int64(nreqs))
-}
-
-// observeRefill records one Coin-Gen's wall-clock duration (nil-safe).
-func (m *ServiceMetrics) observeRefill(kind string, seconds float64) {
-	if m == nil {
-		return
-	}
-	m.RefillDuration.With(kind).Observe(seconds)
 }
 
 // DaemonMetrics declares the Daemon metric families on a registry. Attach
@@ -143,7 +131,8 @@ type DaemonMetrics struct {
 	ReshareDuration *prom.Histogram
 }
 
-// NewDaemonMetrics registers the Daemon families on r (nil r → disabled).
+// NewDaemonMetrics registers the Daemon families on r (nil r → every handle
+// nil, every observation a no-op).
 func NewDaemonMetrics(r *prom.Registry) *DaemonMetrics {
 	return &DaemonMetrics{
 		reg:         r,
@@ -159,11 +148,8 @@ func NewDaemonMetrics(r *prom.Registry) *DaemonMetrics {
 	}
 }
 
-// observeReshare records one ceremony attempt (nil-safe).
+// observeReshare records one ceremony attempt.
 func (m *DaemonMetrics) observeReshare(seconds float64, ok bool) {
-	if m == nil {
-		return
-	}
 	result := "failed"
 	if ok {
 		result = "ok"
@@ -172,20 +158,9 @@ func (m *DaemonMetrics) observeReshare(seconds float64, ok bool) {
 	m.ReshareDuration.Observe(seconds)
 }
 
-// joinAttempt counts one pass through the join choreography (nil-safe).
-func (m *DaemonMetrics) joinAttempt() {
-	if m == nil {
-		return
-	}
-	m.JoinAttempts.Inc()
-}
-
 // observeEmit records one emission iteration; when the iteration absorbed
-// batches it is also an inline refill and feeds those series (nil-safe).
+// batches it is also an inline refill and feeds those series.
 func (m *DaemonMetrics) observeEmit(seconds float64, batches int) {
-	if m == nil {
-		return
-	}
 	m.EmitLatency.Observe(seconds)
 	m.Coins.Inc()
 	if batches > 0 {
@@ -196,10 +171,7 @@ func (m *DaemonMetrics) observeEmit(seconds float64, batches int) {
 
 // registerGauges installs the scrape-time position gauges for a daemon.
 func (m *DaemonMetrics) registerGauges(d *Daemon) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	snap := func(f func(daemonState) float64) func() float64 {
+	snap := func(f func(DaemonStats) float64) func() float64 {
 		return func() float64 {
 			d.mu.Lock()
 			st := d.state
@@ -207,24 +179,18 @@ func (m *DaemonMetrics) registerGauges(d *Daemon) {
 			return f(st)
 		}
 	}
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	m.reg.GaugeFunc("beacond_round", "Completed-round count of the local node.",
-		snap(func(st daemonState) float64 { return float64(st.Round) }))
+		snap(func(st DaemonStats) float64 { return float64(st.Round) }))
 	m.reg.GaugeFunc("beacond_log_len", "Coins in the public log.",
-		snap(func(st daemonState) float64 { return float64(st.LogLen) }))
+		snap(func(st DaemonStats) float64 { return float64(st.LogLen) }))
 	m.reg.GaugeFunc("beacond_epoch", "Refill epoch (batches absorbed since the ceremony).",
-		snap(func(st daemonState) float64 { return float64(st.Epoch) }))
+		snap(func(st DaemonStats) float64 { return float64(st.Epoch) }))
 	m.reg.GaugeFunc("beacond_store_remaining", "Sealed coins left in the store.",
-		snap(func(st daemonState) float64 { return float64(st.Remaining) }))
+		snap(func(st DaemonStats) float64 { return float64(st.Remaining) }))
 	m.reg.GaugeFunc("beacond_joined", "1 once the daemon has joined the cluster.",
-		snap(func(st daemonState) float64 { return b2f(st.Started) }))
+		snap(func(st DaemonStats) float64 { return b2f(st.Joined) }))
 	m.reg.GaugeFunc("beacond_refilling", "1 while an inline Coin-Gen is running.",
-		snap(func(st daemonState) float64 { return b2f(st.Refilling) }))
+		snap(func(st DaemonStats) float64 { return b2f(st.Refilling) }))
 	m.reg.GaugeFunc("beacond_generation", "Committee generation (0 = dealt, +1 per reshare).",
-		snap(func(st daemonState) float64 { return float64(st.Generation) }))
+		snap(func(st DaemonStats) float64 { return float64(st.Generation) }))
 }

@@ -2,11 +2,14 @@ package beacon
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,6 +129,83 @@ func TestServiceMetricsBlockingAndRejections(t *testing.T) {
 	}
 }
 
+// TestStatsAgreeWithMetrics drives a mixed load — served single and batched
+// draws, a draw blocked on a Coin-Gen, one bounced off the full queue, one
+// refused by the rate limiter — and checks that Stats() and the exposition
+// report the same number for every event: they are two renderings of one
+// counter each, so they cannot drift whatever the interleaving.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	gate := make(chan struct{})
+	var armed atomic.Bool
+	var reads atomic.Int64
+	reg := prom.NewRegistry()
+	cfg := testConfig(t, 24, 6, 0)
+	cfg.Metrics = NewServiceMetrics(reg)
+	cfg.SeedCoins, cfg.QueueDepth = 8, 1
+	cfg.Rate, cfg.Burst = 0.000001, 6 // six tokens, never replenished within the test
+	base := cfg.Rand
+	cfg.Rand = func(i int) io.Reader {
+		return &gatedReader{armed: &armed, gate: gate, reads: &reads, r: base(i)}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 2; i++ { // two free draws drop the store to the threshold
+		if _, err := s.Draw(ctx); err != nil {
+			t.Fatalf("draw %d: %v", i, err)
+		}
+	}
+	armed.Store(true)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); s.Draw(ctx) }() //nolint:errcheck // blocks on the gated refill
+	waitFor(t, func() bool { return reads.Load() > 0 })
+	go func() { defer wg.Done(); s.DrawN(ctx, 3) }() //nolint:errcheck // parks in the one queue slot
+	waitFor(t, func() bool { return s.Stats().QueueDepth == 1 })
+	if _, err := s.Draw(ctx); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("draw on a full queue: err=%v, want ErrOverloaded", err)
+	}
+	close(gate)
+	wg.Wait()
+	if _, err := s.Draw(ctx); err != nil { // the sixth and last token
+		t.Fatal(err)
+	}
+	if _, err := s.Draw(ctx); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("draw past the burst: err=%v, want ErrRateLimited", err)
+	}
+	mustClose(t, s)
+
+	st := s.Stats()
+	if st.Draws != 5 || st.CoinsDelivered != 7 || st.BlockedDraws == 0 || st.Overloaded != 1 ||
+		st.RateLimited != 1 || st.BlockingRefills == 0 || st.Refills != st.PipelinedRefills+st.BlockingRefills {
+		t.Fatalf("load was not the intended mix: %+v", st)
+	}
+	samples := scrapeRegistry(t, reg)
+	for _, c := range []struct {
+		stat int64
+		name string
+		kv   []string
+	}{
+		{st.Draws, "beacon_draws_total", nil},
+		{st.CoinsDelivered, "beacon_coins_delivered_total", nil},
+		{st.Draws, "beacon_draw_latency_seconds_count", nil},
+		{st.BlockedDraws, "beacon_blocked_draws_total", nil},
+		{st.Overloaded, "beacon_rejected_total", []string{"reason", "overloaded"}},
+		{st.RateLimited, "beacon_rejected_total", []string{"reason", "rate-limited"}},
+		{st.PipelinedRefills, "beacon_refills_total", []string{"kind", "pipelined"}},
+		{st.BlockingRefills, "beacon_refills_total", []string{"kind", "blocking"}},
+		{st.BlockingRefills, "beacon_refill_duration_seconds_count", []string{"kind", "blocking"}},
+		{int64(st.Remaining), "beacon_store_remaining", nil},
+		{int64(st.QueueDepth), "beacon_queue_depth", nil},
+	} {
+		if v, ok := prom.Value(samples, c.name, c.kv...); !ok || v != float64(c.stat) {
+			t.Errorf("%s%v = %v, %v; Stats() says %d", c.name, c.kv, v, ok, c.stat)
+		}
+	}
+}
+
 // TestDaemonMetricsEndToEnd runs a metered 7-daemon cluster across a refill
 // boundary and checks player 0's registry: position gauges, emit/refill
 // series, and the peer-transport epoch gauges fed by the daemon's
@@ -207,36 +287,37 @@ func TestDaemonMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServiceMetricsZeroAlloc pins the instrumentation cost contract: the
-// disabled (nil) helpers allocate nothing, and the live observation path —
-// histogram observe, counter bumps, vec child lookups — allocates nothing
-// either, so enabling metrics adds no allocations to the draw hot path.
+// TestServiceMetricsZeroAlloc pins the instrumentation cost contract: every
+// per-event site — counter bumps on pre-resolved handles, the stamp/since
+// pair around a histogram — allocates nothing, whether the bundle sits on a
+// registry or not, and a bundle on no registry never reads the clock.
 func TestServiceMetricsZeroAlloc(t *testing.T) {
-	var off *ServiceMetrics
-	var offD *DaemonMetrics
-	t0 := time.Now()
-	if allocs := testing.AllocsPerRun(1000, func() {
-		off.observeDraw(t0, 1)
-		off.rejected("rate-limited")
-		off.blocked(3)
-		off.refill("pipelined")
-		off.observeRefill("blocking", 0.5)
-		offD.joinAttempt()
-		offD.observeEmit(0.01, 1)
-	}); allocs != 0 {
-		t.Fatalf("disabled metrics path allocates %v per draw, want 0", allocs)
+	events := func(m *ServiceMetrics, d *DaemonMetrics) func() {
+		return func() {
+			t0 := m.stamp()
+			m.Draws.Inc()
+			m.Coins.Add(1)
+			since(m.DrawLatency, t0)
+			m.rateLimited.Inc()
+			m.Blocked.Add(3)
+			m.pipelined.Inc()
+			since(m.blockingDur, t0)
+			d.JoinAttempts.Inc()
+			d.observeEmit(0.01, 1)
+		}
+	}
+	off := NewServiceMetrics(nil)
+	if allocs := testing.AllocsPerRun(1000, events(off, NewDaemonMetrics(nil))); allocs != 0 {
+		t.Fatalf("unexported metrics path allocates %v per draw, want 0", allocs)
+	}
+	if !off.stamp().IsZero() || off.Draws.Value() == 0 {
+		t.Fatal("a bundle on no registry must count without reading the clock")
 	}
 	on := NewServiceMetrics(prom.NewRegistry())
-	onD := NewDaemonMetrics(prom.NewRegistry())
-	if allocs := testing.AllocsPerRun(1000, func() {
-		on.observeDraw(t0, 1)
-		on.rejected("rate-limited")
-		on.blocked(3)
-		on.refill("pipelined")
-		on.observeRefill("blocking", 0.5)
-		onD.joinAttempt()
-		onD.observeEmit(0.01, 1)
-	}); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, events(on, NewDaemonMetrics(prom.NewRegistry()))); allocs != 0 {
 		t.Fatalf("live metrics path allocates %v per draw, want 0", allocs)
+	}
+	if on.DrawLatency.Count() == 0 {
+		t.Fatal("a bundle on a registry must time its draws")
 	}
 }

@@ -133,10 +133,6 @@ func CoreConfig(pc *simnet.PeerConfig, ctr *metrics.Counters) (core.Config, erro
 	if ctr != nil {
 		field = field.WithCounters(ctr)
 	}
-	batch := pc.Batch
-	if batch == 0 {
-		batch = 64
-	}
 	threshold := pc.Threshold
 	if threshold == 0 {
 		threshold = core.DefaultThreshold
@@ -145,7 +141,7 @@ func CoreConfig(pc *simnet.PeerConfig, ctr *metrics.Counters) (core.Config, erro
 		Field:     field,
 		N:         pc.N(),
 		T:         pc.T,
-		BatchSize: batch,
+		BatchSize: effectiveBatch(pc),
 		Threshold: threshold,
 		Counters:  ctr,
 	}
@@ -158,10 +154,15 @@ func SeedCoinCount(pc *simnet.PeerConfig) int {
 	if pc.SeedCoins > 0 {
 		return pc.SeedCoins
 	}
-	if pc.Batch > 0 {
-		return pc.Batch
+	return effectiveBatch(pc)
+}
+
+// effectiveBatch is the one batch default, as effectiveK is the one for k.
+func effectiveBatch(pc *simnet.PeerConfig) int {
+	if pc.Batch == 0 {
+		return 64
 	}
-	return 64
+	return pc.Batch
 }
 
 // DealCluster is the bootstrap ceremony: run the one-time trusted dealer
@@ -211,38 +212,29 @@ func closeOnDone(ctx context.Context, nw *simnet.Network) func() {
 	return func() { stop(); nw.Close() }
 }
 
-// daemonState is the STATE query answer: where this daemon is, precisely
-// enough for a rejoiner to project the cluster's position forward.
-type daemonState struct {
-	Started   bool `json:"started"`
-	Refilling bool `json:"refilling"`
-	Round     int  `json:"round"`
-	LogLen    int  `json:"logLen"`
-	Epoch     int  `json:"epoch"`
-	Remaining int  `json:"remaining"`
+// DaemonStats is a daemon's position: the state the run loop keeps, the
+// snapshot Stats returns (the JSON tags are cmd/beacond's /v1/healthz keys)
+// and, in its Joined, Refilling, Round, LogLen, Epoch and Remaining, the
+// STATE answer a rejoiner projects the cluster's position forward from.
+type DaemonStats struct {
+	Player    int `json:"player"`
+	Round     int `json:"round"`
+	LogLen    int `json:"log"`
+	Epoch     int `json:"epoch"`
+	Remaining int `json:"remaining"`
 	// Generation is the committee generation this daemon serves (from its
 	// meta file; bumped only by a completed reshare + restart).
-	Generation int `json:"generation"`
-	// Cutover is the committed reshare cutover position, -1 while unarmed
-	// or still negotiating.
-	Cutover int `json:"cutover"`
-}
-
-// DaemonStats is a point-in-time snapshot for health reporting.
-type DaemonStats struct {
-	Player     int
-	Round      int
-	LogLen     int
-	Epoch      int
-	Remaining  int
-	Generation int
-	Refilling  bool
-	Joined     bool
+	Generation int  `json:"generation"`
+	Refilling  bool `json:"refilling"`
+	Joined     bool `json:"joined"`
 	// ReshareArmed is true when the daemon holds a next-generation roster;
-	// Cutover is the committed handover position (-1 while negotiating).
-	ReshareArmed bool
-	Cutover      int
-	Peers        []bool // outgoing connection liveness, self always false
+	// Cutover is the committed handover position (-1 while unarmed or still
+	// negotiating).
+	ReshareArmed bool `json:"armed"`
+	Cutover      int  `json:"cutover"`
+	// Peers is outgoing connection liveness, self always false (filled in
+	// by Stats only).
+	Peers []bool `json:"peers"`
 }
 
 // Daemon is one player's beacon process. Create with NewDaemon, drive with
@@ -267,7 +259,7 @@ type Daemon struct {
 	reshareArmedSeen []bool
 
 	mu    sync.Mutex
-	state daemonState
+	state DaemonStats
 }
 
 // NewDaemon loads player cfg.Self's persisted state, reconciles the store
@@ -289,6 +281,9 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewDaemonMetrics(nil)
 	}
 
 	cutover, attempt := -1, 0
@@ -323,8 +318,8 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{cfg: cfg, core: coreCfg, gen: gen, rnd: cfg.Rand, ps: ps, reshareAttempt: attempt}
-	d.state = daemonState{Epoch: ps.meta.Epoch, LogLen: len(ps.log), Remaining: gen.Remaining(),
-		Generation: ps.meta.Generation, Cutover: cutover}
+	d.state = DaemonStats{Player: cfg.Self, Epoch: ps.meta.Epoch, LogLen: len(ps.log), Remaining: gen.Remaining(),
+		Generation: ps.meta.Generation, ReshareArmed: cfg.ReshareNext != nil, Cutover: cutover}
 
 	opts := append(transportOptions(cfg.Counters, cfg.Tracer, cfg.PeerMetrics, cfg.RoundTimeout, cfg.DialBackoffMax, d.handleQuery),
 		simnet.WithMaxRounds(serveMaxRounds))
@@ -349,19 +344,8 @@ func (d *Daemon) Stats() DaemonStats {
 	d.mu.Lock()
 	st := d.state
 	d.mu.Unlock()
-	return DaemonStats{
-		Player:       d.cfg.Self,
-		Round:        st.Round,
-		LogLen:       st.LogLen,
-		Epoch:        st.Epoch,
-		Remaining:    st.Remaining,
-		Generation:   st.Generation,
-		Refilling:    st.Refilling,
-		Joined:       st.Started,
-		ReshareArmed: d.cfg.ReshareNext != nil,
-		Cutover:      st.Cutover,
-		Peers:        d.nw.PeerConnected(),
-	}
+	st.Peers = d.nw.PeerConnected()
+	return st
 }
 
 // handleQuery answers peer STATE and LOG requests on the transport's
@@ -374,7 +358,7 @@ func (d *Daemon) handleQuery(from int, req []byte) []byte {
 		st := d.state
 		d.mu.Unlock()
 		return []byte(fmt.Sprintf("%t %t %d %d %d %d",
-			st.Started, st.Refilling, st.Round, st.LogLen, st.Epoch, st.Remaining))
+			st.Joined, st.Refilling, st.Round, st.LogLen, st.Epoch, st.Remaining))
 	case s == "RESHARE":
 		// Reshare negotiation probe: whether this daemon is armed, and the
 		// cutover it has committed (-1 while undecided).
@@ -388,10 +372,10 @@ func (d *Daemon) handleQuery(from int, req []byte) []byte {
 	return nil
 }
 
-func parseState(resp []byte) (daemonState, error) {
-	var st daemonState
+func parseState(resp []byte) (DaemonStats, error) {
+	var st DaemonStats
 	_, err := fmt.Sscanf(string(resp), "%t %t %d %d %d %d",
-		&st.Started, &st.Refilling, &st.Round, &st.LogLen, &st.Epoch, &st.Remaining)
+		&st.Joined, &st.Refilling, &st.Round, &st.LogLen, &st.Epoch, &st.Remaining)
 	return st, err
 }
 
@@ -541,7 +525,7 @@ func (d *Daemon) join(ctx context.Context) error {
 	meshErr := d.nw.WaitPeers(d.core.N-1, d.cfg.JoinTimeout/2)
 
 	for attempt := 0; ; attempt++ {
-		d.cfg.Metrics.joinAttempt()
+		d.cfg.Metrics.JoinAttempts.Inc()
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -552,7 +536,7 @@ func (d *Daemon) join(ctx context.Context) error {
 		running := -1
 		anyRefilling := false
 		for i, st := range states {
-			if !st.Started {
+			if !st.Joined {
 				continue
 			}
 			if st.Refilling {
@@ -600,8 +584,8 @@ func (d *Daemon) join(ctx context.Context) error {
 
 // queryStates asks every connected peer for its STATE, returning the
 // parsed answers and the responding peer ids (aligned slices).
-func (d *Daemon) queryStates() ([]daemonState, []int) {
-	var states []daemonState
+func (d *Daemon) queryStates() ([]DaemonStats, []int) {
+	var states []DaemonStats
 	var peers []int
 	for j, up := range d.nw.PeerConnected() {
 		if !up {
@@ -624,7 +608,7 @@ func (d *Daemon) queryStates() ([]daemonState, []int) {
 // coldStart aligns a cluster whose daemons are all booting: everyone
 // fast-forwards to the longest public log (a crashed cluster's logs differ
 // by at most the final in-flight coins) and starts at round 0.
-func (d *Daemon) coldStart(states []daemonState, peers []int) error {
+func (d *Daemon) coldStart(states []DaemonStats, peers []int) error {
 	target, epoch := len(d.ps.log), d.ps.meta.Epoch
 	for i, st := range states {
 		if st.Epoch != epoch {
@@ -653,7 +637,7 @@ func (d *Daemon) coldStart(states []daemonState, peers []int) error {
 // our StartAt lands, the round-keyed staging lets us drain the backlog
 // instantly and our done markers re-promote us at each peer within a
 // round — the logs stay byte-identical throughout.
-func (d *Daemon) rejoin(states []daemonState, peers []int, leadIdx int) error {
+func (d *Daemon) rejoin(states []DaemonStats, peers []int, leadIdx int) error {
 	lead := states[leadIdx]
 	if lead.Refilling {
 		return fmt.Errorf("peer %d is mid-refill", peers[leadIdx])
@@ -684,7 +668,7 @@ func (d *Daemon) start(round int) error {
 		return err
 	}
 	d.mu.Lock()
-	d.state.Started = true
+	d.state.Joined = true
 	d.state.Round = round
 	d.mu.Unlock()
 	return nil
@@ -758,10 +742,7 @@ func (d *Daemon) emit(ctx context.Context) error {
 			d.cfg.Logf("refill starting at log position %d (epoch %d)", logLen, d.ps.meta.Epoch)
 		}
 		batchesBefore := d.gen.Stats().Batches
-		var t0 time.Time
-		if d.cfg.Metrics != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		v, err := d.gen.Next(d.nd, d.rnd)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -770,9 +751,7 @@ func (d *Daemon) emit(ctx context.Context) error {
 			return fmt.Errorf("beacon: player %d halted at log position %d: %w", d.cfg.Self, logLen, err)
 		}
 		refilled := d.gen.Stats().Batches - batchesBefore
-		if d.cfg.Metrics != nil {
-			d.cfg.Metrics.observeEmit(time.Since(t0).Seconds(), refilled)
-		}
+		d.cfg.Metrics.observeEmit(time.Since(t0).Seconds(), refilled)
 
 		werr := d.ps.append(v)
 		d.ps.meta.Epoch += refilled

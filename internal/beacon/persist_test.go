@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -558,8 +559,8 @@ func FuzzParseState(f *testing.F) {
 			return
 		}
 		again, err := parseState([]byte(fmt.Sprintf("%t %t %d %d %d %d",
-			st.Started, st.Refilling, st.Round, st.LogLen, st.Epoch, st.Remaining)))
-		if err != nil || again != st {
+			st.Joined, st.Refilling, st.Round, st.LogLen, st.Epoch, st.Remaining)))
+		if err != nil || !reflect.DeepEqual(again, st) {
 			t.Fatalf("%q parsed to %+v, which re-parses to %+v, %v", resp, st, again, err)
 		}
 	})

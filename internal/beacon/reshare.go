@@ -259,6 +259,9 @@ func RunReshare(ctx context.Context, rc ReshareConfig) (*ReshareResult, error) {
 	if rc.MaxAttempts <= 0 {
 		rc.MaxAttempts = 3
 	}
+	if rc.Metrics == nil {
+		rc.Metrics = NewDaemonMetrics(nil)
+	}
 	if rc.JoinTimeout <= 0 {
 		rc.JoinTimeout = 30 * time.Second
 	}

@@ -41,7 +41,7 @@ type drawn struct {
 
 // queueBehindGate parks the executive, queues one DrawN per entry of needs
 // in that order, releases the executive, and returns the results: the
-// requests are then coalesced into one sweep (MaxBatch permitting).
+// requests are then coalesced into one sweep (sweepCoins permitting).
 func queueBehindGate(t *testing.T, s *Service, needs []int) []drawn {
 	t.Helper()
 	gate := make(chan struct{})

@@ -55,8 +55,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// ErrTooManyAttempts is returned when leader selection failed MaxAttempts
-// times; with honest-majority leaders the probability decays exponentially.
+// ErrTooManyAttempts is returned when leader selection failed 8·N times in
+// a row; with honest-majority leaders the probability decays exponentially.
 var ErrTooManyAttempts = errors.New("coingen: leader selection exceeded attempt budget")
 
 // Config parameterizes one Coin-Gen execution.
@@ -71,11 +71,6 @@ type Config struct {
 	// Seed supplies the sealed coins Coin-Gen itself consumes (the batch
 	// challenge plus one coin per leader attempt).
 	Seed coin.Source
-	// Agreement is the BA protocol for Fig. 5 step 10. Defaults to
-	// ba.PhaseKing{T}.
-	Agreement ba.Protocol
-	// MaxAttempts bounds leader-selection iterations (default 8·N).
-	MaxAttempts int
 	// Counters, when non-nil, records costs.
 	Counters *metrics.Counters
 	// Pool, when non-nil, fans the pure-compute phases — Bit-Gen dealing
@@ -123,14 +118,6 @@ func Run(nd *simnet.Node, cfg Config, rnd io.Reader) (*Result, error) {
 	}
 	if nd.N() != cfg.N {
 		return nil, fmt.Errorf("coingen: network size %d != configured %d", nd.N(), cfg.N)
-	}
-	agreement := cfg.Agreement
-	if agreement == nil {
-		agreement = ba.PhaseKing{T: cfg.T}
-	}
-	maxAttempts := cfg.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 8 * cfg.N
 	}
 	tr := nd.Tracer()
 	sp := tr.Start(nd.Index(), nd.Round(), obs.KindProtocol, "coingen")
@@ -183,7 +170,7 @@ func Run(nd *simnet.Node, cfg Config, rnd io.Reader) (*Result, error) {
 	}
 	agreeSpan := tr.Start(nd.Index(), nd.Round(), obs.KindPhase, "coingen/agree")
 	defer func() { agreeSpan.End(nd.Round()) }()
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
+	for attempt := 1; attempt <= 8*cfg.N; attempt++ { // the attempt bound: ErrTooManyAttempts below
 		leader1, err := cfg.Seed.ExposeMod(nd, cfg.N)
 		if err != nil {
 			return nil, fmt.Errorf("coingen: expose leader coin: %w", err)
@@ -201,7 +188,7 @@ func Run(nd *simnet.Node, cfg Config, rnd io.Reader) (*Result, error) {
 			input = 1
 		}
 
-		decision, err := agreement.Run(nd, input)
+		decision, err := ba.PhaseKing{T: cfg.T}.Run(nd, input)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/ba"
 	"repro/internal/coin"
 	"repro/internal/coingen"
 	"repro/internal/gf2k"
@@ -62,10 +61,6 @@ type Config struct {
 	// is reached. Must be ≥ Threshold. Zero disables the high-water mark
 	// (NeedsRefill then falls back to Threshold).
 	HighWater int
-	// Agreement overrides the BA protocol used by Coin-Gen (optional).
-	Agreement ba.Protocol
-	// MaxAttempts bounds Coin-Gen leader retries (optional).
-	MaxAttempts int
 	// Counters, when non-nil, records all protocol costs.
 	Counters *metrics.Counters
 	// Pool, when non-nil, fans the pure-compute phases of refills and
@@ -332,15 +327,13 @@ func Mint(cfg Config, nd *simnet.Node, seed coin.Source, rnd io.Reader) (*MintRe
 	sp := nd.Tracer().Start(nd.Index(), nd.Round(), obs.KindProtocol, "core/refill")
 	defer func() { sp.End(nd.Round()) }()
 	res, err := coingen.Run(nd, coingen.Config{
-		Field:       cfg.Field,
-		N:           cfg.N,
-		T:           cfg.T,
-		M:           cfg.BatchSize,
-		Seed:        seed,
-		Agreement:   cfg.Agreement,
-		MaxAttempts: cfg.MaxAttempts,
-		Counters:    cfg.Counters,
-		Pool:        cfg.Pool,
+		Field:    cfg.Field,
+		N:        cfg.N,
+		T:        cfg.T,
+		M:        cfg.BatchSize,
+		Seed:     seed,
+		Counters: cfg.Counters,
+		Pool:     cfg.Pool,
 	}, rnd)
 	if err != nil {
 		if errors.Is(err, coin.ErrExhausted) {

@@ -99,83 +99,6 @@ func RunAll(nd *simnet.Node, t int, myValue []byte) ([]Output, error) {
 	return out, nil
 }
 
-// Run executes a single grade-cast with the given dealer. Non-dealers pass
-// value = nil. It consumes exactly three rounds.
-func Run(nd *simnet.Node, t, dealer int, value []byte) (Output, error) {
-	n := nd.N()
-	if n < MinPlayers(t) {
-		return Output{}, fmt.Errorf("gradecast: need n ≥ %d for t=%d, have %d", MinPlayers(t), t, n)
-	}
-	if dealer < 0 || dealer >= n {
-		return Output{}, fmt.Errorf("gradecast: invalid dealer %d", dealer)
-	}
-	sp := nd.Tracer().Start(nd.Index(), nd.Round(), obs.KindPhase, "gradecast")
-	defer func() { sp.End(nd.Round()) }()
-
-	// Round 1.
-	if nd.Index() == dealer {
-		nd.SendAll(value)
-	}
-	msgs, err := nd.EndRound()
-	if err != nil {
-		return Output{}, fmt.Errorf("gradecast round 1: %w", err)
-	}
-	var got []byte
-	if nd.Index() == dealer {
-		got = value
-	} else if p, ok := simnet.FirstFromEach(msgs)[dealer]; ok {
-		got = p
-	}
-
-	// Round 2: echo.
-	if got != nil {
-		nd.SendAll(got)
-	}
-	msgs, err = nd.EndRound()
-	if err != nil {
-		return Output{}, fmt.Errorf("gradecast round 2: %w", err)
-	}
-	echoes := valuesFrom(msgs)
-	if got != nil {
-		echoes = append(echoes, got)
-	}
-
-	// Round 3.
-	var sup []byte
-	if v, cnt := plurality(echoes); cnt >= n-t {
-		sup = v
-	}
-	if sup != nil {
-		nd.SendAll(sup)
-	}
-	msgs, err = nd.EndRound()
-	if err != nil {
-		return Output{}, fmt.Errorf("gradecast round 3: %w", err)
-	}
-	finals := valuesFrom(msgs)
-	if sup != nil {
-		finals = append(finals, sup)
-	}
-	v, cnt := plurality(finals)
-	switch {
-	case cnt >= n-t:
-		return Output{Value: v, Confidence: 2}, nil
-	case cnt >= t+1:
-		return Output{Value: v, Confidence: 1}, nil
-	default:
-		return Output{}, nil
-	}
-}
-
-func valuesFrom(msgs []simnet.Message) [][]byte {
-	first := simnet.FirstFromEach(msgs)
-	out := make([][]byte, 0, len(first))
-	for _, p := range first {
-		out = append(out, p)
-	}
-	return out
-}
-
 // plurality returns the most frequent byte string (nil entries skipped) and
 // its count. Ties break toward the lexicographically smallest value so all
 // honest players resolve them identically.

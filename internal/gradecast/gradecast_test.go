@@ -9,8 +9,10 @@ import (
 	"repro/internal/simnet"
 )
 
-// runSingle drives a single-dealer grade-cast for all players; faulty maps a
-// player index to alternative behaviour.
+// runSingle drives a one-dealer grade-cast: every honest player runs RunAll,
+// the dealer casting value and everybody else nil, and reports its output
+// for the dealer's instance. faulty maps a player index to alternative
+// behaviour.
 func runSingle(t *testing.T, n, tf, dealer int, value []byte, faulty map[int]simnet.PlayerFunc) []simnet.PlayerResult {
 	t.Helper()
 	nw := simnet.New(n)
@@ -25,7 +27,11 @@ func runSingle(t *testing.T, n, tf, dealer int, value []byte, faulty map[int]sim
 			if nd.Index() == dealer {
 				v = value
 			}
-			return Run(nd, tf, dealer, v)
+			outs, err := RunAll(nd, tf, v)
+			if err != nil {
+				return nil, err
+			}
+			return outs[dealer], nil
 		}
 	}
 	return simnet.Run(nw, fns)
@@ -47,8 +53,9 @@ func TestHonestDealerAllConfidence2(t *testing.T) {
 }
 
 // equivocatingDealer sends different values to each half of the players in
-// round 1, echoes inconsistently in rounds 2 and 3.
-func equivocatingDealer(tf int) simnet.PlayerFunc {
+// round 1, echoes a third split of its own instance in round 2 and is silent
+// in round 3.
+func equivocatingDealer() simnet.PlayerFunc {
 	return func(nd *simnet.Node) (interface{}, error) {
 		n := nd.N()
 		for i := 0; i < n; i++ {
@@ -60,12 +67,14 @@ func equivocatingDealer(tf int) simnet.PlayerFunc {
 		if _, err := nd.EndRound(); err != nil {
 			return nil, err
 		}
-		// Round 2: echo garbage to half the players.
+		// Round 2: a well-formed echo frame whose value depends on the receiver.
 		for i := 0; i < n; i++ {
 			if i == nd.Index() {
 				continue
 			}
-			nd.Send(i, []byte{byte(i % 3)})
+			echo := make([][]byte, n)
+			echo[nd.Index()] = []byte{byte(i % 3)}
+			nd.Send(i, encodeInstanceValues(echo))
 		}
 		if _, err := nd.EndRound(); err != nil {
 			return nil, err
@@ -82,7 +91,7 @@ func TestEquivocatingDealerGradedAgreement(t *testing.T) {
 	// if anyone has confidence 2 all have ≥ 1, and all confident values agree.
 	for trial := 0; trial < 5; trial++ {
 		n, tf := 7, 2
-		faulty := map[int]simnet.PlayerFunc{0: equivocatingDealer(tf)}
+		faulty := map[int]simnet.PlayerFunc{0: equivocatingDealer()}
 		results := runSingle(t, n, tf, 0, nil, faulty)
 		checkGradedConsistency(t, results, map[int]bool{0: true})
 	}
@@ -266,11 +275,8 @@ func TestParameterValidation(t *testing.T) {
 			if _, err := RunAll(nd, 1, []byte{1}); err == nil {
 				return nil, fmt.Errorf("RunAll accepted n=3, t=1")
 			}
-			if _, err := Run(nd, 1, 0, nil); err == nil {
-				return nil, fmt.Errorf("Run accepted n=3, t=1")
-			}
-			if _, err := Run(nd, 0, 7, nil); err == nil {
-				return nil, fmt.Errorf("Run accepted out-of-range dealer")
+			if _, err := RunAll(nd, 1, nil); err == nil {
+				return nil, fmt.Errorf("RunAll accepted n=3, t=1 from a non-dealer")
 			}
 			return nil, nil
 		}

@@ -6,12 +6,13 @@ import (
 	"repro/internal/obs/prom"
 )
 
-// Metrics declares the cluster's Prometheus families on a registry.
-// Attach via Config.Metrics. Routing counters are incremented inline on
-// the draw path (counter bumps only — no clock reads); the per-cell depth
-// gauges are snapshots, refreshed by Refresh, which the gateway calls at
-// scrape time so every /metrics response carries current depths. A nil
-// bundle adds one nil check to the hot path, nothing more.
+// Metrics holds the router's counters and declares the cluster's gauge
+// families. Attach one bundle per Cluster via Config.Metrics to export it;
+// a Cluster without one builds its own on no registry, because CellStats
+// and RouterStats read these same counters: each routing event is counted
+// once, inline on the draw path (an atomic add — no clock read, no label
+// lookup). The per-cell depth gauges are snapshots taken by Refresh, which
+// the gateway calls at scrape time so every /metrics response is current.
 type Metrics struct {
 	reg *prom.Registry
 
@@ -24,9 +25,9 @@ type Metrics struct {
 	// cell but which another cell served (the shed-away view; the
 	// receiving side shows up under routed_draws{route="shed"}).
 	Shed *prom.CounterVec
-	// Rejected is multicell_rejected_total{reason}: rate-limited,
-	// stream-quota, saturated, down.
-	Rejected *prom.CounterVec
+	// multicell_rejected_total{reason}: rate-limited, stream-quota,
+	// saturated, down.
+	rateLimited, streamQuota, saturated, allDown *prom.Counter
 
 	// Per-cell snapshot gauges (Refresh): store depth, queue depth, refill
 	// lag below the high-water mark, refill-in-flight, down flag.
@@ -39,13 +40,22 @@ type Metrics struct {
 	CellBlocked    *prom.GaugeVec
 }
 
-// NewMetrics registers the cluster families on r (nil r → disabled).
+// NewMetrics registers the cluster families on r. On a nil r the counters
+// still count but nothing is exported and the gauges are off.
 func NewMetrics(r *prom.Registry) *Metrics {
+	live := r
+	if live == nil {
+		live = prom.NewRegistry()
+	}
+	rejected := live.CounterVec("multicell_rejected_total", "Draws rejected by the router (rate-limited, stream-quota, saturated, down).", "reason")
 	return &Metrics{
 		reg:            r,
-		RoutedDraws:    r.CounterVec("multicell_routed_draws_total", "Draws served, by serving cell and route (hash, rr, shed).", "cell", "route"),
-		Shed:           r.CounterVec("multicell_shed_total", "Draws shed away from their primary cell (saturated, lagging or down).", "cell"),
-		Rejected:       r.CounterVec("multicell_rejected_total", "Draws rejected by the router (rate-limited, stream-quota, saturated, down).", "reason"),
+		RoutedDraws:    live.CounterVec("multicell_routed_draws_total", "Draws served, by serving cell and route (hash, rr, shed).", "cell", "route"),
+		Shed:           live.CounterVec("multicell_shed_total", "Draws shed away from their primary cell (saturated, lagging or down).", "cell"),
+		rateLimited:    rejected.With("rate-limited"),
+		streamQuota:    rejected.With("stream-quota"),
+		saturated:      rejected.With("saturated"),
+		allDown:        rejected.With("down"),
 		Depth:          r.GaugeVec("beacon_cell_depth", "Sealed coins left in the cell's store.", "cell"),
 		Queue:          r.GaugeVec("beacon_cell_queue_depth", "Draw requests waiting in the cell's bounded queue.", "cell"),
 		RefillLag:      r.GaugeVec("beacon_cell_refill_lag", "Coins the cell's store sits below its high-water mark (0 = pipeline keeping up).", "cell"),
@@ -58,9 +68,6 @@ func NewMetrics(r *prom.Registry) *Metrics {
 
 // registerGauges installs the scrape-time cluster-level gauges.
 func (m *Metrics) registerGauges(cl *Cluster) {
-	if m == nil || m.reg == nil {
-		return
-	}
 	m.reg.GaugeFunc("multicell_streams_active", "Live Stream subscriptions across all tenants.",
 		func() float64 { return float64(cl.streamsActive.Load()) })
 	m.reg.GaugeFunc("multicell_cells", "Configured cell count.",
@@ -70,9 +77,6 @@ func (m *Metrics) registerGauges(cl *Cluster) {
 // Refresh snapshots every cell's depth gauges. The gateway wraps its
 // /metrics handler with this so scrapes are always current.
 func (m *Metrics) Refresh(cl *Cluster) {
-	if m == nil || m.reg == nil {
-		return
-	}
 	b2f := func(b bool) float64 {
 		if b {
 			return 1
@@ -89,37 +93,4 @@ func (m *Metrics) Refresh(cl *Cluster) {
 		m.CellCoins.With(c).SetInt(st.Coins)
 		m.CellBlocked.With(c).SetInt(st.BlockedDraws)
 	}
-}
-
-// routedDraw counts one served draw (nil-safe).
-func (m *Metrics) routedDraw(cell int, route string) {
-	if m == nil {
-		return
-	}
-	m.RoutedDraws.With(strconv.Itoa(cell), route).Inc()
-}
-
-// shed counts one draw shed away from its primary cell (nil-safe).
-func (m *Metrics) shed(primary int) {
-	if m == nil {
-		return
-	}
-	m.Shed.With(strconv.Itoa(primary)).Inc()
-}
-
-// rejected counts one router rejection (nil-safe).
-func (m *Metrics) rejected(reason string) {
-	if m == nil {
-		return
-	}
-	m.Rejected.With(reason).Inc()
-}
-
-// cellDown latches the down gauge the moment a cell is retired (nil-safe;
-// Refresh keeps it set thereafter).
-func (m *Metrics) cellDown(cell int) {
-	if m == nil {
-		return
-	}
-	m.Down.With(strconv.Itoa(cell)).Set(1)
 }

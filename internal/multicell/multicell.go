@@ -43,13 +43,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/beacon"
-	"repro/internal/core"
 	"repro/internal/gf2k"
+	"repro/internal/obs/prom"
 )
 
 var (
@@ -75,9 +76,9 @@ type Config struct {
 	// label by the cluster), and Rate must be 0 — rate limiting is
 	// per-tenant at the router, not per-cell. HighWater must be large
 	// enough that a loaded cell never falls back to a blocking refill
-	// (HighWater ≥ Threshold + SeedReserve + MaxBatch): blocking refills
-	// consume a different randomness stream than pipelined ones, which
-	// would break the per-cell stream-reproducibility guarantee.
+	// (beacon.Config.WaterMarks names the least such value): blocking
+	// refills consume a different randomness stream than pipelined ones,
+	// which would break the per-cell stream-reproducibility guarantee.
 	Cell beacon.Config
 	// CellRand supplies the domain-separated randomness for cell `cell`,
 	// player `player`: both the one-time dealer seed and every refill.
@@ -142,21 +143,9 @@ func (c Config) Validate() error {
 	if c.Cell.Rate != 0 {
 		return errors.New("multicell: leave Cell.Rate 0; rate limiting is per-tenant at the router")
 	}
-	threshold := c.Cell.Core.Threshold
-	if threshold == 0 {
-		threshold = core.DefaultThreshold
-	}
-	reserve := c.Cell.SeedReserve
-	if reserve == 0 {
-		reserve = threshold
-	}
-	maxBatch := c.Cell.MaxBatch
-	if maxBatch == 0 {
-		maxBatch = 32
-	}
-	if c.Cell.Core.HighWater < threshold+reserve+maxBatch {
-		return fmt.Errorf("multicell: Cell.Core.HighWater %d < Threshold+SeedReserve+MaxBatch = %d — a loaded cell could fall back to a blocking refill, breaking per-cell stream reproducibility",
-			c.Cell.Core.HighWater, threshold+reserve+maxBatch)
+	if _, minHigh := c.Cell.WaterMarks(); c.Cell.Core.HighWater < minHigh {
+		return fmt.Errorf("multicell: Cell.Core.HighWater %d < %d (threshold + seed reserve + one full sweep) — a loaded cell could fall back to a blocking refill, breaking per-cell stream reproducibility",
+			c.Cell.Core.HighWater, minHigh)
 	}
 	if c.TenantRate < 0 {
 		return fmt.Errorf("multicell: negative tenant rate %v", c.TenantRate)
@@ -180,13 +169,6 @@ type Batch struct {
 	Vals []gf2k.Element
 }
 
-// cellCounters is one cell's routing accounting (mirrored to Prometheus
-// when Config.Metrics is set; always kept here so CellStats works bare).
-type cellCounters struct {
-	hash, rr, shed atomic.Int64 // draws served, by how they arrived
-	shedAway       atomic.Int64 // draws this cell was primary for but lost
-}
-
 // Cluster is a running multi-cell beacon. Create with New; all exported
 // methods are safe for concurrent use.
 type Cluster struct {
@@ -197,12 +179,15 @@ type Cluster struct {
 	rr       atomic.Uint64
 	tenants  *tenantTable
 	down     []atomic.Bool
-	routed   []cellCounters
 	closed   atomic.Bool
 
-	rateLimited   atomic.Int64
-	saturated     atomic.Int64
-	streamQuota   atomic.Int64
+	// met holds the one counter per routing event (never nil); CellStats,
+	// RouterStats and /metrics all read it. routed[c][r] (draws cell c
+	// served, by route) and shedAway[c] (draws c was primary for but lost)
+	// are its per-cell children, resolved once: a draw is one atomic add.
+	met           *Metrics
+	routed        [][len(routeNames)]*prom.Counter
+	shedAway      []*prom.Counter
 	streamsActive atomic.Int64
 
 	closeOnce sync.Once
@@ -220,25 +205,28 @@ func New(cfg Config) (*Cluster, error) {
 	if cellRand == nil {
 		cellRand = func(int, int) io.Reader { return cryptorand.Reader }
 	}
-	threshold := cfg.Cell.Core.Threshold
-	if threshold == 0 {
-		threshold = core.DefaultThreshold
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics(nil)
 	}
-	reserve := cfg.Cell.SeedReserve
-	if reserve == 0 {
-		reserve = threshold
-	}
+	lowWater, _ := cfg.Cell.WaterMarks()
 	cl := &Cluster{
 		cfg:      cfg,
-		lowWater: threshold + reserve,
+		lowWater: lowWater,
 		cells:    make([]*beacon.Service, cfg.Cells),
 		tenants:  newTenantTable(cfg.TenantRate, cfg.TenantBurst, cfg.MaxStreamsPerTenant, cfg.MaxTenants, cfg.now),
 		down:     make([]atomic.Bool, cfg.Cells),
-		routed:   make([]cellCounters, cfg.Cells),
+		met:      cfg.Metrics,
+		routed:   make([][len(routeNames)]*prom.Counter, cfg.Cells),
+		shedAway: make([]*prom.Counter, cfg.Cells),
 	}
 	ids := make([]int, cfg.Cells)
 	for i := range ids {
 		ids[i] = i
+		cell := strconv.Itoa(i)
+		for r, name := range routeNames {
+			cl.routed[i][r] = cl.met.RoutedDraws.With(cell, name)
+		}
+		cl.shedAway[i] = cl.met.Shed.With(cell)
 	}
 	cl.ring = NewRing(ids, cfg.Replicas)
 	for i := 0; i < cfg.Cells; i++ {
@@ -257,7 +245,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		cl.cells[i] = svc
 	}
-	cfg.Metrics.registerGauges(cl)
+	cl.met.registerGauges(cl)
 	return cl, nil
 }
 
@@ -282,11 +270,10 @@ func (cl *Cluster) DrawN(ctx context.Context, tenant string, n int) (Batch, erro
 	// Validate here, not in the cell: a cell's DrawN error for a bad n
 	// would otherwise read as a terminal cell failure and poison routing.
 	if n < 1 || n > beacon.MaxDrawBatch {
-		return Batch{}, fmt.Errorf("multicell: batch size %d outside [1,%d]", n, beacon.MaxDrawBatch)
+		return Batch{}, fmt.Errorf("multicell: batch size %d outside [1,%d]: %w", n, beacon.MaxDrawBatch, beacon.ErrBadRequest)
 	}
 	if !cl.tenants.allow(tenant) {
-		cl.rateLimited.Add(1)
-		cl.cfg.Metrics.rejected("rate-limited")
+		cl.met.rateLimited.Inc()
 		return Batch{}, ErrRateLimited
 	}
 	return cl.drawRouted(ctx, tenant, n)
@@ -313,13 +300,11 @@ func (cl *Cluster) drawRouted(ctx context.Context, tenant string, n int) (Batch,
 			vals, seq, err := cl.cells[c].DrawN(ctx, n)
 			switch {
 			case err == nil:
-				r := route
 				if i > 0 {
-					r = routeShed
-					cl.routed[order[0]].shedAway.Add(1)
-					cl.cfg.Metrics.shed(order[0])
+					route = routeShed
+					cl.shedAway[order[0]].Inc()
 				}
-				cl.count(c, r)
+				cl.routed[c][route].Inc()
 				return Batch{Cell: c, Seq: seq, Vals: vals}, nil
 			case errors.Is(err, beacon.ErrOverloaded):
 				continue
@@ -327,7 +312,7 @@ func (cl *Cluster) drawRouted(ctx context.Context, tenant string, n int) (Batch,
 				return Batch{}, err
 			default:
 				// ErrClosed or a terminal protocol error: the cell is gone.
-				cl.markDown(c)
+				cl.down[c].Store(true)
 				continue
 			}
 		}
@@ -336,25 +321,28 @@ func (cl *Cluster) drawRouted(ctx context.Context, tenant string, n int) (Batch,
 	// queue (pass 1 waits on lagging cells rather than erroring).
 	for _, c := range order {
 		if !cl.down[c].Load() {
-			cl.saturated.Add(1)
-			cl.cfg.Metrics.rejected("saturated")
+			cl.met.saturated.Inc()
 			return Batch{}, ErrSaturated
 		}
 	}
-	cl.cfg.Metrics.rejected("down")
+	cl.met.allDown.Inc()
 	return Batch{}, ErrAllCellsDown
 }
 
+// How a served draw reached its cell, and the route label values in the
+// same order.
 const (
-	routeHash = "hash"
-	routeRR   = "rr"
-	routeShed = "shed"
+	routeHash = iota
+	routeRR
+	routeShed
 )
+
+var routeNames = [...]string{"hash", "rr", "shed"}
 
 // routeOrder returns the cells to try, in order, and how the primary was
 // chosen. Tenants get their consistent-hash successor chain; anonymous
 // draws start round-robin and continue in index order.
-func (cl *Cluster) routeOrder(tenant string) ([]int, string) {
+func (cl *Cluster) routeOrder(tenant string) ([]int, int) {
 	if tenant != "" {
 		return cl.ring.Successors(tenant), routeHash
 	}
@@ -372,26 +360,6 @@ func (cl *Cluster) lagging(c, n int) bool {
 	return cl.cells[c].Stats().Remaining < n+cl.lowWater
 }
 
-// markDown retires a terminally failed cell from routing.
-func (cl *Cluster) markDown(c int) {
-	if !cl.down[c].Swap(true) {
-		cl.cfg.Metrics.cellDown(c)
-	}
-}
-
-// count attributes one served draw (and its coins) to a cell.
-func (cl *Cluster) count(c int, route string) {
-	switch route {
-	case routeHash:
-		cl.routed[c].hash.Add(1)
-	case routeRR:
-		cl.routed[c].rr.Add(1)
-	default:
-		cl.routed[c].shed.Add(1)
-	}
-	cl.cfg.Metrics.routedDraw(c, route)
-}
-
 // Stream pushes coins to deliver, one per callback, until ctx is done, max
 // coins have been pushed (max ≤ 0 = unbounded), or deliver returns an
 // error. The tenant's stream quota is claimed for the duration; pushes are
@@ -403,8 +371,7 @@ func (cl *Cluster) Stream(ctx context.Context, tenant string, max int, deliver f
 	}
 	release, ok := cl.tenants.acquireStream(tenant)
 	if !ok {
-		cl.streamQuota.Add(1)
-		cl.cfg.Metrics.rejected("stream-quota")
+		cl.met.streamQuota.Inc()
 		return ErrStreamQuota
 	}
 	defer release()
@@ -472,10 +439,10 @@ func (cl *Cluster) CellStats() []CellStats {
 			Coins:          st.CoinsDelivered,
 			BlockedDraws:   st.BlockedDraws,
 			Refills:        st.Refills,
-			RoutedHash:     cl.routed[i].hash.Load(),
-			RoutedRR:       cl.routed[i].rr.Load(),
-			RoutedShed:     cl.routed[i].shed.Load(),
-			ShedAway:       cl.routed[i].shedAway.Load(),
+			RoutedHash:     cl.routed[i][routeHash].Value(),
+			RoutedRR:       cl.routed[i][routeRR].Value(),
+			RoutedShed:     cl.routed[i][routeShed].Value(),
+			ShedAway:       cl.shedAway[i].Value(),
 		}
 	}
 	return out
@@ -493,9 +460,9 @@ type RouterStats struct {
 // RouterStats snapshots the router's own counters.
 func (cl *Cluster) RouterStats() RouterStats {
 	st := RouterStats{
-		RateLimited:   cl.rateLimited.Load(),
-		Saturated:     cl.saturated.Load(),
-		StreamQuota:   cl.streamQuota.Load(),
+		RateLimited:   cl.met.rateLimited.Value(),
+		Saturated:     cl.met.saturated.Value(),
+		StreamQuota:   cl.met.streamQuota.Value(),
 		StreamsActive: cl.streamsActive.Load(),
 	}
 	for i := range cl.down {
@@ -513,7 +480,7 @@ func (cl *Cluster) CloseCell(ctx context.Context, cell int) error {
 	if cell < 0 || cell >= len(cl.cells) {
 		return fmt.Errorf("multicell: no cell %d", cell)
 	}
-	cl.markDown(cell)
+	cl.down[cell].Store(true)
 	return cl.cells[cell].Close(ctx)
 }
 

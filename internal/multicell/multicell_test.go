@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/beacon"
 	"repro/internal/core"
 	"repro/internal/gf2k"
+	"repro/internal/obs/prom"
 )
 
 // newCellRand returns a fresh domain-separated deterministic randomness
@@ -539,4 +542,96 @@ func TestAllCellsDown(t *testing.T) {
 	if _, err := cl.Draw(ctx, "t"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("draw after Close: %v, want ErrClosed", err)
 	}
+}
+
+// TestStatsAgreeWithMetrics drives a mixed load through the router — hash
+// and round-robin draws, a rate-limited tenant, a refused stream, a draw
+// shed off a dead home cell, a draw with every cell down — and checks that
+// CellStats(), RouterStats() and the exposition report the same number for
+// every event: each is counted once, and the three are renderings of it.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	reg := prom.NewRegistry()
+	cfg := testClusterConfig(t, 2)
+	cfg.Metrics = NewMetrics(reg)
+	now := time.Now()
+	cfg.now = func() time.Time { return now } // frozen clock: buckets never refill
+	cfg.TenantRate, cfg.TenantBurst, cfg.MaxStreamsPerTenant = 1, 3, 1
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 4; i++ { // three hash-routed draws, then the bucket is dry
+		if _, err := cl.Draw(ctx, "alice"); (err != nil) != (i == 3) || (i == 3 && !errors.Is(err, ErrRateLimited)) {
+			t.Fatalf("alice draw %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 2; i++ { // anonymous batches go round-robin, one per cell
+		if _, err := cl.DrawN(ctx, "", 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = cl.Stream(ctx, "bob", 1, func(Coin) error { // a stream inside bob's only stream slot
+		return cl.Stream(ctx, "bob", 1, func(Coin) error { return nil })
+	})
+	if !errors.Is(err, ErrStreamQuota) {
+		t.Fatalf("nested stream: %v, want ErrStreamQuota", err)
+	}
+	home := cl.ring.Lookup("carol")
+	if err := cl.CloseCell(ctx, home); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := cl.DrawN(ctx, "carol", 2); err != nil || b.Cell == home {
+		t.Fatalf("draw off a dead home cell: served by %d, %v", b.Cell, err)
+	}
+	if err := cl.CloseCell(ctx, 1-home); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Draw(ctx, "carol"); !errors.Is(err, ErrAllCellsDown) {
+		t.Fatalf("draw with all cells down: %v", err)
+	}
+	mustCloseCluster(t, cl)
+
+	cells, router := cl.CellStats(), cl.RouterStats()
+	var hash, rr, shed, away int64
+	for _, c := range cells {
+		hash, rr, shed, away = hash+c.RoutedHash, rr+c.RoutedRR, shed+c.RoutedShed, away+c.ShedAway
+	}
+	if hash != 4 || rr != 2 || shed != 1 || away != 1 || cells[home].ShedAway != 1 ||
+		router.RateLimited != 1 || router.StreamQuota != 1 || router.CellsDown != 2 {
+		t.Fatalf("load was not the intended mix: %+v %+v", cells, router)
+	}
+	cfg.Metrics.Refresh(cl)
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := prom.ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stat int64, name string, kv ...string) {
+		t.Helper()
+		if v, ok := prom.Value(samples, name, kv...); !ok || v != float64(stat) {
+			t.Errorf("%s%v = %v, %v; the stats say %d", name, kv, v, ok, stat)
+		}
+	}
+	for _, c := range cells {
+		id := strconv.Itoa(c.Cell)
+		check(c.RoutedHash, "multicell_routed_draws_total", "cell", id, "route", "hash")
+		check(c.RoutedRR, "multicell_routed_draws_total", "cell", id, "route", "rr")
+		check(c.RoutedShed, "multicell_routed_draws_total", "cell", id, "route", "shed")
+		check(c.ShedAway, "multicell_shed_total", "cell", id)
+		check(c.Coins, "beacon_cell_coins_total", "cell", id)
+		check(c.BlockedDraws, "beacon_cell_blocked_draws", "cell", id)
+		check(int64(c.Remaining), "beacon_cell_depth", "cell", id)
+		check(1, "beacon_cell_down", "cell", id)
+		if c.Draws != c.RoutedHash+c.RoutedRR+c.RoutedShed {
+			t.Errorf("cell %d served %d draws but the router routed %d to it", c.Cell, c.Draws, c.RoutedHash+c.RoutedRR+c.RoutedShed)
+		}
+	}
+	check(router.RateLimited, "multicell_rejected_total", "reason", "rate-limited")
+	check(router.StreamQuota, "multicell_rejected_total", "reason", "stream-quota")
+	check(router.Saturated, "multicell_rejected_total", "reason", "saturated")
+	check(1, "multicell_rejected_total", "reason", "down")
 }

@@ -30,7 +30,7 @@ func TestTracerStampsOriginAndEpoch(t *testing.T) {
 	var buf bytes.Buffer
 	ring := NewRing(0)
 	jsonl := NewJSONL(&buf)
-	tr := New(nil, Tee(ring, jsonl))
+	tr := New(nil, ring, jsonl)
 	tr.SetOrigin(3)
 	tr.SetEpoch(2)
 	sp := tr.Start(3, 5, KindPhase, "emit")

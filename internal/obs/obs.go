@@ -43,19 +43,6 @@ func New(ctr *metrics.Counters, sinks ...Sink) *Tracer {
 	return &Tracer{ctr: ctr, sinks: sinks, stack: make(map[int][]uint64)}
 }
 
-// Enabled reports whether events will be recorded. It is the cheap guard
-// for call sites that would otherwise do work just to build event fields.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// Counters returns the counters attached at construction (nil for the nop
-// tracer).
-func (t *Tracer) Counters() *metrics.Counters {
-	if t == nil {
-		return nil
-	}
-	return t.ctr
-}
-
 // SetOrigin stamps all subsequently emitted events with the given process
 // id (the daemon's player id). Call it once at startup, before the first
 // span; it exists so per-daemon traces are self-identifying when merged.
@@ -143,9 +130,6 @@ func (t *Tracer) Start(player, round int, kind SpanKind, name string) Span {
 	t.mu.Unlock()
 	return Span{t: t, id: id, player: player, kind: kind, name: name, entry: entry}
 }
-
-// ID returns the span's id (0 for the nop span).
-func (s Span) ID() uint64 { return s.id }
 
 // End closes the span at the given completed-round count, emitting the
 // counter diff observed since Start. Ending a span pops it (and anything

@@ -376,19 +376,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n buckets starting at start, stepping by width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 {
-		panic("prom: LinearBuckets wants n ≥ 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 // --- exposition ---------------------------------------------------------------
 
 // WriteText renders the registry in the Prometheus text exposition format

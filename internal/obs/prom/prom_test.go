@@ -345,17 +345,13 @@ func TestZeroAllocLivePath(t *testing.T) {
 	}
 }
 
-func TestExpAndLinearBuckets(t *testing.T) {
+func TestExpBuckets(t *testing.T) {
 	e := ExpBuckets(0.001, 10, 4)
 	want := []float64{0.001, 0.01, 0.1, 1}
 	for i := range want {
 		if math.Abs(e[i]-want[i]) > 1e-12 {
 			t.Fatalf("ExpBuckets[%d] = %v, want %v", i, e[i], want[i])
 		}
-	}
-	l := LinearBuckets(1, 2, 3)
-	if l[0] != 1 || l[1] != 3 || l[2] != 5 {
-		t.Fatalf("LinearBuckets = %v", l)
 	}
 }
 

@@ -115,13 +115,6 @@ func (j *JSONL) Flush() error {
 	return j.err
 }
 
-// Err returns the first write/encode error, if any.
-func (j *JSONL) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // ParseJSONL reads a JSONL export back into the event sequence it encodes.
 // It is the inverse of the JSONL sink: exporting and parsing yields the
 // identical []Event (the round-trip property obs's tests pin down).
@@ -163,24 +156,14 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 	}
 }
 
-// Tee fans every event out to each sink in order.
-func Tee(sinks ...Sink) Sink { return teeSink(sinks) }
-
-type teeSink []Sink
-
-func (t teeSink) Emit(e Event) {
-	for _, s := range t {
-		s.Emit(e)
-	}
-}
-
 // --- durations ----------------------------------------------------------------
 
 // DurationSink measures wall-clock span durations. Events carry no
 // timestamps (they would break the determinism goldens), so this sink
 // records time.Now at each EvSpanBegin and calls fn with the elapsed time at
-// the matching EvSpanEnd — the bridge from obs spans to latency histograms
-// (beacond feeds phase durations into prom through one of these).
+// the matching EvSpanEnd — the bridge from obs spans to latency histograms.
+// No program installs one yet; it stays for the per-phase duration series
+// of ROADMAP item 7b.
 //
 // Spans that never end are forgotten when the sink exceeds its internal
 // high-water mark, bounding memory under span leaks.

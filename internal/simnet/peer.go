@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -811,12 +810,7 @@ func (pn *peerNet) barrierMetLocked(r int) bool {
 func (pn *peerNet) commitLocked(r int) []Message {
 	msgs := pn.staged[r]
 	delete(pn.staged, r)
-	sort.Slice(msgs, func(a, b int) bool {
-		if msgs[a].From != msgs[b].From {
-			return msgs[a].From < msgs[b].From
-		}
-		return msgs[a].seq < msgs[b].seq
-	})
+	sortCanonical(msgs)
 	if pn.nw.eng != nil {
 		msgs = pn.nw.eng.reorder(r, pn.self, msgs)
 	}

@@ -281,16 +281,6 @@ func (nw *Network) N() int { return nw.n }
 // Node returns the handle for the node with 0-based index i.
 func (nw *Network) Node(i int) *Node { return nw.nodes[i] }
 
-// Round returns the number of completed rounds.
-func (nw *Network) Round() int {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.round
-}
-
-// Tracer returns the attached obs.Tracer (nil when tracing is disabled).
-func (nw *Network) Tracer() *obs.Tracer { return nw.tracer }
-
 // activeIndicesLocked lists the nodes that have not halted. Caller holds
 // nw.mu.
 func (nw *Network) activeIndicesLocked() []int {
@@ -303,6 +293,18 @@ func (nw *Network) activeIndicesLocked() []int {
 	return out
 }
 
+// sortCanonical puts one recipient's messages into the canonical delivery
+// order — sender, then staging sequence — that every transport, the
+// interceptor and the schedule engine start from.
+func sortCanonical(msgs []Message) {
+	sort.Slice(msgs, func(a, b int) bool {
+		if msgs[a].From != msgs[b].From {
+			return msgs[a].From < msgs[b].From
+		}
+		return msgs[a].seq < msgs[b].seq
+	})
+}
+
 // interceptStagingLocked rewrites the staged traffic through the installed
 // Interceptor. Messages are presented in deterministic order — recipient,
 // then (sender, staging order) — and the copies the interceptor returns are
@@ -312,12 +314,7 @@ func (nw *Network) interceptStagingLocked() {
 	out := make([][]Message, nw.n)
 	for to := 0; to < nw.n; to++ {
 		msgs := nw.staging[to]
-		sort.Slice(msgs, func(a, b int) bool {
-			if msgs[a].From != msgs[b].From {
-				return msgs[a].From < msgs[b].From
-			}
-			return msgs[a].seq < msgs[b].seq
-		})
+		sortCanonical(msgs)
 		for _, m := range msgs {
 			res := nw.icept.Intercept(Deliverable{
 				Round:   nw.round,
@@ -357,12 +354,7 @@ func (nw *Network) applyScheduleLocked() {
 		if len(msgs) == 0 {
 			continue
 		}
-		sort.Slice(msgs, func(a, b int) bool {
-			if msgs[a].From != msgs[b].From {
-				return msgs[a].From < msgs[b].From
-			}
-			return msgs[a].seq < msgs[b].seq
-		})
+		sortCanonical(msgs)
 		occ := make(map[int]int, nw.n)
 		keep := msgs[:0]
 		for _, m := range msgs {
@@ -410,12 +402,7 @@ func (nw *Network) commitLocked() {
 	}
 	for i := range nw.staging {
 		msgs := nw.staging[i]
-		sort.Slice(msgs, func(a, b int) bool {
-			if msgs[a].From != msgs[b].From {
-				return msgs[a].From < msgs[b].From
-			}
-			return msgs[a].seq < msgs[b].seq
-		})
+		sortCanonical(msgs)
 		if nw.eng != nil {
 			nw.staging[i] = nw.eng.reorder(nw.round, i, msgs)
 		}
