@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench experiments fmt-check
+.PHONY: check build vet test race examples bench experiments fmt-check
 
 check: fmt-check build vet race
 
@@ -22,6 +22,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# examples runs the in-process example programs: each checks the property it
+# demonstrates and exits non-zero when it is violated (examples/multiproc
+# spawns daemons and has its own CI job).
+examples:
+	@for e in quickstart batchvss multicell randomizedba persistence proactive; do \
+		echo "== examples/$$e"; $(GO) run ./examples/$$e >/dev/null || exit 1; done
 
 # bench runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # five workloads, the traced run and the per-layer ladders; results land in

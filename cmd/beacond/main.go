@@ -71,6 +71,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -147,8 +148,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.t, "t", 1, "Byzantine fault bound")
 	fs.IntVar(&c.k, "k", 32, "coin field GF(2^k), 2 ≤ k ≤ 64")
 	fs.IntVar(&c.batch, "batch", 96, "Coin-Gen batch size M")
-	fs.IntVar(&c.threshold, "threshold", core.DefaultThreshold, "blocking refill threshold")
-	fs.IntVar(&c.highWater, "highwater", 64, "proactive refill high-water mark (0 disables the pipeline)")
+	fs.IntVar(&c.threshold, "threshold", core.DefaultThreshold, "refill threshold: sealed coins held back to fund the next Coin-Gen")
+	fs.IntVar(&c.highWater, "highwater", 64, "store depth below which a refill starts ahead of demand (0: only when a draw has to wait for it; never changes the coin stream)")
 	fs.IntVar(&c.seedCoins, "seed-coins", 0, "one-time trusted-dealer seed size (default: batch)")
 	fs.IntVar(&c.queue, "queue", 256, "request queue depth (backpressure bound)")
 	fs.Float64Var(&c.rate, "rate", 0, "token-bucket rate limit in requests/s (0 disables)")
@@ -318,8 +319,8 @@ func traceHandler(ring *obs.Ring) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		evs := ring.Events()
 		if q := r.URL.Query().Get("n"); q != "" {
-			var n int
-			if _, err := fmt.Sscanf(q, "%d", &n); err != nil || n < 1 {
+			n, err := strconv.Atoi(q)
+			if err != nil || n < 1 {
 				http.Error(w, "beacond: malformed ?n= event count", http.StatusBadRequest)
 				return
 			}
@@ -438,8 +439,8 @@ func newMux(svc *beacon.Service, k int, o *observability) *http.ServeMux {
 		writeJSON(w, map[string]any{"coin": fmt.Sprintf("0x%0*x", (k+3)/4, uint64(e)), "k": k})
 	})
 	mux.HandleFunc("GET /v1/bits", func(w http.ResponseWriter, r *http.Request) {
-		var n int
-		if _, err := fmt.Sscanf(r.URL.Query().Get("n"), "%d", &n); err != nil {
+		n, err := strconv.Atoi(r.URL.Query().Get("n"))
+		if err != nil {
 			http.Error(w, "beacond: missing or malformed ?n= bit count", http.StatusBadRequest)
 			return
 		}
@@ -451,8 +452,8 @@ func newMux(svc *beacon.Service, k int, o *observability) *http.ServeMux {
 		writeJSON(w, map[string]any{"bits": hex.EncodeToString(bits), "n": n})
 	})
 	mux.HandleFunc("GET /v1/modulo", func(w http.ResponseWriter, r *http.Request) {
-		var m int
-		if _, err := fmt.Sscanf(r.URL.Query().Get("m"), "%d", &m); err != nil {
+		m, err := strconv.Atoi(r.URL.Query().Get("m"))
+		if err != nil {
 			http.Error(w, "beacond: missing or malformed ?m= modulus", http.StatusBadRequest)
 			return
 		}

@@ -335,6 +335,29 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
+// TestIntegerQueryParams: an integer query parameter is the whole value or
+// a 400 — a numeric prefix followed by anything else is not a number.
+func TestIntegerQueryParams(t *testing.T) {
+	d := startDaemon(t, "-n", "7", "-t", "1", "-k", "8",
+		"-batch", "24", "-threshold", "6", "-highwater", "16", "-insecure-rand")
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/bits?n=12", http.StatusOK},
+		{"/v1/bits?n=12xyz", http.StatusBadRequest},
+		{"/v1/modulo?m=6", http.StatusOK},
+		{"/v1/modulo?m=6x", http.StatusBadRequest},
+		{"/debug/trace?n=5", http.StatusOK},
+		{"/debug/trace?n=5x", http.StatusBadRequest},
+	} {
+		if status, _, _ := getRaw(t, d.url, tc.path); status != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.path, status, tc.want)
+		}
+	}
+	d.stop(t)
+}
+
 // TestSoakPipelineAndResume is the subsystem's acceptance test: concurrent
 // paced clients drain more than three full batches through the HTTP API
 // with every refill pipelined — zero draws blocked on a Coin-Gen round —

@@ -47,6 +47,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -95,8 +96,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.t, "t", 1, "Byzantine fault bound per cell")
 	fs.IntVar(&c.k, "k", 32, "coin field GF(2^k), 2 ≤ k ≤ 64")
 	fs.IntVar(&c.batch, "batch", 96, "Coin-Gen batch size M per cell")
-	fs.IntVar(&c.threshold, "threshold", core.DefaultThreshold, "per-cell blocking refill threshold")
-	fs.IntVar(&c.highWater, "highwater", 64, "per-cell proactive refill high-water mark (must keep refills pipelined: ≥ threshold + seed reserve + expose batch)")
+	fs.IntVar(&c.threshold, "threshold", core.DefaultThreshold, "per-cell refill threshold: sealed coins held back to fund the next Coin-Gen")
+	fs.IntVar(&c.highWater, "highwater", 64, "per-cell store depth below which a refill starts ahead of demand (0: only when a draw has to wait for it; never changes a cell's coin stream)")
 	fs.IntVar(&c.queue, "queue", 256, "per-cell request queue depth")
 	fs.Float64Var(&c.tenantRate, "tenant-rate", 0, "per-tenant token-bucket rate in draws/s (0 disables)")
 	fs.IntVar(&c.tenantBurst, "tenant-burst", 0, "per-tenant token-bucket burst (default 1 when -tenant-rate is set)")
@@ -238,8 +239,8 @@ func newMux(cl *multicell.Cluster, mets *multicell.Metrics, reg *prom.Registry, 
 		writeJSON(w, map[string]any{"cell": coin.Cell, "seq": coin.Seq, "coin": hexCoin(coin.Val), "k": k})
 	})
 	mux.HandleFunc("GET /v1/coins", func(w http.ResponseWriter, r *http.Request) {
-		var n int
-		if _, err := fmt.Sscanf(r.URL.Query().Get("n"), "%d", &n); err != nil {
+		n, err := strconv.Atoi(r.URL.Query().Get("n"))
+		if err != nil {
 			http.Error(w, "beacongw: missing or malformed ?n= coin count", http.StatusBadRequest)
 			return
 		}
@@ -262,7 +263,8 @@ func newMux(cl *multicell.Cluster, mets *multicell.Metrics, reg *prom.Registry, 
 		}
 		max := 0
 		if q := r.URL.Query().Get("n"); q != "" {
-			if _, err := fmt.Sscanf(q, "%d", &max); err != nil {
+			var err error
+			if max, err = strconv.Atoi(q); err != nil {
 				http.Error(w, "beacongw: malformed ?n= coin count", http.StatusBadRequest)
 				return
 			}

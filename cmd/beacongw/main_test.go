@@ -132,6 +132,25 @@ func TestCoinsBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestIntegerQueryParams: an integer query parameter is the whole value or
+// a 400 — a numeric prefix followed by anything else is not a number.
+func TestIntegerQueryParams(t *testing.T) {
+	srv, _ := testServer(t, nil)
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/coins?n=3", http.StatusOK},
+		{"/v1/coins?n=3junk", http.StatusBadRequest},
+		{"/v1/stream?n=4", http.StatusOK},
+		{"/v1/stream?n=4x", http.StatusBadRequest},
+	} {
+		if resp := getJSON(t, srv.URL+tc.path, nil, nil); resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 func TestStreamSSE(t *testing.T) {
 	srv, _ := testServer(t, nil)
 	resp, err := http.Get(srv.URL + "/v1/stream?n=5&tenant=carol")

@@ -13,15 +13,12 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 
 	"repro"
-	"repro/internal/bitgen"
+	"repro/internal/adversary"
 	"repro/internal/coin"
 	"repro/internal/coingen"
-	"repro/internal/gradecast"
-	"repro/internal/poly"
-
-	"repro/internal/ba"
 )
 
 const (
@@ -50,10 +47,7 @@ func run() error {
 	// bad (2 recovered, 5 newly corrupted, 9 still bad). At most t = 2
 	// concurrent faults, but three distinct players are corrupted over the
 	// run — impossible to tolerate for schemes that fix the faulty set.
-	badIn := [2]map[int]bool{
-		{2: true, 9: true},
-		{5: true, 9: true},
-	}
+	badIn := [2][]int{{2, 9}, {5, 9}}
 
 	nw := repro.NewNetwork(n)
 	fns := make([]repro.PlayerFunc, n)
@@ -65,9 +59,13 @@ func run() error {
 			var out [2][]repro.Element
 			var cliques [2][]int
 			for batch := 0; batch < 2; batch++ {
-				rnd := rand.New(rand.NewSource(int64(1000*batch + i)))
-				if badIn[batch][i] {
-					if err := badDealOnce(nd, pcfg, rnd); err != nil {
+				rndSeed := int64(1000*batch + i)
+				if slices.Contains(badIn[batch], i) {
+					// A wrong-degree dealer that stays in lockstep through
+					// the whole Coin-Gen, so the same player can rejoin
+					// honestly later.
+					bad := adversary.CoinGenWrongDegreeDealer(field, n, t, m, seeds[i], rndSeed)
+					if _, err := bad(nd); err != nil {
 						return nil, err
 					}
 					for c := 0; c < m; c++ { // keep pace during exposures
@@ -77,7 +75,7 @@ func run() error {
 					}
 					continue
 				}
-				res, err := coingen.Run(nd, pcfg, rnd)
+				res, err := coingen.Run(nd, pcfg, rand.New(rand.NewSource(rndSeed)))
 				if err != nil {
 					return nil, err
 				}
@@ -105,7 +103,7 @@ func run() error {
 	// Player 0 is honest in both batches; use it as reference.
 	ref := results[0].Value.(outT)
 	for batch := 0; batch < 2; batch++ {
-		fmt.Printf("batch %d (corrupted: %v)\n", batch+1, keys(badIn[batch]))
+		fmt.Printf("batch %d (corrupted: %v)\n", batch+1, badIn[batch])
 		fmt.Printf("  agreed clique: %v\n", ref.Cliques[batch])
 		fmt.Printf("  coins: ")
 		for _, c := range ref.Coins[batch] {
@@ -113,7 +111,7 @@ func run() error {
 		}
 		fmt.Println()
 		for i, r := range results {
-			if badIn[batch][i] {
+			if slices.Contains(badIn[batch], i) {
 				continue
 			}
 			if r.Err != nil {
@@ -127,105 +125,13 @@ func run() error {
 			}
 		}
 	}
-	if contains(ref.Cliques[0], 2) || contains(ref.Cliques[1], 5) {
+	if slices.Contains(ref.Cliques[0], 2) || slices.Contains(ref.Cliques[1], 5) {
 		return fmt.Errorf("a corrupted dealer slipped into the clique")
 	}
-	if !contains(ref.Cliques[1], 2) {
+	if !slices.Contains(ref.Cliques[1], 2) {
 		return fmt.Errorf("recovered player 2 missing from batch-2 clique")
 	}
 	fmt.Println("\nthe intruder moved (2 → 5) and the generator kept going:")
 	fmt.Println("  batch 1 excluded dealer 2; batch 2 re-admitted it and excluded dealer 5")
 	return nil
-}
-
-// badDealOnce participates in one Coin-Gen as a wrong-degree dealer while
-// staying in lockstep, so the same player can rejoin honestly later.
-func badDealOnce(nd *repro.Node, cfg coingen.Config, rnd *rand.Rand) error {
-	f := cfg.Field
-	polys := make([]poly.Poly, cfg.M+1)
-	for j := range polys {
-		p, err := poly.Random(f, cfg.T+1, repro.Element(rnd.Uint32()), rnd)
-		if err != nil {
-			return err
-		}
-		if p[cfg.T+1] == 0 {
-			p[cfg.T+1] = 1
-		}
-		polys[j] = p
-	}
-	sh := &bitgen.Shares{
-		Alpha:    make([][]repro.Element, cfg.N),
-		Mask:     make([]repro.Element, cfg.N),
-		Received: make([]bool, cfg.N),
-		OwnPolys: polys,
-	}
-	for p := 0; p < cfg.N; p++ {
-		id, err := f.ElementFromID(p + 1)
-		if err != nil {
-			return err
-		}
-		if p == nd.Index() {
-			row := make([]repro.Element, cfg.M)
-			for h := 0; h < cfg.M; h++ {
-				row[h] = poly.Eval(f, polys[h], id)
-			}
-			sh.Alpha[p], sh.Mask[p], sh.Received[p] = row, poly.Eval(f, polys[cfg.M], id), true
-			continue
-		}
-		buf := make([]byte, 0, (cfg.M+1)*f.ByteLen())
-		for _, pp := range polys {
-			buf = f.AppendElement(buf, poly.Eval(f, pp, id))
-		}
-		nd.Send(p, buf)
-	}
-	if _, err := nd.EndRound(); err != nil {
-		return err
-	}
-	r, err := cfg.Seed.Expose(nd)
-	if err != nil {
-		return err
-	}
-	bcfg := bitgen.Config{Field: f, N: cfg.N, T: cfg.T, M: cfg.M}
-	if _, err := bitgen.ExchangeGammas(nd, bcfg, sh, r); err != nil {
-		return err
-	}
-	if _, err := gradecast.RunAll(nd, cfg.T, []byte{0xff}); err != nil {
-		return err
-	}
-	for {
-		if _, err := cfg.Seed.ExposeMod(nd, cfg.N); err != nil {
-			return err
-		}
-		dec, err := (ba.PhaseKing{T: cfg.T}).Run(nd, 0)
-		if err != nil {
-			return err
-		}
-		if dec == 1 {
-			return nil
-		}
-	}
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func keys(m map[int]bool) []int {
-	var out []int
-	for v := range m {
-		out = append(out, v)
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
 }

@@ -242,16 +242,9 @@ func FromScratchCoin(nd *simnet.Node, cfg FromScratchConfig, rnd io.Reader) (gf2
 		xs = append(xs, id)
 		ys = append(ys, v)
 	}
-	maxErr := (len(xs) - t - 1) / 2
-	if maxErr > t {
-		maxErr = t
-	}
-	if maxErr < 0 {
-		maxErr = 0
-	}
-	res, err := bw.Decode(f, xs, ys, t, maxErr, cfg.Counters)
+	v, err := bw.OpenSecret(f, xs, ys, t, cfg.Counters, nil)
 	if err != nil {
 		return 0, fmt.Errorf("baseline: coin reconstruction: %w", err)
 	}
-	return poly.Eval(f, res.Poly, 0), nil
+	return v, nil
 }

@@ -10,16 +10,16 @@
 // they enqueue draw requests into a bounded queue and the executive serves
 // them in lockstep sweeps across all players.
 //
-// The headline mechanism is the ahead-of-demand refill pipeline. The store
-// double-buffers batches: when the sealed-coin count falls below the
-// configured high-water mark (core.Config.HighWater), the executive
-// detaches a small seed from the tail of every player's store and starts a
-// Coin-Gen on a dedicated refill network, while the serving network keeps
-// exposing coins from the front. When the mint completes, the executive
-// absorbs the new batch (and any unspent seed) at a quiescent instant, so
-// the identical store mutation happens at every player. A draw therefore
-// almost never waits on a protocol round; Stats().BlockedDraws counts the
-// ones that did.
+// The headline mechanism is the ahead-of-demand refill pipeline — the only
+// refill a Service has. When the sealed-coin count falls below the
+// high-water mark (core.Config.HighWater), the executive detaches a small
+// seed from the tail of every player's store and starts a Coin-Gen on a
+// dedicated refill network, while the serving network keeps exposing coins
+// from the front. When the mint completes, the executive absorbs the new
+// batch (and any unspent seed) at a quiescent instant, so the identical
+// store mutation happens at every player. A draw almost never waits on a
+// protocol round (Stats().BlockedDraws counts the ones that did); one that
+// finds the store short and no mint in flight starts that same mint itself.
 //
 // Production ergonomics on the request path: context cancellation,
 // backpressure (bounded queue, ErrOverloaded), a token-bucket rate limiter
@@ -51,6 +51,7 @@ import (
 	"repro/internal/gf2k"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/obs/prom"
 	"repro/internal/parallel"
 	"repro/internal/simnet"
 )
@@ -91,9 +92,10 @@ const serveMaxRounds = 1 << 40
 // Config parameterizes a beacon Service.
 type Config struct {
 	// Core is the D-PRBG configuration (field, N, T, BatchSize, Threshold,
-	// HighWater). HighWater > 0 enables the ahead-of-demand refill
-	// pipeline; HighWater == 0 falls back to blocking refills on the
-	// serving network whenever the store reaches Threshold.
+	// HighWater). HighWater is the store depth below which a mint starts
+	// ahead of demand; at 0 a mint starts only when a draw has to wait for
+	// it. It moves latency, never values: the coin stream is a function of
+	// the dealer seed and Rand alone.
 	Core core.Config
 	// SeedCoins is the size of the one-time trusted-dealer seed used by
 	// New. Defaults to Core.BatchSize. Resume ignores it.
@@ -145,21 +147,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// seedReserve is the number of coins detached from the store tail to fund
-// each pipelined refill (the out-of-band Coin-Gen's challenge and leader
-// draws): one blocking-refill budget, ≥ 2 by core's rule. Defaults applied.
+// seedReserve is the number of coins a mint detaches from the store tail to
+// fund its Coin-Gen (the challenge and leader draws), and so the depth no
+// sweep may expose into: Core.Threshold, ≥ 2 by core's rule. Defaults applied.
 func (c Config) seedReserve() int { return c.Core.Threshold }
 
-// WaterMarks returns the two store depths a router in front of several
-// Services derives its policy from. A draw that would leave fewer than low
-// coins behind has to wait on a Coin-Gen: the store can no longer fund a
-// pipelined refill's seed on top of the blocking-refill budget. minHigh is
-// the least Core.HighWater at which a loaded Service never falls back to a
-// blocking refill: one full sweep above low.
-func (c Config) WaterMarks() (low, minHigh int) {
+// LowWater is the store depth a router in front of several Services sheds
+// on: a draw that would leave fewer coins behind has to wait on a Coin-Gen
+// once the next mint's seed is detached (the reserve under every sweep plus
+// that seed).
+func (c Config) LowWater() int {
 	c = c.withDefaults()
-	low = c.Core.Threshold + c.seedReserve()
-	return low, low + sweepCoins
+	return 2 * c.seedReserve()
 }
 
 // Validate checks the configuration.
@@ -186,20 +185,21 @@ type Stats struct {
 	// CoinsDelivered and Draws count coins handed out and requests served.
 	CoinsDelivered int64
 	Draws          int64
-	// Refills counts absorbed Coin-Gen batches; PipelinedRefills ran
-	// ahead of demand on the refill network, BlockingRefills stalled the
-	// serving network.
+	// Refills counts absorbed Coin-Gen batches, all minted on the refill
+	// network: PipelinedRefills started ahead of demand (the store fell
+	// below HighWater), BlockingRefills were started by a draw that then
+	// had to wait for them.
 	Refills          int64
 	PipelinedRefills int64
 	BlockingRefills  int64
-	// BlockedDraws counts requests that had to wait on a Coin-Gen round
-	// (in-flight or blocking) before their coins could be exposed. With a
-	// well-tuned high-water mark this stays 0.
+	// BlockedDraws counts requests that had to wait on a Coin-Gen (already
+	// in flight, or started for them) before their coins could be exposed.
+	// With a well-tuned high-water mark this stays 0.
 	BlockedDraws int64
 	// Overloaded and RateLimited count rejected requests.
 	Overloaded  int64
 	RateLimited int64
-	// RefillInFlight reports whether a pipelined Coin-Gen is running now.
+	// RefillInFlight reports whether a Coin-Gen is running now.
 	RefillInFlight bool
 	// Resumed reports whether the service was restored from persisted
 	// stores (no trusted dealer involved) rather than freshly seeded.
@@ -207,19 +207,6 @@ type Stats struct {
 	// Counters is the protocol cost snapshot (zero unless Config.Counters
 	// was set).
 	Counters metrics.Snapshot
-}
-
-type opKind int
-
-const (
-	opExpose opKind = iota + 1
-	opRefill
-	opStop
-)
-
-type command struct {
-	op opKind
-	k  int // coins to expose for opExpose
 }
 
 type workerResult struct {
@@ -241,9 +228,10 @@ type request struct {
 }
 
 type refillOutcome struct {
-	seeds []*coin.Store      // detached seeds, possibly with leftover coins
-	mints []*core.MintResult // per-player minted batches
-	err   error
+	seeds   []*coin.Store      // detached seeds, possibly with leftover coins
+	mints   []*core.MintResult // per-player minted batches
+	refills *prom.Counter      // met.pipelined or met.blocking, by who started the mint
+	err     error
 }
 
 // Service is a running randomness beacon. Create with New or Resume; all
@@ -253,7 +241,7 @@ type Service struct {
 	n       int
 	gens    []*core.Generator
 	nw      *simnet.Network
-	cmds    []chan command
+	cmds    []chan int // coins to expose in the next lockstep round; closed to stop
 	results chan workerResult
 	// pools[i] is player i's fork of Core.Pool (nil when that is nil: fully
 	// serial). All forks share the root's capacity tokens, so concurrent
@@ -277,7 +265,7 @@ type Service struct {
 
 	// met holds the one counter per serving event (never nil); Stats and
 	// /metrics both read it. The atomics are written by the executive
-	// (inFlight: a pipelined Coin-Gen is running) and read by those two.
+	// (inFlight: a refill Coin-Gen is running) and read by those two.
 	met       *ServiceMetrics
 	remaining atomic.Int64
 	inFlight  atomic.Bool
@@ -331,7 +319,7 @@ func start(cfg Config, gens []*core.Generator, resumed bool) (*Service, error) {
 		n:          n,
 		gens:       gens,
 		nw:         simnet.New(n, simnet.WithMaxRounds(serveMaxRounds), simnet.WithCounters(cfg.Counters)),
-		cmds:       make([]chan command, n),
+		cmds:       make([]chan int, n),
 		results:    make(chan workerResult, n),
 		reqs:       make(chan *request, cfg.QueueDepth),
 		refillDone: make(chan *refillOutcome, 1),
@@ -350,8 +338,8 @@ func start(cfg Config, gens []*core.Generator, resumed bool) (*Service, error) {
 	s.remaining.Store(int64(gens[0].Remaining()))
 	s.met.registerGauges(s)
 	for i := 0; i < n; i++ {
-		s.cmds[i] = make(chan command)
-		go s.worker(i, s.nw.Node(i), cfg.Rand(i))
+		s.cmds[i] = make(chan int)
+		go s.worker(i, s.nw.Node(i))
 	}
 	go s.exec()
 	return s, nil
@@ -627,107 +615,88 @@ gathered:
 	}
 }
 
-// ensure makes the store deep enough to expose `need` coins while keeping
-// the blocking-refill budget (Threshold) intact. It prefers waiting for an
-// in-flight mint, then starting one, and only as a last resort stalls the
-// serving network with a blocking Coin-Gen. Any draw that reaches this
-// slow path is accounted in BlockedDraws.
+// ensure makes the store deep enough to expose `need` coins with the seed
+// reserve still under them: the next mint detaches those, so a seed is the
+// same tail coins whenever its mint starts (only with a mint in flight may
+// a sweep reach into them, see startMint). A shallow store waits for the
+// mint in flight; when none is (HighWater 0, or a sweep wider than the
+// high-water headroom) it starts one first. Any draw that reaches the wait
+// is accounted in BlockedDraws.
 func (s *Service) ensure(need, nreqs int) error {
-	if s.dead != nil {
-		return s.dead
-	}
 	blocked := false
-	for int(s.remaining.Load()) < need+s.cfg.Core.Threshold {
+	for s.dead == nil && int(s.remaining.Load()) < need+s.cfg.seedReserve() {
 		if !blocked {
 			blocked = true
 			s.met.Blocked.Add(int64(nreqs))
 		}
-		switch {
-		case s.inFlight.Load():
+		if s.inFlight.Load() || s.startMint(s.met.blocking, s.met.blockingDur) {
 			s.absorbRefill(<-s.refillDone)
-		case s.canPipeline() && s.startPipelineRefill():
-			// A mint is now in flight; the next iteration waits for it.
-		default:
-			t0 := s.met.stamp()
-			if err := s.commandRefill(); err != nil {
-				s.fail(err)
-				break
-			}
-			s.met.blocking.Inc()
-			since(s.met.blockingDur, t0)
-		}
-		if s.dead != nil {
-			return s.dead
 		}
 	}
-	return nil
+	return s.dead
 }
 
-// canPipeline reports whether an out-of-band refill could be funded right
-// now without dropping the serving store below Threshold.
-func (s *Service) canPipeline() bool {
-	return s.cfg.Core.HighWater > 0 && !s.inFlight.Load() &&
-		int(s.remaining.Load())-s.cfg.seedReserve() >= s.cfg.Core.Threshold
-}
-
-// maybePipelineRefill starts an ahead-of-demand mint when the store has
-// fallen below the high-water mark.
+// maybePipelineRefill starts a mint ahead of demand when the store has
+// fallen below the high-water mark (HighWater 0: mints start on demand only).
 func (s *Service) maybePipelineRefill() {
-	if s.dead != nil || !s.canPipeline() || !s.gens[0].NeedsRefill() {
-		return
+	if s.dead == nil && !s.inFlight.Load() && s.cfg.Core.HighWater > 0 && s.gens[0].NeedsRefill() {
+		s.startMint(s.met.pipelined, s.met.pipelinedDur)
 	}
-	s.startPipelineRefill()
 }
 
-// startPipelineRefill detaches a seed from every player's store tail and
-// launches a Coin-Gen cluster on a dedicated network, reporting whether the
-// mint is now in flight. The serving path keeps exposing from the store
-// fronts while the mint runs.
-func (s *Service) startPipelineRefill() bool {
-	seeds := make([]*coin.Store, s.n)
+// startMint is the one refill: it detaches the seed reserve from every
+// player's store tail and launches a Coin-Gen cluster on a dedicated
+// network, reporting whether the mint is now in flight (a store that cannot
+// fund a seed fails the service). The serving path keeps exposing from the
+// store fronts while the mint runs. refills and dur are the kind it counts
+// under: blocking when a waiting draw started it, pipelined when the
+// high-water mark did.
+func (s *Service) startMint(refills *prom.Counter, dur *prom.Histogram) bool {
+	// A store restored below the reserve funds the mint with all it has.
+	count := s.cfg.seedReserve()
+	if rem := int(s.remaining.Load()); rem < count {
+		count = rem
+	}
+	out := &refillOutcome{seeds: make([]*coin.Store, s.n), mints: make([]*core.MintResult, s.n), refills: refills}
 	for i, g := range s.gens {
-		st, err := g.DetachSeed(s.cfg.seedReserve())
-		if err != nil {
+		if out.seeds[i], out.err = g.DetachSeed(count); out.err != nil {
 			// The stores are structurally identical, so a failure can only
-			// hit player 0 before anything was detached — but reabsorb
-			// defensively so no coin is ever stranded.
-			for j := 0; j < i; j++ {
-				for _, b := range seeds[j].Batches() {
-					s.gens[j].AbsorbBatch(b) //nolint:errcheck // reinsert of a just-detached batch
-				}
-			}
+			// hit player 0 before anything was detached — but absorbRefill
+			// puts back what was, so no coin is ever stranded.
+			out.err = fmt.Errorf("beacon: refill seed, player %d: %w", i, out.err)
+			s.absorbRefill(out)
 			return false
 		}
-		seeds[i] = st
 	}
+	// remaining is not re-read here, so until the next sweep syncs it it
+	// still counts the seed: that one sweep may expose a reserve's worth
+	// deeper — the next seed will come from the batch now being minted —
+	// rather than wait on a mint that has only just started.
 	s.inFlight.Store(true)
-	cfg := s.cfg
-	n := s.n
 	go func() {
-		nwR := simnet.New(n, simnet.WithMaxRounds(serveMaxRounds),
-			simnet.WithCounters(cfg.Counters), simnet.WithTracer(cfg.Tracer))
-		fns := make([]simnet.PlayerFunc, n)
-		for i := 0; i < n; i++ {
+		nwR := simnet.New(s.n, simnet.WithMaxRounds(serveMaxRounds),
+			simnet.WithCounters(s.cfg.Counters), simnet.WithTracer(s.cfg.Tracer))
+		fns := make([]simnet.PlayerFunc, s.n)
+		for i := range fns {
 			i := i
 			// Each minting node computes on its own fork of the root pool:
 			// the refill cluster and the serving path compete for the same
 			// core budget instead of oversubscribing it.
-			coreCfg := cfg.Core
+			coreCfg := s.cfg.Core
 			coreCfg.Pool = s.pools[i]
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
-				return core.Mint(coreCfg, nd, seeds[i], cfg.Rand(i))
+				return core.Mint(coreCfg, nd, out.seeds[i], s.cfg.Rand(i))
 			}
 		}
 		t0 := s.met.stamp()
-		out := &refillOutcome{seeds: seeds, mints: make([]*core.MintResult, n)}
 		for i, r := range simnet.Run(nwR, fns) {
 			if r.Err != nil {
-				out.err = fmt.Errorf("beacon: pipelined refill, player %d: %w", i, r.Err)
+				out.err = fmt.Errorf("beacon: refill, player %d: %w", i, r.Err)
 				break
 			}
 			out.mints[i] = r.Value.(*core.MintResult)
 		}
-		since(s.met.pipelinedDur, t0)
+		since(dur, t0)
 		s.refillDone <- out
 	}()
 	return true
@@ -739,6 +708,9 @@ func (s *Service) startPipelineRefill() bool {
 func (s *Service) absorbRefill(out *refillOutcome) {
 	s.inFlight.Store(false)
 	for i, g := range s.gens {
+		if out.seeds[i] == nil {
+			break // startMint's detach failed here
+		}
 		for _, b := range out.seeds[i].Batches() {
 			if b.Remaining() == 0 {
 				continue
@@ -758,7 +730,7 @@ func (s *Service) absorbRefill(out *refillOutcome) {
 		s.fail(out.err)
 		return
 	}
-	s.met.pipelined.Inc()
+	out.refills.Inc()
 }
 
 // fail moves the service into a terminal error state: subsequent draws
@@ -785,7 +757,7 @@ func (s *Service) drainAndStop() {
 			s.serve(req)
 		default:
 			for _, ch := range s.cmds {
-				ch <- command{op: opStop}
+				close(ch)
 			}
 			return
 		}
@@ -797,7 +769,13 @@ func (s *Service) drainAndStop() {
 // commandExpose has every worker expose k coins and returns player 0's
 // values after checking unanimity across the cluster.
 func (s *Service) commandExpose(k int) ([]gf2k.Element, error) {
-	res := s.broadcast(command{op: opExpose, k: k})
+	for _, ch := range s.cmds {
+		ch <- k
+	}
+	res := make([]workerResult, 0, s.n)
+	for len(res) < s.n {
+		res = append(res, <-s.results)
+	}
 	var vals []gf2k.Element
 	for _, r := range res {
 		if r.err != nil {
@@ -818,46 +796,16 @@ func (s *Service) commandExpose(k int) ([]gf2k.Element, error) {
 	return vals, nil
 }
 
-// commandRefill runs a blocking Coin-Gen on the serving network.
-func (s *Service) commandRefill() error {
-	for _, r := range s.broadcast(command{op: opRefill}) {
-		if r.err != nil {
-			return fmt.Errorf("beacon: blocking refill, player %d: %w", r.player, r.err)
-		}
+// worker is player i's protocol goroutine: it exposes the coins the
+// executive asks for on its node, in lockstep with the other n−1 workers,
+// until the executive closes its channel.
+func (s *Service) worker(i int, nd *simnet.Node) {
+	for k := range s.cmds[i] {
+		// One round per batch touched, and a dry store fails before
+		// consuming any, so all workers stay at the same round even on
+		// the error path.
+		vals, err := s.gens[i].ExposeN(nd, k)
+		s.results <- workerResult{player: i, vals: vals, err: err}
 	}
-	s.syncRemaining()
-	return nil
-}
-
-// broadcast sends cmd to every worker and collects all n results.
-func (s *Service) broadcast(cmd command) []workerResult {
-	for _, ch := range s.cmds {
-		ch <- cmd
-	}
-	out := make([]workerResult, 0, s.n)
-	for len(out) < s.n {
-		out = append(out, <-s.results)
-	}
-	return out
-}
-
-// worker is player i's protocol goroutine: it executes the executive's
-// commands on its node, in lockstep with the other n−1 workers.
-func (s *Service) worker(i int, nd *simnet.Node, rnd io.Reader) {
-	g := s.gens[i]
-	for cmd := range s.cmds[i] {
-		switch cmd.op {
-		case opExpose:
-			// One round per batch touched, and a dry store fails before
-			// consuming any, so all workers stay at the same round even on
-			// the error path.
-			vals, err := g.ExposeN(nd, cmd.k)
-			s.results <- workerResult{player: i, vals: vals, err: err}
-		case opRefill:
-			s.results <- workerResult{player: i, err: g.Refill(nd, rnd)}
-		case opStop:
-			nd.Halt()
-			return
-		}
-	}
+	nd.Halt()
 }

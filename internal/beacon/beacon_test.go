@@ -3,6 +3,7 @@ package beacon
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coin"
 	"repro/internal/core"
 	"repro/internal/gf2k"
 	"repro/internal/metrics"
@@ -144,8 +146,8 @@ func TestPipelinedNoBlocking(t *testing.T) {
 	}
 }
 
-// TestBlockingFallback disables the high-water mark; refills must fall back
-// to the blocking path on the serving network and still produce coins.
+// TestBlockingFallback disables the high-water mark; every refill is then
+// started by a draw that waits for it, and coins keep coming.
 func TestBlockingFallback(t *testing.T) {
 	s, err := New(testConfig(t, 24, 6, 0))
 	if err != nil {
@@ -170,6 +172,117 @@ func TestBlockingFallback(t *testing.T) {
 	}
 }
 
+// callRand keys each player's randomness by that player's own call count,
+// as cmd/beacongw's insecureCellRand does (testRand's salt is global): call
+// k for a player is the same stream in every instance built from one seed,
+// so two Services replay each other exactly if they ask in the same order.
+func callRand(seed int64) func(int) io.Reader {
+	var mu sync.Mutex
+	calls := map[int]int64{}
+	return func(i int) io.Reader {
+		mu.Lock()
+		calls[i]++
+		k := calls[i]
+		mu.Unlock()
+		return rand.New(rand.NewSource(seed + int64(i)*1009 + k*1_000_003))
+	}
+}
+
+// TestStreamIndependentOfHighWater is the property the single refill path
+// buys: a Service's coin stream is a function of its dealer seed and Rand
+// alone. The same script — single draws, batches narrower and wider than
+// the high-water headroom, one wider than two whole batches, bit draws —
+// must yield byte-identical (seq, value) replies whether every mint is
+// started by a waiting draw (HighWater 0), by the high-water mark, or by a
+// mix of both.
+func TestStreamIndependentOfHighWater(t *testing.T) {
+	script := []struct {
+		kind byte // 'd' Draw, 'n' DrawN(n), 'b' DrawBits(n)
+		n    int
+	}{
+		{'d', 0}, {'n', 40}, {'n', 85}, {'d', 0}, {'b', 100}, {'n', 200}, {'n', 40},
+		{'d', 0}, {'d', 0}, {'d', 0}, {'n', 85}, {'b', 1000}, {'n', 46}, {'n', 40}, {'d', 0},
+	}
+	run := func(highWater int) ([]string, Stats) {
+		cfg := testConfig(t, 96, 8, highWater)
+		cfg.Rand = callRand(7)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		var replies []string
+		for i, st := range script {
+			var reply string
+			switch st.kind {
+			case 'd':
+				var v gf2k.Element
+				v, err = s.Draw(ctx)
+				reply = fmt.Sprint(v)
+			case 'n':
+				var vals []gf2k.Element
+				var seq int64
+				vals, seq, err = s.DrawN(ctx, st.n)
+				reply = fmt.Sprint(seq, vals)
+			case 'b':
+				var bits []byte
+				bits, err = s.DrawBits(ctx, st.n)
+				reply = fmt.Sprintf("%x", bits)
+			}
+			if err != nil {
+				t.Fatalf("HighWater %d, step %d: %v", highWater, i, err)
+			}
+			replies = append(replies, reply)
+		}
+		mustClose(t, s)
+		return replies, s.Stats()
+	}
+	want, st0 := run(0)
+	if st0.Refills < 4 || st0.BlockingRefills == 0 || st0.PipelinedRefills != 0 {
+		t.Fatalf("HighWater 0: want ≥ 4 refills, all started by a waiting draw: %+v", st0)
+	}
+	for _, hw := range []int{48, 64} {
+		got, st := run(hw)
+		if st.Refills < 4 || st.PipelinedRefills == 0 {
+			t.Errorf("HighWater %d: want ≥ 4 refills, some ahead of demand: %+v", hw, st)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("HighWater %d diverges from HighWater 0 at step %d:\n got %s\nwant %s", hw, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestResumeBelowReserve: a store restored with fewer coins than the seed
+// reserve (but the ≥ 2 a Coin-Gen needs) funds its first mint with all it
+// has and serves on.
+func TestResumeBelowReserve(t *testing.T) {
+	cfg := testConfig(t, 24, 6, 16)
+	batches, _, err := coin.DealTrusted(cfg.Core.Field, cfg.Core.N, cfg.Core.T, 3, cfg.Rand(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := make([]*coin.Store, cfg.Core.N)
+	for i, b := range batches {
+		stores[i] = &coin.Store{}
+		if err := stores[i].Add(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Resume(cfg, stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, s)
+	if _, _, err := s.DrawN(context.Background(), 10); err != nil {
+		t.Fatalf("draw on a 3-coin restored store: %v", err)
+	}
+	if st := s.Stats(); st.Refills < 1 || st.CoinsDelivered != 10 {
+		t.Fatalf("restored store did not refill and serve: %+v", st)
+	}
+}
+
 // gatedReader blocks reads on the shared gate channel once armed — it
 // freezes Coin-Gen's polynomial dealing at a deterministic point so tests
 // can observe the service mid-refill. Unarmed (during trusted setup) it
@@ -191,9 +304,9 @@ func (g *gatedReader) Read(p []byte) (int, error) {
 }
 
 // TestBackpressure fills the bounded queue while the executive is pinned
-// inside a blocking refill and checks the overflow request is rejected with
-// ErrOverloaded — then releases the refill and checks the queued requests
-// complete.
+// waiting on a refill a draw had to start and checks the overflow request
+// is rejected with ErrOverloaded — then releases the refill and checks the
+// queued requests complete.
 func TestBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	var armed atomic.Bool
@@ -219,10 +332,10 @@ func TestBackpressure(t *testing.T) {
 		}
 	}
 	armed.Store(true)
-	// The third draw forces a blocking refill, which parks the workers on
-	// the gated reader with the executive waiting on them. Once a worker
-	// has reached the gate the executive is committed to the refill and
-	// can no longer drain the queue.
+	// The third draw has to start a refill, which parks the minting players
+	// on the gated reader with the executive waiting on them. Once one has
+	// reached the gate the executive is committed to the refill and can no
+	// longer drain the queue.
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); s.Draw(ctx) }() //nolint:errcheck

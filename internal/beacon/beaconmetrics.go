@@ -26,7 +26,7 @@ type ServiceMetrics struct {
 
 	// DrawLatency is beacon_draw_latency_seconds: wall-clock time a
 	// successful draw spent from enqueue to response, including any
-	// exposure rounds and blocking refills it waited on. Nil (like the
+	// exposure rounds and refills it waited on. Nil (like the
 	// refill durations) on no registry, and then no clock is read.
 	DrawLatency *prom.Histogram
 	// Draws is beacon_draws_total; Coins is beacon_coins_delivered_total.
@@ -38,8 +38,8 @@ type ServiceMetrics struct {
 	// beacon_rejected_total{reason}: overloaded | rate-limited.
 	overloaded, rateLimited *prom.Counter
 	// beacon_refills_total{kind} and beacon_refill_duration_seconds{kind}:
-	// kind is pipelined (ran on the dedicated refill network, ahead of
-	// demand) or blocking (stalled the serving network).
+	// kind is pipelined (started ahead of demand, below the high-water
+	// mark) or blocking (started by a draw that then waited for it).
 	pipelined, blocking       *prom.Counter
 	pipelinedDur, blockingDur *prom.Histogram
 }

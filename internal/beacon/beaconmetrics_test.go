@@ -81,11 +81,11 @@ func TestServiceMetricsEndToEnd(t *testing.T) {
 }
 
 // TestServiceMetricsBlockingAndRejections covers the slow paths: a
-// HighWater-0 service refills inline (kind=blocking, draws counted as
-// blocked) and a rate-limited draw lands in beacon_rejected_total.
+// HighWater-0 service refills only when a draw waits for it (kind=blocking,
+// draws counted as blocked) and a rate-limited draw lands in beacon_rejected_total.
 func TestServiceMetricsBlockingAndRejections(t *testing.T) {
 	reg := prom.NewRegistry()
-	cfg := testConfig(t, 24, 6, 0) // no pipeline: refills block the serving network
+	cfg := testConfig(t, 24, 6, 0) // no high-water mark: every refill is started by a waiting draw
 	cfg.Metrics = NewServiceMetrics(reg)
 	cfg.Rate = 0.000001 // one token, never replenished within the test
 	cfg.Burst = 40

@@ -169,8 +169,8 @@ func TestDrawNIsOneRoundPerBatchTouched(t *testing.T) {
 		}
 	}
 
-	// 16 left. Eleven more leave 5 < 1 + Threshold, so the next draw runs
-	// a blocking refill first; after it the store is a nearly spent seed
+	// 16 left. Eleven more leave 5 < 1 + Threshold, so the next draw starts
+	// a refill and waits for it; after it the store is a nearly spent seed
 	// batch followed by a full minted one, and a 32-coin request needs no
 	// refill of its own (more than 48 ≥ 32 + 6 coins remain) but touches both.
 	if _, _, err := s.DrawN(ctx, 11); err != nil {

@@ -66,6 +66,32 @@ func DecodeWith(f gf2k.Field, xs, ys []gf2k.Element, degree, maxErrors int, ctr 
 	return d.Decode(ys)
 }
 
+// AdaptiveBudget is the error budget for opening a degree-≤t sharing from
+// the shares actually received, when whoever stayed silent is among the ≤ t
+// faulty: s silent faulty members shrink the point list by s but also
+// shrink the number of possible lies to t−s, so ⌊(points−t−1)/2⌋ (clamped
+// to [0, t]) always covers the remaining errors.
+func AdaptiveBudget(points, t int) int {
+	budget := (points - t - 1) / 2
+	if budget > t {
+		budget = t
+	}
+	if budget < 0 {
+		budget = 0
+	}
+	return budget
+}
+
+// OpenSecret decodes the degree-≤t sharing received as (xs[i], ys[i]) under
+// the adaptive budget and returns the shared secret F(0).
+func OpenSecret(f gf2k.Field, xs, ys []gf2k.Element, t int, ctr *metrics.Counters, pl *parallel.Pool) (gf2k.Element, error) {
+	res, err := DecodeWith(f, xs, ys, t, AdaptiveBudget(len(xs), t), ctr, pl)
+	if err != nil {
+		return 0, err
+	}
+	return poly.Eval(f, res.Poly, 0), nil
+}
+
 // Decoder decodes any number of words received over one point list: Reset
 // validates the point count against the error budget and resolves the cached
 // prefix domain once, and every Decode after it is the arithmetic alone. A

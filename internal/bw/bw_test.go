@@ -337,3 +337,35 @@ func TestDecoderManyWordsOneSetUp(t *testing.T) {
 		t.Fatal("Reset accepted a point list too short for its error budget")
 	}
 }
+
+// TestOpenSecretAdaptiveBudget: with t = 2 faulty of 13, s of them silent
+// and the rest lying, the shares that did arrive always open to F(0) — the
+// budget shrinks with the point list exactly as the possible lies do — and
+// one lie more than that is refused rather than mis-decoded.
+func TestOpenSecretAdaptiveBudget(t *testing.T) {
+	for _, tc := range []struct{ points, t, want int }{
+		{13, 2, 2}, {12, 2, 2}, {7, 2, 2}, {6, 2, 1}, {4, 2, 0}, {3, 2, 0}, {1, 2, 0},
+	} {
+		if got := AdaptiveBudget(tc.points, tc.t); got != tc.want {
+			t.Errorf("AdaptiveBudget(%d, %d) = %d, want %d", tc.points, tc.t, got, tc.want)
+		}
+	}
+	const n, deg = 13, 2
+	for silent := 0; silent <= deg; silent++ {
+		f, xs, ys, p := setup(t, 32, n, deg, int64(silent)+40)
+		xs, ys = xs[silent:], ys[silent:]
+		for lie := 0; lie < deg-silent; lie++ {
+			ys[lie] ^= 1
+		}
+		got, err := OpenSecret(f, xs, ys, deg, nil, nil)
+		if err != nil || got != p[0] {
+			t.Errorf("%d silent, %d lying: opened %v, %v; want %v", silent, deg-silent, got, err, p[0])
+		}
+	}
+	f, xs, ys, _ := setup(t, 32, 6, deg, 50)
+	ys[0] ^= 1
+	ys[1] ^= 1
+	if _, err := OpenSecret(f, xs, ys, deg, nil, nil); !errors.Is(err, ErrNoCodeword) {
+		t.Errorf("two lies among six points (budget 1): err = %v, want ErrNoCodeword", err)
+	}
+}

@@ -325,18 +325,9 @@ func (b *Batch) exposeRange(nd *simnet.Node, h int, out []gf2k.Element) error {
 		xs = append(xs, sc.sids[i])
 	}
 
-	// The error budget adapts to the shares actually received: s silent
-	// faulty members shrink the point list to |S|−s but also shrink the
-	// number of possible lies to t−s, so ⌊(points−t−1)/2⌋ (capped at t)
-	// always covers the remaining errors.
-	maxErr := (len(xs) - b.T - 1) / 2
-	if maxErr > b.T {
-		maxErr = b.T
-	}
-	if maxErr < 0 {
-		maxErr = 0
-	}
-	if err := sc.dec.Reset(b.Field, xs, b.T, maxErr, b.Counters, b.Pool); err != nil {
+	// The error budget adapts to the shares actually received: silent
+	// faulty members of S shrink the point list and the possible lies alike.
+	if err := sc.dec.Reset(b.Field, xs, b.T, bw.AdaptiveBudget(len(xs), b.T), b.Counters, b.Pool); err != nil {
 		return fmt.Errorf("coin: expose coin %d: %w", h, err)
 	}
 	for j := range out {

@@ -135,13 +135,10 @@ func (s *Store) Batches() []*Batch {
 // detached tail funds an out-of-band Coin-Gen on a separate network — the
 // beacon's refill pipeline. Every honest player must detach the same count
 // at the same logical instant; the resulting split is then structurally
-// identical everywhere. count must leave at least one coin behind.
+// identical everywhere. count may be the whole store.
 func (s *Store) DetachTail(count int) (*Store, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("coin: cannot detach %d coins", count)
-	}
-	if rem := s.Remaining(); count >= rem {
-		return nil, fmt.Errorf("coin: cannot detach %d of %d remaining coins (at least one must stay)", count, rem)
+	if rem := s.Remaining(); count < 1 || count > rem {
+		return nil, fmt.Errorf("coin: cannot detach %d of %d remaining coins", count, rem)
 	}
 	out := &Store{Universe: s.Universe, Generation: s.Generation, bound: s.bound, fieldK: s.fieldK, fieldM: s.fieldM, t: s.t}
 	var detached []*Batch

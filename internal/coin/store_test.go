@@ -122,8 +122,11 @@ func TestStoreDetachTail(t *testing.T) {
 	if err := st.Add(b2[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.DetachTail(6); err == nil {
-		t.Error("DetachTail of the whole store accepted")
+	if _, err := st.DetachTail(7); err == nil {
+		t.Error("DetachTail of more than the store holds accepted")
+	}
+	if _, err := st.DetachTail(0); err == nil {
+		t.Error("DetachTail(0) accepted")
 	}
 	// 4 newest = all of b2 (3) + the newest coin of b1: crosses a batch
 	// boundary.
@@ -136,6 +139,14 @@ func TestStoreDetachTail(t *testing.T) {
 	}
 	if got := len(tail.Batches()); got != 2 {
 		t.Fatalf("detached tail spans %d batches, want 2", got)
+	}
+	// The whole remaining store may go: an on-demand mint takes it as seed.
+	rest, err := st.DetachTail(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Remaining() != 0 || rest.Remaining() != 2 {
+		t.Fatalf("detaching the whole store left %d + %d, want 0 + 2", st.Remaining(), rest.Remaining())
 	}
 }
 

@@ -57,9 +57,10 @@ type Config struct {
 	// HighWater, when > 0, is the proactive refill trigger used by serving
 	// layers (internal/beacon): once Remaining() < HighWater, NeedsRefill
 	// reports true so an out-of-band Coin-Gen can be started while clients
-	// keep draining the current batch, long before the blocking Threshold
-	// is reached. Must be ≥ Threshold. Zero disables the high-water mark
-	// (NeedsRefill then falls back to Threshold).
+	// keep draining the current batch, long before a draw would have to
+	// wait for one. It decides when a mint starts, never which coins fund
+	// it or come out of it. Must be ≥ Threshold. Zero disables the
+	// high-water mark (NeedsRefill then falls back to Threshold).
 	HighWater int
 	// Counters, when non-nil, records all protocol costs.
 	Counters *metrics.Counters
@@ -292,16 +293,12 @@ func (g *Generator) ExposeN(nd *simnet.Node, k int) ([]gf2k.Element, error) {
 // DetachSeed carves the `count` newest sealed coins out of the store as a
 // standalone seed for an out-of-band refill (core.Mint on a separate
 // network), leaving the older coins behind for the serving path to keep
-// draining. count must be ≥ 2 (a Coin-Gen spends one challenge coin plus at
-// least one leader draw) and must leave at least Threshold coins behind so
-// the serving path retains its own emergency refill budget.
+// draining — possibly none: the mint's batch is the only refill the serving
+// layer has, so nothing is held back for another. count must be ≥ 2 (a
+// Coin-Gen spends one challenge coin plus at least one leader draw).
 func (g *Generator) DetachSeed(count int) (*coin.Store, error) {
 	if count < 2 {
 		return nil, fmt.Errorf("core: a detached seed of %d coins cannot fund a refill (need ≥ 2)", count)
-	}
-	if keep := g.store.Remaining() - count; keep < g.cfg.Threshold {
-		return nil, fmt.Errorf("core: detaching %d of %d coins would leave %d, below threshold %d",
-			count, g.store.Remaining(), keep, g.cfg.Threshold)
 	}
 	return g.store.DetachTail(count)
 }

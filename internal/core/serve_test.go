@@ -130,8 +130,8 @@ func TestMintDetachAbsorb(t *testing.T) {
 	if _, err := gens[0].DetachSeed(1); err == nil {
 		t.Error("DetachSeed(1) accepted; cannot fund a refill")
 	}
-	if _, err := gens[0].DetachSeed(8); err == nil {
-		t.Error("DetachSeed leaving less than the threshold accepted")
+	if _, err := gens[0].DetachSeed(13); err == nil {
+		t.Error("DetachSeed of more than the store holds accepted")
 	}
 
 	seeds := make([]*coin.Store, cfg.N)

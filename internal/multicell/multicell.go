@@ -74,11 +74,8 @@ type Config struct {
 	// Cell is the per-cell beacon configuration template. Rand and Metrics
 	// must be left nil (see CellRand; cell metrics are exported with a cell
 	// label by the cluster), and Rate must be 0 — rate limiting is
-	// per-tenant at the router, not per-cell. HighWater must be large
-	// enough that a loaded cell never falls back to a blocking refill
-	// (beacon.Config.WaterMarks names the least such value): blocking
-	// refills consume a different randomness stream than pipelined ones,
-	// which would break the per-cell stream-reproducibility guarantee.
+	// per-tenant at the router, not per-cell. Core.HighWater is free: a
+	// cell's stream is a function of its dealer seed and CellRand alone.
 	Cell beacon.Config
 	// CellRand supplies the domain-separated randomness for cell `cell`,
 	// player `player`: both the one-time dealer seed and every refill.
@@ -127,8 +124,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the configuration, including the stream-reproducibility
-// invariant on the cell template (see Config.Cell).
+// Validate checks the configuration, including what the cell template
+// must leave to the cluster (see Config.Cell).
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.Cells < 1 {
@@ -142,10 +139,6 @@ func (c Config) Validate() error {
 	}
 	if c.Cell.Rate != 0 {
 		return errors.New("multicell: leave Cell.Rate 0; rate limiting is per-tenant at the router")
-	}
-	if _, minHigh := c.Cell.WaterMarks(); c.Cell.Core.HighWater < minHigh {
-		return fmt.Errorf("multicell: Cell.Core.HighWater %d < %d (threshold + seed reserve + one full sweep) — a loaded cell could fall back to a blocking refill, breaking per-cell stream reproducibility",
-			c.Cell.Core.HighWater, minHigh)
 	}
 	if c.TenantRate < 0 {
 		return fmt.Errorf("multicell: negative tenant rate %v", c.TenantRate)
@@ -208,10 +201,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(nil)
 	}
-	lowWater, _ := cfg.Cell.WaterMarks()
 	cl := &Cluster{
 		cfg:      cfg,
-		lowWater: lowWater,
+		lowWater: cfg.Cell.LowWater(),
 		cells:    make([]*beacon.Service, cfg.Cells),
 		tenants:  newTenantTable(cfg.TenantRate, cfg.TenantBurst, cfg.MaxStreamsPerTenant, cfg.MaxTenants, cfg.now),
 		down:     make([]atomic.Bool, cfg.Cells),

@@ -44,7 +44,7 @@ func newCellRand(seed int64, cells int) func(cell, player int) io.Reader {
 }
 
 // testClusterConfig is the shared small-field cluster: GF(2^8), n=7, t=1
-// cells with a high-water mark deep enough that refills always pipeline.
+// cells with a high-water mark deep enough that mints start ahead of demand.
 func testClusterConfig(tb testing.TB, cells int) Config {
 	tb.Helper()
 	f, err := gf2k.New(8)
@@ -166,54 +166,74 @@ func (r *streamRecorder) verifyAgainstReference(t *testing.T, cfg Config, cell i
 }
 
 // TestCellStreamsMatchSingleCellReference is the acceptance conformance
-// test: hammer an M-cell cluster with concurrent mixed-tenant traffic
-// (forcing several refills per cell), then replay every cell's recorded
-// stream against a standalone Service with the same domain-separated seed.
-// Any cross-cell state leakage — shared store, shared randomness, a coin
-// served under the wrong cell label — shows up as a value mismatch.
+// test: drive a cluster across several refills per cell, then replay every
+// cell's recorded stream against a standalone Service with the same
+// domain-separated seed. Any cross-cell state leakage — shared store,
+// shared randomness, a coin served under the wrong cell label — shows up as
+// a value mismatch, and so does a stream that depends on when a cell's
+// mints start: the reference is drawn in MaxDrawBatch-wide requests, the
+// cluster never is.
 func TestCellStreamsMatchSingleCellReference(t *testing.T) {
-	const cells = 3
-	cfg := testClusterConfig(t, cells)
-	cl, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := newStreamRecorder()
 	ctx := context.Background()
-	var wg sync.WaitGroup
-	tenants := []string{"", "alice", "bob", "carol", "dave", ""}
-	const drawsPerClient = 60
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < drawsPerClient; i++ {
-				n := 1 + (g+i)%4
-				b, err := cl.DrawN(ctx, tenants[g%len(tenants)], n)
+	for _, tc := range []struct {
+		name      string
+		cells     int
+		highWater int
+		load      func(t *testing.T, cl *Cluster, rec *streamRecorder)
+	}{
+		// Concurrent mixed-tenant traffic in small batches.
+		{"hammer", 3, 64, func(t *testing.T, cl *Cluster, rec *streamRecorder) {
+			var wg sync.WaitGroup
+			tenants := []string{"", "alice", "bob", "carol", "dave", ""}
+			const drawsPerClient = 60
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < drawsPerClient; i++ {
+						n := 1 + (g+i)%4
+						b, err := cl.DrawN(ctx, tenants[g%len(tenants)], n)
+						if err != nil {
+							t.Errorf("client %d draw %d: %v", g, i, err)
+							return
+						}
+						rec.record(t, b)
+					}
+				}(g)
+			}
+			wg.Wait()
+		}},
+		// Two sweeps wider than a shallow high-water mark's headroom drain
+		// the store to within a seed of empty before any mint has started.
+		{"wide sweeps", 1, 48, func(t *testing.T, cl *Cluster, rec *streamRecorder) {
+			for i, n := range []int{46, 40, 1, 1, 1, 85, 6} {
+				b, err := cl.DrawN(ctx, "", n)
 				if err != nil {
-					t.Errorf("client %d draw %d: %v", g, i, err)
-					return
+					t.Fatalf("draw %d: %v", i, err)
 				}
 				rec.record(t, b)
 			}
-		}(g)
-	}
-	wg.Wait()
-	for _, st := range cl.CellStats() {
-		if st.Down {
-			t.Fatalf("cell %d marked down during a benign run", st.Cell)
-		}
-	}
-	// Reproducibility precondition: every refill ran on the pipelined
-	// path (blocking refills would consume the workers' private streams).
-	for i, svc := range cl.cells {
-		if br := svc.Stats().BlockingRefills; br != 0 {
-			t.Fatalf("cell %d fell back to %d blocking refills; high-water mark is misconfigured for reproducibility", i, br)
-		}
-	}
-	mustCloseCluster(t, cl)
-	for cell := 0; cell < cells; cell++ {
-		rec.verifyAgainstReference(t, cfg, cell)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testClusterConfig(t, tc.cells)
+			cfg.Cell.Core.HighWater = tc.highWater
+			cl, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := newStreamRecorder()
+			tc.load(t, cl, rec)
+			for _, st := range cl.CellStats() {
+				if st.Down {
+					t.Fatalf("cell %d marked down during a benign run", st.Cell)
+				}
+			}
+			mustCloseCluster(t, cl)
+			for cell := 0; cell < tc.cells; cell++ {
+				rec.verifyAgainstReference(t, cfg, cell)
+			}
+		})
 	}
 }
 
@@ -288,7 +308,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero cells", func(c *Config) { c.Cells = 0 }, false},
 		{"cell rand set directly", func(c *Config) { c.Cell.Rand = func(int) io.Reader { return rand.New(rand.NewSource(1)) } }, false},
 		{"cell rate set", func(c *Config) { c.Cell.Rate = 10 }, false},
-		{"shallow high water", func(c *Config) { c.Cell.Core.HighWater = 20 }, false},
 		{"negative tenant rate", func(c *Config) { c.TenantRate = -1 }, false},
 	}
 	for _, tc := range cases {

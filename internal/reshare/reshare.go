@@ -510,18 +510,11 @@ func decodeChallenge(nd *simnet.Node, cfg Config, msgs []simnet.Message, own gf2
 		xs = append(xs, id)
 		ys = append(ys, share)
 	}
-	maxErr := (len(xs) - cfg.OldT - 1) / 2
-	if maxErr > cfg.OldT {
-		maxErr = cfg.OldT
-	}
-	if maxErr < 0 {
-		maxErr = 0
-	}
-	res, err := bw.DecodeWith(f, xs, ys, cfg.OldT, maxErr, cfg.Counters, cfg.Pool)
+	v, err := bw.OpenSecret(f, xs, ys, cfg.OldT, cfg.Counters, cfg.Pool)
 	if err != nil {
 		return 0, fmt.Errorf("reshare: challenge expose: %w", err)
 	}
-	return poly.Eval(f, res.Poly, 0), nil
+	return v, nil
 }
 
 // verdictState is the public outcome every honest player derives from the
@@ -593,14 +586,7 @@ func judge(nd *simnet.Node, cfg Config, msgs []simnet.Message) (*verdictState, e
 			v.cheaters = append(v.cheaters, o)
 			continue
 		}
-		budget := (len(xs) - cfg.NewT - 1) / 2
-		if budget > cfg.NewT {
-			budget = cfg.NewT
-		}
-		if budget < 0 {
-			budget = 0
-		}
-		res, err := bw.DecodeWith(f, xs, ys, cfg.NewT, budget, cfg.Counters, cfg.Pool)
+		res, err := bw.DecodeWith(f, xs, ys, cfg.NewT, bw.AdaptiveBudget(len(xs), cfg.NewT), cfg.Counters, cfg.Pool)
 		if err != nil {
 			// No degree-≤t' codeword: wrong-degree or equivocal dealing.
 			v.cheaters = append(v.cheaters, o)
@@ -628,14 +614,7 @@ func judge(nd *simnet.Node, cfg Config, msgs []simnet.Message) (*verdictState, e
 		ys = append(ys, us[o])
 		aliveIdx = append(aliveIdx, o)
 	}
-	budget := (len(xs) - cfg.OldT - 1) / 2
-	if budget > cfg.OldT {
-		budget = cfg.OldT
-	}
-	if budget < 0 {
-		budget = 0
-	}
-	res, err := bw.DecodeWith(f, xs, ys, cfg.OldT, budget, cfg.Counters, cfg.Pool)
+	res, err := bw.DecodeWith(f, xs, ys, cfg.OldT, bw.AdaptiveBudget(len(xs), cfg.OldT), cfg.Counters, cfg.Pool)
 	if err != nil {
 		return nil, fmt.Errorf("reshare: opened combinations exceed the fault bound (t=%d): %w", cfg.OldT, err)
 	}

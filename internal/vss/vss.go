@@ -392,16 +392,9 @@ func (inst *Instance) Reconstruct(nd *simnet.Node, j int) (gf2k.Element, error) 
 		xs = append(xs, id)
 		ys = append(ys, v)
 	}
-	maxErr := (len(xs) - cfg.T - 1) / 2
-	if maxErr > cfg.T {
-		maxErr = cfg.T
-	}
-	if maxErr < 0 {
-		maxErr = 0
-	}
-	res, err := bw.DecodeWith(cfg.Field, xs, ys, cfg.T, maxErr, cfg.Counters, cfg.Pool)
+	v, err := bw.OpenSecret(cfg.Field, xs, ys, cfg.T, cfg.Counters, cfg.Pool)
 	if err != nil {
 		return 0, fmt.Errorf("vss: reconstruct secret %d: %w", j, err)
 	}
-	return poly.Eval(cfg.Field, res.Poly, 0), nil
+	return v, nil
 }
