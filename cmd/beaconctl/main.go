@@ -19,10 +19,9 @@
 // status prints one row per player: its round/log/epoch position, the
 // committee generation it serves (GEN — bumped by every dealer-free
 // reshare), coins left in the store, how far it trails the cluster lead
-// (LAG), its view of peer connectivity, and latency quantiles (draw
-// latency in -all mode, emit latency in -player mode). Players lagging the
-// lead by more than -lag rounds are flagged STRAGGLER; unreachable daemons
-// are flagged DOWN; daemons armed for a handover are flagged
+// (LAG), its view of peer connectivity, and emit-latency quantiles.
+// Players lagging the lead by more than -lag rounds are flagged STRAGGLER;
+// unreachable daemons are flagged DOWN; daemons armed for a handover are flagged
 // reshare-arming while the cutover is negotiated and reshare@N once it is
 // committed. A daemon that was SIGKILLed shows DOWN until it restarts,
 // STRAGGLER while it catches up, and a clean row once rejoined.
@@ -112,8 +111,7 @@ type peerView struct {
 	cutover    int  // committed handover position, -1 while negotiating/unarmed
 
 	// From /metrics.
-	p50, p99   float64 // draw (service) or emit (player) latency seconds
-	latencySrc string  // "draw" or "emit"
+	p50, p99   float64 // emit latency seconds; both 0 before the first coin
 	demotions  float64 // sum over this daemon's simnet_peer_demotions_total
 	reconnects float64 // sum over simnet_peer_reconnects_total
 }
@@ -185,8 +183,8 @@ func runStatus(args []string, stdout, stderr io.Writer) error {
 			flags = append(flags, fmt.Sprintf("demoted-peers=%.0f", v.demotions))
 		}
 		lat := "-"
-		if v.latencySrc != "" {
-			lat = fmt.Sprintf("%s %.0fms/%.0fms", v.latencySrc, v.p50*1000, v.p99*1000)
+		if v.p99 > 0 {
+			lat = fmt.Sprintf("emit %.0fms/%.0fms", v.p50*1000, v.p99*1000)
 		}
 		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d/%d\t%s\t%s\n",
 			v.id, v.http, v.round, v.logLen, v.epoch, v.generation, v.remaining, lag,
@@ -261,16 +259,9 @@ func scrapePeer(client *http.Client, p simnet.Peer) *peerView {
 	if err != nil {
 		return v
 	}
-	for _, src := range []struct{ label, name string }{
-		{"draw", "beacon_draw_latency_seconds"},
-		{"emit", "beacond_emit_latency_seconds"},
-	} {
-		if n, ok := prom.Value(samples, src.name+"_count"); ok && n > 0 {
-			v.latencySrc = src.label
-			v.p50 = prom.Quantile(samples, src.name, 0.50)
-			v.p99 = prom.Quantile(samples, src.name, 0.99)
-			break
-		}
+	if n, ok := prom.Value(samples, "beacond_emit_latency_seconds_count"); ok && n > 0 {
+		v.p50 = prom.Quantile(samples, "beacond_emit_latency_seconds", 0.50)
+		v.p99 = prom.Quantile(samples, "beacond_emit_latency_seconds", 0.99)
 	}
 	for _, s := range prom.Find(samples, "simnet_peer_demotions_total") {
 		v.demotions += s.Value
@@ -414,16 +405,16 @@ func renderCells(stdout io.Writer, first, second []prom.Sample, window time.Dura
 		}
 		return cells[id]
 	}
-	for _, s := range prom.Find(second, "beacon_cell_depth") {
+	for _, s := range prom.Find(second, "beacon_store_remaining") {
 		view(s.Label("cell")).depth = s.Value
 	}
 	for _, s := range prom.Find(second, "beacon_cell_refill_lag") {
 		view(s.Label("cell")).lag = s.Value
 	}
-	for _, s := range prom.Find(second, "beacon_cell_queue_depth") {
+	for _, s := range prom.Find(second, "beacon_queue_depth") {
 		view(s.Label("cell")).queue = s.Value
 	}
-	for _, s := range prom.Find(second, "beacon_cell_refill_in_flight") {
+	for _, s := range prom.Find(second, "beacon_refill_in_flight") {
 		view(s.Label("cell")).refilling = s.Value > 0
 	}
 	for _, s := range prom.Find(second, "beacon_cell_down") {
@@ -448,7 +439,7 @@ func renderCells(stdout io.Writer, first, second []prom.Sample, window time.Dura
 		}
 	}
 	if len(cells) == 0 {
-		return fmt.Errorf("beaconctl: no beacon_cell_* series in the exposition — is -gw pointing at a beacongw /metrics port?")
+		return fmt.Errorf("beaconctl: no per-cell series in the exposition — is -gw pointing at a beacongw /metrics port?")
 	}
 
 	ids := make([]string, 0, len(cells))

@@ -296,14 +296,14 @@ func TestTimelineSurvivesDeadDaemon(t *testing.T) {
 // snapshot advances cell 0's routed and shed counters by 50 and 5 over the
 // sampling window while cell 1 sits down and idle.
 var gatewayMetrics = [2]string{
-	`beacon_cell_depth{cell="0"} 60
-beacon_cell_depth{cell="1"} 12
+	`beacon_store_remaining{cell="0"} 60
+beacon_store_remaining{cell="1"} 12
 beacon_cell_refill_lag{cell="0"} 4
 beacon_cell_refill_lag{cell="1"} 52
-beacon_cell_queue_depth{cell="0"} 2
-beacon_cell_queue_depth{cell="1"} 0
-beacon_cell_refill_in_flight{cell="0"} 1
-beacon_cell_refill_in_flight{cell="1"} 0
+beacon_queue_depth{cell="0"} 2
+beacon_queue_depth{cell="1"} 0
+beacon_refill_in_flight{cell="0"} 1
+beacon_refill_in_flight{cell="1"} 0
 beacon_cell_down{cell="0"} 0
 beacon_cell_down{cell="1"} 1
 multicell_routed_draws_total{cell="0",route="hash"} 30
@@ -313,14 +313,14 @@ multicell_streams_active 3
 multicell_rejected_total{reason="ratelimit"} 7
 multicell_rejected_total{reason="saturated"} 2
 `,
-	`beacon_cell_depth{cell="0"} 60
-beacon_cell_depth{cell="1"} 12
+	`beacon_store_remaining{cell="0"} 60
+beacon_store_remaining{cell="1"} 12
 beacon_cell_refill_lag{cell="0"} 4
 beacon_cell_refill_lag{cell="1"} 52
-beacon_cell_queue_depth{cell="0"} 2
-beacon_cell_queue_depth{cell="1"} 0
-beacon_cell_refill_in_flight{cell="0"} 1
-beacon_cell_refill_in_flight{cell="1"} 0
+beacon_queue_depth{cell="0"} 2
+beacon_queue_depth{cell="1"} 0
+beacon_refill_in_flight{cell="0"} 1
+beacon_refill_in_flight{cell="1"} 0
 beacon_cell_down{cell="0"} 0
 beacon_cell_down{cell="1"} 1
 multicell_routed_draws_total{cell="0",route="hash"} 60
@@ -392,7 +392,7 @@ func TestCellsTable(t *testing.T) {
 }
 
 // TestCellsRejectsNonGateway points cells at a daemon-style /metrics with
-// no beacon_cell_* series: it must error instead of printing an empty table.
+// no per-cell series: it must error instead of printing an empty table.
 func TestCellsRejectsNonGateway(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "beacond_emit_latency_seconds_count 8\n")
@@ -401,7 +401,7 @@ func TestCellsRejectsNonGateway(t *testing.T) {
 
 	var out, errBuf bytes.Buffer
 	err := run([]string{"cells", "-gw", hostOf(srv), "-interval", "1ms"}, &out, &errBuf)
-	if err == nil || !strings.Contains(err.Error(), "beacon_cell_") {
+	if err == nil || !strings.Contains(err.Error(), "no per-cell series") {
 		t.Fatalf("want no-cells error, got %v", err)
 	}
 }

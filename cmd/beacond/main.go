@@ -1,15 +1,7 @@
-// Command beacond serves shared randomness from a D-PRBG cluster — the
-// deployable face of internal/beacon. It runs in one of three modes:
-//
-// Single-process (-all, also the default): all n players live in one
-// process and randomness is served over HTTP. On first start the cluster is
-// seeded with a one-time trusted-dealer batch (the paper's only trusted
-// step); on SIGTERM/SIGINT it shuts down gracefully and persists every
-// player's sealed store under -data, and a restart resumes from those files
-// without the dealer ever being consulted again (§1.2's "the new seed is
-// stored until the next execution of the application").
-//
-//	beacond -all -addr :8433 -n 7 -t 1 -k 32 -data /var/lib/beacond
+// Command beacond is the multi-process face of internal/beacon: one OS
+// process per player, peered over authenticated TCP. (All n players in one
+// process, serving draws over HTTP, is cmd/beacongw — `beacongw -cells 1`.)
+// It runs in one of three modes:
 //
 // Ceremony (-deal): run the one-time trusted dealer for a multi-process
 // cluster described by a peer config, writing every player's initial state
@@ -39,28 +31,20 @@
 //	beacond -player 3 -config peers.yaml -data DIR -reshare peers-g2.yaml
 //	beacond -reshare-join 7 -config peers.yaml -reshare peers-g2.yaml -data DIR
 //
-// HTTP endpoints (single-process mode; daemon mode serves the observability
-// endpoints only — /v1/healthz, /metrics, /debug/trace — on -addr when
-// set):
+// HTTP endpoints: a daemon's coins go to its public log, not over HTTP; on
+// -addr (when set) it serves the observability endpoints only:
 //
-//	GET /v1/coin        one shared coin (an element of GF(2^k))
-//	GET /v1/bits?n=128  n shared random bits, hex-encoded LSB-first
-//	GET /v1/modulo?m=6  a shared value in [1, m] (the paper's leader draw)
-//	GET /v1/healthz     liveness plus a stats summary
-//	GET /metrics        Prometheus text exposition (draw latency, refill
-//	                    pipeline, per-peer watermarks in daemon mode)
+//	GET /v1/healthz     liveness plus the daemon's position (round, log,
+//	                    epoch, generation, peers)
+//	GET /metrics        Prometheus text exposition (emit latency, refills,
+//	                    per-peer watermarks)
 //	GET /debug/trace    last ?n= events from the in-memory flight recorder,
 //	                    as obs JSONL (mergeable with beaconctl timeline)
-//
-// Overload responses use 429 (queue full or rate-limited); a clean
-// shutdown answers in-flight requests before persisting.
 package main
 
 import (
 	"context"
 	cryptorand "crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -71,17 +55,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/beacon"
-	"repro/internal/core"
-	"repro/internal/gf2k"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/obs/prom"
+	"repro/internal/obs/obshttp"
 	"repro/internal/simnet"
 )
 
@@ -96,20 +76,11 @@ func main() {
 // config is the validated flag set of one invocation.
 type config struct {
 	addr         string
-	n, t, k      int
-	batch        int
-	threshold    int
-	highWater    int
-	seedCoins    int
-	queue        int
-	rate         float64
-	burst        int
 	data         string
 	insecureRand bool
 	rngSeed      int64
 
 	// Mode selection (see usageModes).
-	all        bool
 	deal       bool
 	player     int
 	configPath string
@@ -132,41 +103,30 @@ type config struct {
 // usageModes names the invocation shapes; every mode-selection error points
 // the operator at it.
 const usageModes = `modes:
-  beacond -all    [-n 7 -t 1 ...]                     single process hosting all n players (default)
   beacond -deal   -config peers.yaml -data DIR        one-time dealer ceremony for a multi-process cluster
   beacond -player I -config peers.yaml -data DIR      one player's daemon, peered over authenticated TCP
   beacond -player I ... -reshare next.yaml            armed daemon: serve, then hand over to the next roster
   beacond -reshare-join J -config old.yaml -reshare next.yaml -data DIR
-                                                      pure joiner: take part in the handover ceremony only`
+                                                      pure joiner: take part in the handover ceremony only
+(all n players in one process, serving draws over HTTP: beacongw -cells 1)`
 
 func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs := flag.NewFlagSet("beacond", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var c config
-	fs.StringVar(&c.addr, "addr", "127.0.0.1:8433", "HTTP listen address (daemon mode: empty disables HTTP)")
-	fs.IntVar(&c.n, "n", 7, "number of players (n ≥ 6t+1)")
-	fs.IntVar(&c.t, "t", 1, "Byzantine fault bound")
-	fs.IntVar(&c.k, "k", 32, "coin field GF(2^k), 2 ≤ k ≤ 64")
-	fs.IntVar(&c.batch, "batch", 96, "Coin-Gen batch size M")
-	fs.IntVar(&c.threshold, "threshold", core.DefaultThreshold, "refill threshold: sealed coins held back to fund the next Coin-Gen")
-	fs.IntVar(&c.highWater, "highwater", 64, "store depth below which a refill starts ahead of demand (0: only when a draw has to wait for it; never changes the coin stream)")
-	fs.IntVar(&c.seedCoins, "seed-coins", 0, "one-time trusted-dealer seed size (default: batch)")
-	fs.IntVar(&c.queue, "queue", 256, "request queue depth (backpressure bound)")
-	fs.Float64Var(&c.rate, "rate", 0, "token-bucket rate limit in requests/s (0 disables)")
-	fs.IntVar(&c.burst, "burst", 0, "token-bucket burst (default 1 when -rate is set)")
-	fs.StringVar(&c.data, "data", "", "state directory for persisted stores (empty: no persistence; required in -deal/-player modes)")
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8433", "HTTP listen address of the observability endpoints (empty disables HTTP)")
+	fs.StringVar(&c.data, "data", "", "state directory: the ceremony's output (-deal), the player's store, meta and public log (-player, -reshare-join)")
 	fs.BoolVar(&c.insecureRand, "insecure-rand", false, "use seeded math/rand instead of crypto/rand (reproducible demos ONLY)")
 	fs.Int64Var(&c.rngSeed, "rng-seed", 1, "seed for -insecure-rand")
-	fs.BoolVar(&c.all, "all", false, "single-process mode: host all n players in this process (the default)")
 	fs.BoolVar(&c.deal, "deal", false, "run the one-time dealer ceremony for -config, write state files under -data, and exit")
 	fs.IntVar(&c.player, "player", -1, "multi-process mode: run only this player's daemon (requires -config and -data)")
-	fs.StringVar(&c.configPath, "config", "", "peer config (peers.yaml) for -deal and -player modes")
+	fs.StringVar(&c.configPath, "config", "", "peer config (peers.yaml)")
 	fs.IntVar(&c.emit, "emit", 0, "daemon mode: stop after the public log reaches this many coins (0 = run forever)")
 	fs.DurationVar(&c.emitInterval, "emit-interval", 0, "daemon mode: minimum delay between coin openings (0 = as fast as rounds allow)")
 	fs.DurationVar(&c.roundTimeout, "round-timeout", 0, "daemon mode: barrier timeout before lagging peers are dropped from a round (0 = transport default)")
 	fs.DurationVar(&c.dialBackoff, "dial-backoff", 0, "daemon mode: maximum reconnect backoff between dial attempts (0 = transport default)")
 	fs.DurationVar(&c.joinTimeout, "join-timeout", 0, "daemon mode: bound on join choreography and reshare mesh formation (0 = default 30s)")
-	fs.StringVar(&c.trace, "trace", "", "write an obs JSONL protocol trace to this file (-all: refill spans; -player: the full protocol)")
+	fs.StringVar(&c.trace, "trace", "", "daemon mode: write an obs JSONL protocol trace to this file")
 	fs.StringVar(&c.resharePath, "reshare", "", "next-generation peers.yaml: arm the daemon for a dealer-free handover (with -player), or name the target roster (with -reshare-join)")
 	fs.IntVar(&c.reshareJoin, "reshare-join", -1, "run only the handover ceremony, as NEW-roster player J joining the committee (requires -config OLD -reshare NEXT -data DIR)")
 	fs.BoolVar(&c.reshareStale, "reshare-stale", false, "with -player and -reshare: this member's store missed a refill; skip serving and recover fresh shares through the ceremony")
@@ -187,13 +147,13 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 // and that it has what it needs.
 func (c *config) validateModes() error {
 	modes := 0
-	for _, on := range []bool{c.all, c.deal, c.player >= 0, c.reshareJoin >= 0} {
+	for _, on := range []bool{c.deal, c.player >= 0, c.reshareJoin >= 0} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		return fmt.Errorf("beacond: -all, -deal, -player and -reshare-join are mutually exclusive")
+		return fmt.Errorf("beacond: -deal, -player and -reshare-join are mutually exclusive")
 	}
 	switch {
 	case c.deal:
@@ -208,7 +168,7 @@ func (c *config) validateModes() error {
 		}
 	case c.player >= 0:
 		if c.configPath == "" {
-			return fmt.Errorf("beacond: -player requires -config peers.yaml (without it there is no cluster to join; use -all for the single-process mode)")
+			return fmt.Errorf("beacond: -player requires -config peers.yaml (without it there is no cluster to join; beacongw -cells 1 is the single-process beacon)")
 		}
 		if c.data == "" {
 			return fmt.Errorf("beacond: -player requires -data (the player's state directory from the -deal ceremony)")
@@ -227,114 +187,9 @@ func (c *config) validateModes() error {
 			return fmt.Errorf("beacond: -reshare-stale is for old members (-player); a joiner has no store to be stale")
 		}
 	default:
-		// Single-process mode (explicit -all or no mode flag at all).
-		if c.configPath != "" {
-			return fmt.Errorf("beacond: -config is only meaningful with -deal, -player or -reshare-join")
-		}
-		if c.resharePath != "" || c.reshareStale {
-			return fmt.Errorf("beacond: -reshare flags are only meaningful with -player or -reshare-join")
-		}
+		return fmt.Errorf("beacond: no mode given: one of -deal, -player or -reshare-join is required (the single-process beacon is beacongw -cells 1)")
 	}
 	return nil
-}
-
-func (c *config) beaconConfig(ctr *metrics.Counters) (beacon.Config, error) {
-	field, err := gf2k.New(c.k)
-	if err != nil {
-		return beacon.Config{}, err
-	}
-	cfg := beacon.Config{
-		Core: core.Config{
-			Field:     field,
-			N:         c.n,
-			T:         c.t,
-			BatchSize: c.batch,
-			Threshold: c.threshold,
-			HighWater: c.highWater,
-		},
-		SeedCoins:  c.seedCoins,
-		QueueDepth: c.queue,
-		Rate:       c.rate,
-		Burst:      c.burst,
-		Counters:   ctr,
-	}
-	if c.insecureRand {
-		var salt atomic.Int64
-		seed := c.rngSeed
-		cfg.Rand = func(i int) io.Reader {
-			return rand.New(rand.NewSource(seed + int64(i)*1009 + salt.Add(1)*1_000_003))
-		}
-	} else {
-		cfg.Rand = func(int) io.Reader { return cryptorand.Reader }
-	}
-	return cfg, cfg.Validate()
-}
-
-// observability is what both serving modes expose on -addr: the Prometheus
-// registry and the always-on flight recorder — the tracer feeds an
-// in-memory ring (served at /debug/trace) and, with -trace, a JSONL file as
-// well. beacon.NewDaemon stamps the tracer with the player's origin and
-// epoch, so dumps from different daemons correlate.
-type observability struct {
-	reg    *prom.Registry
-	ring   *obs.Ring
-	tracer *obs.Tracer
-	close  func() // flushes and closes the -trace file, if any
-}
-
-func newObservability(ctr *metrics.Counters, tracePath string) (*observability, error) {
-	o := &observability{reg: prom.NewRegistry(), ring: obs.NewRing(0), close: func() {}}
-	sinks := []obs.Sink{o.ring}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return nil, err
-		}
-		jsonl := obs.NewJSONL(f)
-		o.close = func() {
-			jsonl.Flush() //nolint:errcheck // best-effort trace file
-			f.Close()
-		}
-		sinks = append(sinks, jsonl)
-	}
-	o.tracer = obs.New(ctr, sinks...)
-	return o, nil
-}
-
-// mux serves the endpoints the two modes share; healthz supplies the
-// mode's own /v1/healthz body.
-func (o *observability) mux(healthz func() any) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, healthz()) })
-	mux.Handle("GET /metrics", o.reg.Handler())
-	mux.HandleFunc("GET /debug/trace", traceHandler(o.ring))
-	return mux
-}
-
-// traceHandler serves the in-memory flight recorder as obs JSONL: the last
-// ?n= events (default: everything retained). The dump carries each event's
-// origin/epoch correlation keys, so per-daemon dumps merge with
-// obs.MergeJSONL into one cluster timeline (beaconctl timeline does).
-func traceHandler(ring *obs.Ring) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		evs := ring.Events()
-		if q := r.URL.Query().Get("n"); q != "" {
-			n, err := strconv.Atoi(q)
-			if err != nil || n < 1 {
-				http.Error(w, "beacond: malformed ?n= event count", http.StatusBadRequest)
-				return
-			}
-			if len(evs) > n {
-				evs = evs[len(evs)-n:]
-			}
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		j := obs.NewJSONL(w)
-		for _, e := range evs {
-			j.Emit(e)
-		}
-		j.Flush() //nolint:errcheck // client went away; nothing to do
-	}
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -346,149 +201,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	case c.deal:
 		return runDeal(c, stdout)
 	case c.player >= 0:
-		return runPlayer(ctx, c, stdout, stderr)
-	case c.reshareJoin >= 0:
+		return runPlayer(ctx, c, stdout)
+	default: // validateModes admits exactly these three
 		return runReshareJoin(ctx, c, stdout)
-	}
-	ctr := &metrics.Counters{}
-	cfg, err := c.beaconConfig(ctr)
-	if err != nil {
-		return err
-	}
-	o, err := newObservability(ctr, c.trace)
-	if err != nil {
-		return err
-	}
-	defer o.close()
-	cfg.Metrics = beacon.NewServiceMetrics(o.reg)
-	cfg.Tracer = o.tracer
-
-	var svc *beacon.Service
-	switch {
-	case c.data != "" && beacon.HaveStores(c.data):
-		stores, err := beacon.LoadStores(c.data, c.n)
-		if err != nil {
-			return err
-		}
-		if svc, err = beacon.Resume(cfg, stores); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "beacond: resumed %d players from %s (%d coins; trusted dealer not consulted)\n",
-			c.n, c.data, svc.Stats().Remaining)
-	default:
-		if svc, err = beacon.New(cfg); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "beacond: fresh start, one-time trusted-dealer seed of %d coins\n",
-			svc.Stats().Remaining)
-	}
-
-	ln, err := net.Listen("tcp", c.addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: newMux(svc, c.k, o)}
-	fmt.Fprintf(stdout, "beacond: listening on http://%s\n", ln.Addr())
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(stdout, "beacond: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(stderr, "beacond: http shutdown: %v\n", err)
-	}
-	if err := svc.Close(shutCtx); err != nil {
-		return fmt.Errorf("beacond: close service: %w", err)
-	}
-	if c.data != "" {
-		if err := svc.Persist(c.data); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "beacond: persisted %d player stores to %s (%d coins)\n",
-			c.n, c.data, svc.Stats().Remaining)
-	}
-	st := svc.Stats()
-	fmt.Fprintf(stdout, "beacond: served %d draws (%d coins), %d refills (%d pipelined, %d blocking), %d blocked draws\n",
-		st.Draws, st.CoinsDelivered, st.Refills, st.PipelinedRefills, st.BlockingRefills, st.BlockedDraws)
-	return nil
-}
-
-func newMux(svc *beacon.Service, k int, o *observability) *http.ServeMux {
-	mux := o.mux(func() any {
-		st := svc.Stats()
-		return map[string]any{
-			"status":    "ok",
-			"remaining": st.Remaining,
-			"queue":     st.QueueDepth,
-			"refilling": st.RefillInFlight,
-			"resumed":   st.Resumed,
-		}
-	})
-	mux.HandleFunc("GET /v1/coin", func(w http.ResponseWriter, r *http.Request) {
-		e, err := svc.Draw(r.Context())
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"coin": fmt.Sprintf("0x%0*x", (k+3)/4, uint64(e)), "k": k})
-	})
-	mux.HandleFunc("GET /v1/bits", func(w http.ResponseWriter, r *http.Request) {
-		n, err := strconv.Atoi(r.URL.Query().Get("n"))
-		if err != nil {
-			http.Error(w, "beacond: missing or malformed ?n= bit count", http.StatusBadRequest)
-			return
-		}
-		bits, err := svc.DrawBits(r.Context(), n)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"bits": hex.EncodeToString(bits), "n": n})
-	})
-	mux.HandleFunc("GET /v1/modulo", func(w http.ResponseWriter, r *http.Request) {
-		m, err := strconv.Atoi(r.URL.Query().Get("m"))
-		if err != nil {
-			http.Error(w, "beacond: missing or malformed ?m= modulus", http.StatusBadRequest)
-			return
-		}
-		v, err := svc.DrawMod(r.Context(), m)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"value": v, "m": m})
-	})
-	return mux
-}
-
-// writeErr maps service errors onto HTTP status codes: overload conditions
-// are retryable 429s, validation failures 400s, shutdown 503.
-func writeErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, beacon.ErrOverloaded), errors.Is(err, beacon.ErrRateLimited):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, beacon.ErrClosed):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, err.Error(), 499) // client closed request
-	case errors.Is(err, beacon.ErrBadRequest):
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 
@@ -513,7 +228,7 @@ func runDeal(c *config, stdout io.Writer) error {
 // -emit target is reached, or — when armed with -reshare — the negotiated
 // cutover is reached, at which point it runs the handover ceremony
 // in-process and exits for a restart against the next-generation roster.
-func runPlayer(ctx context.Context, c *config, stdout, stderr io.Writer) error {
+func runPlayer(ctx context.Context, c *config, stdout io.Writer) error {
 	pc, err := simnet.LoadPeerConfig(c.configPath)
 	if err != nil {
 		return err
@@ -534,13 +249,13 @@ func runPlayer(ctx context.Context, c *config, stdout, stderr io.Writer) error {
 		return runReshareCeremony(ctx, c, pc, next, c.player, nil, nil, nil, logf)
 	}
 	ctr := &metrics.Counters{}
-	o, err := newObservability(ctr, c.trace)
+	o, err := obshttp.New(ctr, c.trace, 0)
 	if err != nil {
 		return err
 	}
-	defer o.close()
-	dm := beacon.NewDaemonMetrics(o.reg)
-	pm := simnet.NewPeerMetrics(o.reg)
+	defer o.Close()
+	dm := beacon.NewDaemonMetrics(o.Reg)
+	pm := simnet.NewPeerMetrics(o.Reg)
 	d, err := beacon.NewDaemon(beacon.DaemonConfig{
 		Peers:          pc,
 		Self:           c.player,
@@ -549,7 +264,7 @@ func runPlayer(ctx context.Context, c *config, stdout, stderr io.Writer) error {
 		EmitInterval:   c.emitInterval,
 		Rand:           playerRand(c),
 		Counters:       ctr,
-		Tracer:         o.tracer,
+		Tracer:         o.Tracer,
 		Metrics:        dm,
 		PeerMetrics:    pm,
 		RoundTimeout:   c.roundTimeout,
@@ -564,12 +279,15 @@ func runPlayer(ctx context.Context, c *config, stdout, stderr io.Writer) error {
 
 	var srv *http.Server
 	if c.addr != "" {
-		mux := o.mux(func() any {
-			return struct {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+			obshttp.WriteJSON(w, struct {
 				Status string `json:"status"`
 				beacon.DaemonStats
-			}{"ok", d.Stats()}
+			}{"ok", d.Stats()})
 		})
+		mux.Handle("GET /metrics", o.Reg.Handler())
+		mux.HandleFunc("GET /debug/trace", o.TraceHandler())
 		ln, err := net.Listen("tcp", c.addr)
 		if err != nil {
 			return err
@@ -589,7 +307,7 @@ func runPlayer(ctx context.Context, c *config, stdout, stderr io.Writer) error {
 		// endpoints still up so the reshare metrics can be scraped.
 		logf("cutover reached at log %d; starting the resharing ceremony to generation %d",
 			d.Stats().Cutover, next.Generation)
-		runErr = runReshareCeremony(ctx, c, pc, next, c.player, dm, pm, o.tracer, logf)
+		runErr = runReshareCeremony(ctx, c, pc, next, c.player, dm, pm, o.Tracer, logf)
 		reshared = runErr == nil
 		if reshared && c.reshareLinger > 0 {
 			logf("observability endpoints linger %v for a final scrape", c.reshareLinger)

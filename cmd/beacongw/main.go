@@ -1,13 +1,22 @@
-// Command beacongw is the multi-cell beacon gateway: it hosts M
-// independent beacon cells (internal/multicell) in one process and serves
-// routed randomness over HTTP. One beacond-style cell is one coin stream
-// capped by a single protocol executive; the gateway is how the deployment
-// scales sideways — cells share no protocol state, tenants are
-// consistent-hashed onto cells so each tenant observes one contiguous
-// per-cell stream, anonymous draws round-robin, and the router sheds load
-// off lagging or saturated cells before it ever rejects.
+// Command beacongw is the in-process beacon server: it hosts M independent
+// beacon cells (internal/multicell), each a full n-player D-PRBG cluster, in
+// one process and serves routed randomness over HTTP. One cell is one coin
+// stream capped by a single protocol executive (-cells 1 is the plain
+// single-cluster beacon); more cells are how the deployment scales sideways
+// — cells share no protocol state, tenants are consistent-hashed onto cells
+// so each tenant observes one contiguous per-cell stream, anonymous draws
+// round-robin, and the router sheds load off lagging or saturated cells
+// before it ever rejects.
 //
-//	beacongw -addr :8544 -cells 4 -n 7 -t 1 -k 32
+//	beacongw -addr :8544 -cells 4 -n 7 -t 1 -k 32 -data /var/lib/beacongw
+//
+// Persistence: every cell is seeded once by a trusted dealer (the paper's
+// only trusted step). With -data, SIGTERM/SIGINT shuts down gracefully and
+// persists every player's sealed store under DIR/cell-NN/, and the next
+// start resumes from those files without the dealer being consulted again
+// (§1.2: "the new seed is stored until the next execution"). The files are
+// good for one resume: a process that dies without the graceful shutdown
+// finds none and deals fresh, rather than serve its last session again.
 //
 // Tenancy: a request's tenant is the X-Tenant header (or ?tenant=). Tenant
 // draws are rate-limited per tenant (-tenant-rate/-tenant-burst) and
@@ -24,11 +33,19 @@
 //	GET /v1/stream?n=100  Server-Sent Events: one "coin" event per coin,
 //	                      each carrying its cell and per-cell sequence
 //	                      number (n ≤ 0 or absent: until the client goes)
+//	GET /v1/bits?n=128    n shared random bits, hex-encoded LSB-first:
+//	                      {"bits","n","cell"}
+//	GET /v1/modulo?m=6    a shared value in [1, m], exactly uniform (the
+//	                      paper's leader draw): {"value","m","cell"}
 //	GET /v1/cells         per-cell depth/lag/routing table + router totals
 //	                      (the JSON behind `beaconctl cells`)
-//	GET /v1/healthz       liveness: cells up, streams active
-//	GET /metrics          Prometheus text exposition; per-cell gauges are
-//	                      refreshed at scrape time
+//	GET /v1/healthz       liveness: cells up, streams active, resumed
+//	GET /metrics          Prometheus text exposition: the router's
+//	                      multicell_* families and every cell's beacon_*
+//	                      families (draw latency, refill pipeline) by {cell}
+//	GET /debug/trace      last ?n= events from the in-memory flight recorder
+//	                      (every cell's Coin-Gen spans, origin = cell), as
+//	                      obs JSONL; -trace FILE writes the same to a file
 //
 // Degrade responses: 429 + Retry-After when the tenant is rate-limited or
 // every live cell is saturated, 503 when no cell is serving at all.
@@ -36,6 +53,7 @@ package main
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -56,7 +74,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gf2k"
 	"repro/internal/multicell"
-	"repro/internal/obs/prom"
+	"repro/internal/obs/obshttp"
 )
 
 func main() {
@@ -82,6 +100,8 @@ type config struct {
 	maxTenants     int
 	replicas       int
 	streamInterval time.Duration
+	data           string
+	trace          string
 	insecureRand   bool
 	rngSeed        int64
 }
@@ -105,6 +125,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.maxTenants, "max-tenants", 0, "bound on distinct tracked tenants before they share an overflow bucket (0 = default 8192)")
 	fs.IntVar(&c.replicas, "replicas", 0, "consistent-hash virtual nodes per cell (0 = default)")
 	fs.DurationVar(&c.streamInterval, "stream-interval", 0, "pacing between pushed stream coins (0 = as fast as draws allow)")
+	fs.StringVar(&c.data, "data", "", "state directory: persist every cell's sealed stores on a graceful shutdown and resume from them once (empty: no persistence)")
+	fs.StringVar(&c.trace, "trace", "", "write the cells' Coin-Gen spans to this file as an obs JSONL trace")
 	fs.BoolVar(&c.insecureRand, "insecure-rand", false, "use seeded math/rand instead of crypto/rand (reproducible demos ONLY)")
 	fs.Int64Var(&c.rngSeed, "rng-seed", 1, "seed for -insecure-rand")
 	if err := fs.Parse(args); err != nil {
@@ -116,7 +138,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	return &c, nil
 }
 
-func (c *config) clusterConfig(m *multicell.Metrics) (multicell.Config, error) {
+func (c *config) clusterConfig(o *obshttp.Observability) (multicell.Config, error) {
 	field, err := gf2k.New(c.k)
 	if err != nil {
 		return multicell.Config{}, err
@@ -133,6 +155,7 @@ func (c *config) clusterConfig(m *multicell.Metrics) (multicell.Config, error) {
 				HighWater: c.highWater,
 			},
 			QueueDepth: c.queue,
+			Tracer:     o.Tracer,
 		},
 		TenantRate:          c.tenantRate,
 		TenantBurst:         c.tenantBurst,
@@ -140,7 +163,8 @@ func (c *config) clusterConfig(m *multicell.Metrics) (multicell.Config, error) {
 		MaxTenants:          c.maxTenants,
 		Replicas:            c.replicas,
 		StreamInterval:      c.streamInterval,
-		Metrics:             m,
+		Metrics:             multicell.NewMetrics(o.Reg),
+		StateDir:            c.data,
 	}
 	if c.insecureRand {
 		cfg.CellRand = insecureCellRand(c.rngSeed)
@@ -167,45 +191,71 @@ func insecureCellRand(seed int64) func(cell, player int) io.Reader {
 	}
 }
 
+// recorderEvents sizes the flight recorder: the last nine or so Coin-Gens at
+// n = 7. The ring holds pointers, so every GC cycle scans all of it on the
+// processor the draws need: at obs's default of 65 536 events gw-http's p99
+// read 3.2–4.1 ms, at 8 192 1.7–1.9 ms, with no recorder 1.2–1.7 ms (E22).
+const recorderEvents = 1 << 13
+
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	c, err := parseFlags(args, stderr)
 	if err != nil {
 		return err
 	}
-	reg := prom.NewRegistry()
-	mets := multicell.NewMetrics(reg)
-	cfg, err := c.clusterConfig(mets)
+	o, err := obshttp.New(nil, c.trace, recorderEvents)
+	if err != nil {
+		return err
+	}
+	defer o.Close()
+	cfg, err := c.clusterConfig(o)
+	if err != nil {
+		return err
+	}
+	// Listen first: a resume spends the persisted stores, so nothing that can
+	// fail as cheaply as a busy port may come between it and serving.
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return err
 	}
 	cl, err := multicell.New(cfg)
 	if err != nil {
+		ln.Close()
 		return err
 	}
 	fmt.Fprintf(stdout, "beacongw: %d cells up (n=%d t=%d per cell, GF(2^%d))\n", c.cells, c.n, c.t, c.k)
-
-	ln, err := net.Listen("tcp", c.addr)
-	if err != nil {
-		return err
+	if cl.Resumed() {
+		fmt.Fprintf(stdout, "beacongw: resumed %d cells of %d players from %s (%d coins; trusted dealer not consulted)\n",
+			c.cells, c.n, c.data, sealedCoins(cl))
+	} else {
+		fmt.Fprintf(stdout, "beacongw: fresh start, one-time trusted-dealer seed of %d coins\n", sealedCoins(cl))
 	}
-	srv := &http.Server{Handler: newMux(cl, mets, reg, c.k)}
+
+	srv := &http.Server{Handler: newMux(cl, cfg.Metrics, o, c.k)}
 	fmt.Fprintf(stdout, "beacongw: listening on http://%s\n", ln.Addr())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
+	// A failed listener shuts down like a signal does: the stores still go
+	// back to disk, and its error is the exit status.
 	select {
-	case err := <-serveErr:
-		return err
+	case err = <-serveErr:
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(stdout, "beacongw: shutting down")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(stderr, "beacongw: http shutdown: %v\n", err)
+	if serr := srv.Shutdown(shutCtx); serr != nil {
+		fmt.Fprintf(stderr, "beacongw: http shutdown: %v\n", serr)
 	}
-	if err := cl.Close(shutCtx); err != nil {
-		return fmt.Errorf("beacongw: close cluster: %w", err)
+	if cerr := cl.Close(shutCtx); cerr != nil {
+		return fmt.Errorf("beacongw: close cluster: %w", cerr)
+	}
+	if c.data != "" {
+		if perr := cl.Persist(); perr != nil {
+			return perr
+		}
+		fmt.Fprintf(stdout, "beacongw: persisted %d cells of %d player stores to %s (%d coins)\n",
+			c.cells, c.n, c.data, sealedCoins(cl))
 	}
 	var draws, coins int64
 	for _, st := range cl.CellStats() {
@@ -215,7 +265,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	rst := cl.RouterStats()
 	fmt.Fprintf(stdout, "beacongw: served %d draws (%d coins) across %d cells; %d rate-limited, %d saturated\n",
 		draws, coins, c.cells, rst.RateLimited, rst.Saturated)
-	return nil
+	return err
+}
+
+// sealedCoins sums the sealed coins left across the cells' stores.
+func sealedCoins(cl *multicell.Cluster) (coins int) {
+	for _, st := range cl.CellStats() {
+		coins += st.Remaining
+	}
+	return coins
 }
 
 // tenantOf extracts the request's tenant key: X-Tenant header first,
@@ -227,7 +285,7 @@ func tenantOf(r *http.Request) string {
 	return r.URL.Query().Get("tenant")
 }
 
-func newMux(cl *multicell.Cluster, mets *multicell.Metrics, reg *prom.Registry, k int) *http.ServeMux {
+func newMux(cl *multicell.Cluster, mets *multicell.Metrics, o *obshttp.Observability, k int) *http.ServeMux {
 	hexCoin := func(e gf2k.Element) string { return fmt.Sprintf("0x%0*x", (k+3)/4, uint64(e)) }
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/coin", func(w http.ResponseWriter, r *http.Request) {
@@ -236,7 +294,7 @@ func newMux(cl *multicell.Cluster, mets *multicell.Metrics, reg *prom.Registry, 
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, map[string]any{"cell": coin.Cell, "seq": coin.Seq, "coin": hexCoin(coin.Val), "k": k})
+		obshttp.WriteJSON(w, map[string]any{"cell": coin.Cell, "seq": coin.Seq, "coin": hexCoin(coin.Val), "k": k})
 	})
 	mux.HandleFunc("GET /v1/coins", func(w http.ResponseWriter, r *http.Request) {
 		n, err := strconv.Atoi(r.URL.Query().Get("n"))
@@ -253,7 +311,7 @@ func newMux(cl *multicell.Cluster, mets *multicell.Metrics, reg *prom.Registry, 
 		for i, v := range b.Vals {
 			coins[i] = hexCoin(v)
 		}
-		writeJSON(w, map[string]any{"cell": b.Cell, "seq": b.Seq, "coins": coins, "k": k})
+		obshttp.WriteJSON(w, map[string]any{"cell": b.Cell, "seq": b.Seq, "coins": coins, "k": k})
 	})
 	mux.HandleFunc("GET /v1/stream", func(w http.ResponseWriter, r *http.Request) {
 		flusher, ok := w.(http.Flusher)
@@ -296,8 +354,34 @@ func newMux(cl *multicell.Cluster, mets *multicell.Metrics, reg *prom.Registry, 
 			writeErr(w, err)
 		}
 	})
+	mux.HandleFunc("GET /v1/bits", func(w http.ResponseWriter, r *http.Request) {
+		n, err := strconv.Atoi(r.URL.Query().Get("n"))
+		if err != nil {
+			http.Error(w, "beacongw: missing or malformed ?n= bit count", http.StatusBadRequest)
+			return
+		}
+		bits, cell, err := cl.DrawBits(r.Context(), tenantOf(r), n)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		obshttp.WriteJSON(w, map[string]any{"bits": hex.EncodeToString(bits), "n": n, "cell": cell})
+	})
+	mux.HandleFunc("GET /v1/modulo", func(w http.ResponseWriter, r *http.Request) {
+		m, err := strconv.Atoi(r.URL.Query().Get("m"))
+		if err != nil {
+			http.Error(w, "beacongw: missing or malformed ?m= modulus", http.StatusBadRequest)
+			return
+		}
+		v, cell, err := cl.DrawMod(r.Context(), tenantOf(r), m)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		obshttp.WriteJSON(w, map[string]any{"value": v, "m": m, "cell": cell})
+	})
 	mux.HandleFunc("GET /v1/cells", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]any{"cells": cl.CellStats(), "router": cl.RouterStats()})
+		obshttp.WriteJSON(w, map[string]any{"cells": cl.CellStats(), "router": cl.RouterStats()})
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		rst := cl.RouterStats()
@@ -311,16 +395,17 @@ func newMux(cl *multicell.Cluster, mets *multicell.Metrics, reg *prom.Registry, 
 		}
 		w.Header().Set("Content-Type", "application/json") // before WriteHeader freezes the header set
 		w.WriteHeader(code)
-		writeJSON(w, map[string]any{
+		obshttp.WriteJSON(w, map[string]any{
 			"status": status, "cells": cl.Cells(), "cells_down": rst.CellsDown,
-			"streams_active": rst.StreamsActive,
+			"streams_active": rst.StreamsActive, "resumed": cl.Resumed(),
 		})
 	})
-	metricsHandler := reg.Handler()
+	metricsHandler := o.Reg.Handler()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		mets.Refresh(cl) // scrape-time snapshot of the per-cell gauges
 		metricsHandler.ServeHTTP(w, r)
 	})
+	mux.HandleFunc("GET /debug/trace", o.TraceHandler())
 	return mux
 }
 
@@ -342,13 +427,6 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, beacon.ErrBadRequest):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -211,7 +211,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fns[i] = f.Fn
 			continue
 		}
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(cfg.rngSeed + int64(i) + 1))
 			out := make([]gf2k.Element, 0, cfg.coins)

@@ -34,7 +34,6 @@ func runE12() {
 	nw := simnet.New(n, simnet.WithCounters(&ctr))
 	fns := make([]simnet.PlayerFunc, n)
 	for i := 0; i < n; i++ {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(int64(i)))
 			coins := make([]gf2k.Element, 0, deliver)
@@ -119,7 +118,6 @@ func runE13() {
 				fns[i] = adversary.Crash()
 				continue
 			}
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				rnd := rand.New(rand.NewSource(int64(p*100 + i)))
 				out := make([]gf2k.Element, 0, 8)
@@ -188,7 +186,6 @@ func runE14() {
 			fns[i] = adversary.GarbageSpammer(int64(i), 3*phases, 8)
 			continue
 		}
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			return rba.Run(nd, rba.Config{N: n, T: t, Phases: phases, Coins: batches[i]}, inputs[i])
 		}

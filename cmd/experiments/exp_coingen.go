@@ -33,7 +33,6 @@ func runE5() {
 		nw := simnet.New(tc.n, simnet.WithCounters(&ctr))
 		fns := make([]simnet.PlayerFunc, tc.n)
 		for i := 0; i < tc.n; i++ {
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				rnd := rand.New(rand.NewSource(int64(i + tc.n)))
 				sh, err := bitgen.DealAll(nd, cfg, rnd)
@@ -85,7 +84,6 @@ func coinGenRun(n, t, m, seedCoins int, crashed map[int]bool, seed int64, ctr *m
 			fns[i] = adversary.Crash()
 			continue
 		}
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			cfg := coingen.Config{Field: field, N: n, T: t, M: m, Seed: seeds[i], Counters: ctr}
 			rnd := rand.New(rand.NewSource(seed + int64(i)))

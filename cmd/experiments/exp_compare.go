@@ -37,7 +37,6 @@ func runE10() {
 	fns := make([]simnet.PlayerFunc, n)
 	dStart := time.Now()
 	for i := 0; i < n; i++ {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(int64(i) + 10))
 			for c := 0; c < coins; c++ {
@@ -65,7 +64,6 @@ func runE10() {
 	fns2 := make([]simnet.PlayerFunc, n)
 	sStart := time.Now()
 	for i := 0; i < n; i++ {
-		i := i
 		fns2[i] = func(nd *simnet.Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(int64(i) + 99))
 			for c := 0; c < coins; c++ {
@@ -137,7 +135,6 @@ func runE11() {
 		nw := simnet.New(n, simnet.WithCounters(&cctr))
 		fns := make([]simnet.PlayerFunc, n)
 		for i := 0; i < n; i++ {
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				rnd := rand.New(rand.NewSource(int64(r*100 + i)))
 				ok, _, err := baseline.CCDVSS(nd, ccfg, 0, 0x42, rnd)
@@ -171,7 +168,6 @@ func runE11() {
 		nw := simnet.New(n, simnet.WithCounters(&fctr))
 		fns := make([]simnet.PlayerFunc, n)
 		for i := 0; i < n; i++ {
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				rnd := rand.New(rand.NewSource(int64(r*100 + i)))
 				ok, _, err := baseline.FeldmanVSS(nd, fcfg, 0, big.NewInt(777), rnd)

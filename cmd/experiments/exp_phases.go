@@ -38,7 +38,6 @@ func runE15() {
 	nw := simnet.New(n, simnet.WithCounters(&ctr), simnet.WithTracer(tracer))
 	fns := make([]simnet.PlayerFunc, n)
 	for i := 0; i < n; i++ {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			cfg := coingen.Config{Field: field, N: n, T: t, M: m, Seed: seeds[i], Counters: &ctr}
 			rnd := rand.New(rand.NewSource(151 + int64(i)))

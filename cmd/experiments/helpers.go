@@ -31,7 +31,6 @@ func vssCeremony(field gf2k.Field, n, t, m int, seed int64, cheat int, ctr *metr
 	nw := simnet.New(n, opts...)
 	fns := make([]simnet.PlayerFunc, n)
 	for i := 0; i < n; i++ {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			cfg := vss.Config{Field: field, N: n, T: t, Coins: batches[i], Counters: ctr}
 			if i == 0 && cheat != 0 {

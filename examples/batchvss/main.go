@@ -55,7 +55,6 @@ func run() error {
 		nw := repro.NewNetwork(n, repro.WithCounters(&ctr))
 		fns := make([]repro.PlayerFunc, n)
 		for i := 0; i < n; i++ {
-			i := i
 			fns[i] = func(nd *repro.Node) (interface{}, error) {
 				cfg := vss.Config{Field: field, N: n, T: t, Coins: batches[i], Counters: &ctr}
 				var rnd *rand.Rand

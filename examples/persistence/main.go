@@ -52,7 +52,6 @@ func run() error {
 	nw1 := repro.NewNetwork(n)
 	fns := make([]repro.PlayerFunc, n)
 	for i := 0; i < n; i++ {
-		i := i
 		fns[i] = func(nd *repro.Node) (interface{}, error) {
 			var out []repro.Element
 			for c := 0; c < 4; c++ { // the "application" uses 4 coins
@@ -102,7 +101,6 @@ func run() error {
 	nw2 := repro.NewNetwork(n)
 	fns2 := make([]repro.PlayerFunc, n)
 	for i := 0; i < n; i++ {
-		i := i
 		fns2[i] = func(nd *repro.Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(int64(3000 + i)))
 			var out []repro.Element

@@ -52,7 +52,6 @@ func run() error {
 	nw := repro.NewNetwork(n)
 	fns := make([]repro.PlayerFunc, n)
 	for i := 0; i < n; i++ {
-		i := i
 		fns[i] = func(nd *repro.Node) (interface{}, error) {
 			pcfg := cfg
 			pcfg.Seed = seeds[i]

@@ -59,7 +59,6 @@ func run() error {
 			fns[i] = bf
 			continue
 		}
-		i := i
 		fns[i] = func(nd *repro.Node) (interface{}, error) {
 			// Pre-mint enough coins so the agreement itself never triggers
 			// a refill mid-protocol, then run RBA on the generator's store.
@@ -106,14 +105,6 @@ type generatorSource struct{ g *repro.Generator }
 
 func (s generatorSource) Expose(nd *repro.Node) (repro.Element, error) {
 	return s.g.Next(nd, rand.Reader)
-}
-
-func (s generatorSource) ExposeBit(nd *repro.Node) (byte, error) {
-	return s.g.NextBit(nd, rand.Reader)
-}
-
-func (s generatorSource) ExposeMod(nd *repro.Node, m int) (int, error) {
-	return s.g.NextMod(nd, rand.Reader, m)
 }
 
 func (s generatorSource) Remaining() int { return s.g.Remaining() }

@@ -364,7 +364,7 @@ func CoinGenWrongDegreeDealer(f gf2k.Field, n, t, m int, seedCoins coin.Source, 
 			return nil, err
 		}
 		for {
-			if _, err := seedCoins.ExposeMod(nd, n); err != nil {
+			if _, err := seedCoins.Expose(nd); err != nil { // the leader coin; this dealer ignores who won
 				return nil, err
 			}
 			dec, err := (ba.PhaseKing{T: t}).Run(nd, 0)

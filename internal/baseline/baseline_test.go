@@ -17,7 +17,6 @@ func TestCCDVSSHonestDealerAccepted(t *testing.T) {
 		nw := simnet.New(tc.n)
 		fns := make([]simnet.PlayerFunc, tc.n)
 		for i := range fns {
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				rnd := rand.New(rand.NewSource(int64(i + 1)))
 				var secret gf2k.Element = 0x1234
@@ -116,7 +115,6 @@ func TestCCDVSSCheatingDealerRejectedMostly(t *testing.T) {
 			}{ok, 0}, err
 		}
 		for i := 1; i < n; i++ {
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				rnd := rand.New(rand.NewSource(int64(trial*100 + i)))
 				ok, share, err := CCDVSS(nd, cfg, 0, 0, rnd)
@@ -154,7 +152,6 @@ func TestFeldmanVSSHonest(t *testing.T) {
 	nw := simnet.New(4)
 	fns := make([]simnet.PlayerFunc, 4)
 	for i := range fns {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(int64(i + 10)))
 			ok, share, err := FeldmanVSS(nd, cfg, 0, big.NewInt(424242), rnd)
@@ -215,7 +212,6 @@ func TestFeldmanVSSWrongShareDetected(t *testing.T) {
 	}
 	verdicts := make([]bool, 4)
 	for i := 1; i < 4; i++ {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			ok, _, err := FeldmanVSS(nd, cfg, 0, nil, nil)
 			verdicts[i] = ok
@@ -243,7 +239,6 @@ func TestFromScratchCoinUnanimous(t *testing.T) {
 		nw := simnet.New(tc.n)
 		fns := make([]simnet.PlayerFunc, tc.n)
 		for i := range fns {
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				rnd := rand.New(rand.NewSource(int64(i*31 + tc.n)))
 				return FromScratchCoin(nd, cfg, rnd)
@@ -273,7 +268,6 @@ func TestFromScratchCoinWithCrashedPlayer(t *testing.T) {
 		if i == 3 {
 			continue
 		}
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(int64(i * 17)))
 			return FromScratchCoin(nd, cfg, rnd)
@@ -308,7 +302,6 @@ func TestFromScratchCoinsDiffer(t *testing.T) {
 		nw := simnet.New(4)
 		fns := make([]simnet.PlayerFunc, 4)
 		for i := range fns {
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				rnd := rand.New(rand.NewSource(int64(trial*1000 + i)))
 				return FromScratchCoin(nd, cfg, rnd)

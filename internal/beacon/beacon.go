@@ -22,8 +22,9 @@
 // finds the store short and no mint in flight starts that same mint itself.
 //
 // Production ergonomics on the request path: context cancellation,
-// backpressure (bounded queue, ErrOverloaded), a token-bucket rate limiter
-// (ErrRateLimited), and a Stats snapshot. Shutdown is graceful: Close
+// backpressure (bounded queue, ErrOverloaded) and a Stats snapshot; rate
+// limiting is per tenant, at the router in front (internal/multicell).
+// Shutdown is graceful: Close
 // absorbs any in-flight mint, serves the queued requests, stops the
 // cluster, and Persist writes every player's sealed store to disk via the
 // coin.Batch wire format — a restarted Service resumes from those files
@@ -60,9 +61,6 @@ var (
 	// ErrOverloaded is returned when the bounded request queue is full —
 	// the backpressure signal. Clients should retry after a delay.
 	ErrOverloaded = errors.New("beacon: request queue full")
-	// ErrRateLimited is returned when the token-bucket rate limiter has no
-	// token for the request.
-	ErrRateLimited = errors.New("beacon: rate limit exceeded")
 	// ErrClosed is returned for draws after Close has begun.
 	ErrClosed = errors.New("beacon: service closed")
 	// ErrBadRequest wraps every error that rejects a draw for its arguments
@@ -103,11 +101,6 @@ type Config struct {
 	// QueueDepth bounds the request queue; a full queue rejects with
 	// ErrOverloaded. Defaults to 256.
 	QueueDepth int
-	// Rate and Burst configure the token-bucket rate limiter in requests
-	// per second. Rate == 0 disables limiting; Burst defaults to 1 when a
-	// rate is set.
-	Rate  float64
-	Burst int
 	// Counters, when non-nil, is attached to both networks, so
 	// Stats().Counters reports the protocol cost of serving.
 	Counters *metrics.Counters
@@ -138,9 +131,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
 	}
-	if c.Rate > 0 && c.Burst == 0 {
-		c.Burst = 1
-	}
 	if c.Rand == nil {
 		c.Rand = func(int) io.Reader { return cryptorand.Reader }
 	}
@@ -170,9 +160,6 @@ func (c Config) Validate() error {
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("beacon: queue depth must be ≥ 1, got %d", c.QueueDepth)
 	}
-	if c.Rate < 0 {
-		return fmt.Errorf("beacon: negative rate %v", c.Rate)
-	}
 	return nil
 }
 
@@ -196,9 +183,8 @@ type Stats struct {
 	// in flight, or started for them) before their coins could be exposed.
 	// With a well-tuned high-water mark this stays 0.
 	BlockedDraws int64
-	// Overloaded and RateLimited count rejected requests.
-	Overloaded  int64
-	RateLimited int64
+	// Overloaded counts requests rejected by a full queue.
+	Overloaded int64
 	// RefillInFlight reports whether a Coin-Gen is running now.
 	RefillInFlight bool
 	// Resumed reports whether the service was restored from persisted
@@ -254,7 +240,6 @@ type Service struct {
 	stop       chan struct{}
 	execDone   chan struct{}
 
-	limiter *TokenBucket
 	resumed bool
 
 	// Executive-owned state (no locking: only the exec goroutine touches
@@ -332,9 +317,6 @@ func start(cfg Config, gens []*core.Generator, resumed bool) (*Service, error) {
 	for i := range s.pools {
 		s.pools[i] = cfg.Core.Pool.Fork()
 	}
-	if cfg.Rate > 0 {
-		s.limiter = NewTokenBucket(cfg.Rate, cfg.Burst, nil)
-	}
 	s.remaining.Store(int64(gens[0].Remaining()))
 	s.met.registerGauges(s)
 	for i := 0; i < n; i++ {
@@ -358,7 +340,6 @@ func (s *Service) Stats() Stats {
 		BlockingRefills:  blocking,
 		BlockedDraws:     s.met.Blocked.Value(),
 		Overloaded:       s.met.overloaded.Value(),
-		RateLimited:      s.met.rateLimited.Value(),
 		RefillInFlight:   s.inFlight.Load(),
 		Resumed:          s.resumed,
 	}
@@ -456,15 +437,9 @@ func (s *Service) DrawMod(ctx context.Context, m int) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		v := uint64(vals[0])
-		if !modAccept(v, k, uint64(m)) {
-			continue
+		if modAccept(uint64(vals[0]), k, uint64(m)) {
+			return coin.Mod(vals[0], m), nil
 		}
-		l := int(v % uint64(m))
-		if l == 0 {
-			l = m
-		}
-		return l, nil
 	}
 }
 
@@ -489,10 +464,6 @@ func modAccept(v uint64, k uint, m uint64) bool {
 func (s *Service) draw(ctx context.Context, need int) ([]gf2k.Element, int64, error) {
 	if s.closed.Load() {
 		return nil, 0, ErrClosed
-	}
-	if s.limiter != nil && !s.limiter.Allow() {
-		s.met.rateLimited.Inc()
-		return nil, 0, ErrRateLimited
 	}
 	t0 := s.met.stamp()
 	req := &request{ctx: ctx, need: need, resp: make(chan drawResult, 1)}
@@ -678,7 +649,6 @@ func (s *Service) startMint(refills *prom.Counter, dur *prom.Histogram) bool {
 			simnet.WithCounters(s.cfg.Counters), simnet.WithTracer(s.cfg.Tracer))
 		fns := make([]simnet.PlayerFunc, s.n)
 		for i := range fns {
-			i := i
 			// Each minting node computes on its own fork of the root pool:
 			// the refill cluster and the serving path compete for the same
 			// core budget instead of oversubscribing it.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -368,31 +369,6 @@ func waitFor(tb testing.TB, cond func() bool) {
 	}
 }
 
-// TestRateLimiter checks the service-level token bucket: Burst requests
-// pass, the next is rejected with ErrRateLimited.
-func TestRateLimiter(t *testing.T) {
-	cfg := testConfig(t, 24, 6, 0)
-	cfg.Rate = 1e-6 // practically no refill during the test
-	cfg.Burst = 2
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustClose(t, s)
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := s.Draw(ctx); err != nil {
-			t.Fatalf("draw %d within burst: %v", i, err)
-		}
-	}
-	if _, err := s.Draw(ctx); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("draw beyond burst: err=%v, want ErrRateLimited", err)
-	}
-	if st := s.Stats(); st.RateLimited != 1 {
-		t.Fatalf("RateLimited=%d, want 1", st.RateLimited)
-	}
-}
-
 // TestTokenBucket unit-tests the limiter against a fake clock.
 func TestTokenBucket(t *testing.T) {
 	now := time.Unix(0, 0)
@@ -505,8 +481,8 @@ func TestPersistResume(t *testing.T) {
 		t.Fatalf("Persist: %v", err)
 	}
 	left := s1.Stats().Remaining
-	if !HaveStores(dir) {
-		t.Fatal("HaveStores sees no stores after Persist")
+	if got, err := StoredPlayers(dir); got != cfg.Core.N || err != nil {
+		t.Fatalf("StoredPlayers = %d, %v after Persist; want %d", got, err, cfg.Core.N)
 	}
 	if _, err := s1.Draw(ctx); !errors.Is(err, ErrClosed) {
 		t.Fatal("draw after Close must report ErrClosed")
@@ -521,6 +497,17 @@ func TestPersistResume(t *testing.T) {
 		t.Fatalf("Resume: %v", err)
 	}
 	defer mustClose(t, s2)
+	// The loaded files are spent: retired before the first draw, a second
+	// retirement finds nothing to remove.
+	if err := RemoveStores(dir, cfg.Core.N); err != nil {
+		t.Fatalf("RemoveStores: %v", err)
+	}
+	if got, err := StoredPlayers(dir); got != 0 || err != nil {
+		t.Fatalf("StoredPlayers = %d, %v after RemoveStores; want 0", got, err)
+	}
+	if err := RemoveStores(dir, cfg.Core.N); err == nil {
+		t.Fatal("RemoveStores on an emptied directory accepted")
+	}
 	if !s2.Stats().Resumed {
 		t.Fatal("resumed service does not report Resumed")
 	}
@@ -549,8 +536,10 @@ func TestResumeValidation(t *testing.T) {
 // os.ErrNotExist.
 func TestLoadStoresMissing(t *testing.T) {
 	dir := t.TempDir()
-	if HaveStores(dir) {
-		t.Fatal("HaveStores true for an empty directory")
+	for _, d := range []string{dir, filepath.Join(dir, "never-created")} {
+		if got, err := StoredPlayers(d); got != 0 || err != nil {
+			t.Fatalf("StoredPlayers(%s) = %d, %v; want 0", d, got, err)
+		}
 	}
 	if _, err := LoadStores(dir, 7); err == nil {
 		t.Fatal("LoadStores on an empty directory accepted")
@@ -567,7 +556,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"valid", func(*Config) {}, true},
 		{"zero field", func(c *Config) { c.Core.Field = gf2k.Field{} }, false},
-		{"negative rate", func(c *Config) { c.Rate = -1 }, false},
 		{"threshold (= seed reserve) below a refill's own cost", func(c *Config) { c.Core.Threshold = 1 }, false},
 		{"high water below threshold", func(c *Config) { c.Core.HighWater = 3 }, false},
 	}

@@ -35,8 +35,8 @@ type ServiceMetrics struct {
 	// Blocked is beacon_blocked_draws_total: requests that had to wait on a
 	// Coin-Gen (the pipeline fell behind demand).
 	Blocked *prom.Counter
-	// beacon_rejected_total{reason}: overloaded | rate-limited.
-	overloaded, rateLimited *prom.Counter
+	// beacon_rejected_total{reason}: overloaded.
+	overloaded *prom.Counter
 	// beacon_refills_total{kind} and beacon_refill_duration_seconds{kind}:
 	// kind is pipelined (started ahead of demand, below the high-water
 	// mark) or blocking (started by a draw that then waited for it).
@@ -51,7 +51,7 @@ func NewServiceMetrics(r *prom.Registry) *ServiceMetrics {
 	if live == nil {
 		live = prom.NewRegistry()
 	}
-	rejected := live.CounterVec("beacon_rejected_total", "Draws rejected before reaching the queue (overloaded, rate-limited).", "reason")
+	rejected := live.CounterVec("beacon_rejected_total", "Draws rejected before reaching the queue (overloaded).", "reason")
 	refills := live.CounterVec("beacon_refills_total", "Absorbed Coin-Gen batches by kind (pipelined, blocking).", "kind")
 	refillDur := r.HistogramVec("beacon_refill_duration_seconds", "Coin-Gen wall-clock duration by kind (pipelined, blocking).",
 		prom.ExpBuckets(0.005, 2, 14), "kind")
@@ -62,7 +62,6 @@ func NewServiceMetrics(r *prom.Registry) *ServiceMetrics {
 		Coins:        live.Counter("beacon_coins_delivered_total", "Coins handed out across all draws."),
 		Blocked:      live.Counter("beacon_blocked_draws_total", "Draws that waited on a Coin-Gen round."),
 		overloaded:   rejected.With("overloaded"),
-		rateLimited:  rejected.With("rate-limited"),
 		pipelined:    refills.With("pipelined"),
 		blocking:     refills.With("blocking"),
 		pipelinedDur: refillDur.With("pipelined"),

@@ -80,28 +80,22 @@ func TestServiceMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServiceMetricsBlockingAndRejections covers the slow paths: a
+// TestServiceMetricsBlockingAndRejections covers the slow path: a
 // HighWater-0 service refills only when a draw waits for it (kind=blocking,
-// draws counted as blocked) and a rate-limited draw lands in beacon_rejected_total.
+// draws counted as blocked). The rejection it can raise, a full queue, is
+// TestStatsAgreeWithMetrics's.
 func TestServiceMetricsBlockingAndRejections(t *testing.T) {
 	reg := prom.NewRegistry()
 	cfg := testConfig(t, 24, 6, 0) // no high-water mark: every refill is started by a waiting draw
 	cfg.Metrics = NewServiceMetrics(reg)
-	cfg.Rate = 0.000001 // one token, never replenished within the test
-	cfg.Burst = 40
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	drawsOK := 0
-	for i := 0; i < cfg.Burst+1; i++ {
-		_, err := s.Draw(ctx)
-		switch err {
-		case nil:
-			drawsOK++
-		case ErrRateLimited:
-		default:
+	const drawsOK = 40
+	for i := 0; i < drawsOK; i++ {
+		if _, err := s.Draw(ctx); err != nil {
 			t.Fatalf("draw %d: %v", i, err)
 		}
 	}
@@ -121,17 +115,14 @@ func TestServiceMetricsBlockingAndRejections(t *testing.T) {
 	if v, ok := prom.Value(samples, "beacon_blocked_draws_total"); !ok || v != float64(st.BlockedDraws) {
 		t.Errorf("blocked draws = %v, %v; want %d", v, ok, st.BlockedDraws)
 	}
-	if v, ok := prom.Value(samples, "beacon_rejected_total", "reason", "rate-limited"); !ok || v != float64(st.RateLimited) || v < 1 {
-		t.Errorf("rejected{rate-limited} = %v, %v; want %d ≥ 1", v, ok, st.RateLimited)
-	}
 	if v, ok := prom.Value(samples, "beacon_draws_total"); !ok || v != float64(drawsOK) {
 		t.Errorf("draws = %v, %v; want %d", v, ok, drawsOK)
 	}
 }
 
 // TestStatsAgreeWithMetrics drives a mixed load — served single and batched
-// draws, a draw blocked on a Coin-Gen, one bounced off the full queue, one
-// refused by the rate limiter — and checks that Stats() and the exposition
+// draws, a draw blocked on a Coin-Gen, one bounced off the full queue — and
+// checks that Stats() and the exposition
 // report the same number for every event: they are two renderings of one
 // counter each, so they cannot drift whatever the interleaving.
 func TestStatsAgreeWithMetrics(t *testing.T) {
@@ -142,7 +133,6 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	cfg := testConfig(t, 24, 6, 0)
 	cfg.Metrics = NewServiceMetrics(reg)
 	cfg.SeedCoins, cfg.QueueDepth = 8, 1
-	cfg.Rate, cfg.Burst = 0.000001, 6 // six tokens, never replenished within the test
 	base := cfg.Rand
 	cfg.Rand = func(i int) io.Reader {
 		return &gatedReader{armed: &armed, gate: gate, reads: &reads, r: base(i)}
@@ -169,17 +159,14 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	}
 	close(gate)
 	wg.Wait()
-	if _, err := s.Draw(ctx); err != nil { // the sixth and last token
+	if _, err := s.Draw(ctx); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := s.Draw(ctx); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("draw past the burst: err=%v, want ErrRateLimited", err)
 	}
 	mustClose(t, s)
 
 	st := s.Stats()
 	if st.Draws != 5 || st.CoinsDelivered != 7 || st.BlockedDraws == 0 || st.Overloaded != 1 ||
-		st.RateLimited != 1 || st.BlockingRefills == 0 || st.Refills != st.PipelinedRefills+st.BlockingRefills {
+		st.BlockingRefills == 0 || st.Refills != st.PipelinedRefills+st.BlockingRefills {
 		t.Fatalf("load was not the intended mix: %+v", st)
 	}
 	samples := scrapeRegistry(t, reg)
@@ -193,7 +180,6 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		{st.Draws, "beacon_draw_latency_seconds_count", nil},
 		{st.BlockedDraws, "beacon_blocked_draws_total", nil},
 		{st.Overloaded, "beacon_rejected_total", []string{"reason", "overloaded"}},
-		{st.RateLimited, "beacon_rejected_total", []string{"reason", "rate-limited"}},
 		{st.PipelinedRefills, "beacon_refills_total", []string{"kind", "pipelined"}},
 		{st.BlockingRefills, "beacon_refills_total", []string{"kind", "blocking"}},
 		{st.BlockingRefills, "beacon_refill_duration_seconds_count", []string{"kind", "blocking"}},
@@ -298,7 +284,7 @@ func TestServiceMetricsZeroAlloc(t *testing.T) {
 			m.Draws.Inc()
 			m.Coins.Add(1)
 			since(m.DrawLatency, t0)
-			m.rateLimited.Inc()
+			m.overloaded.Inc()
 			m.Blocked.Add(3)
 			m.pipelined.Inc()
 			since(m.blockingDur, t0)

@@ -105,7 +105,6 @@ func runCeremony(t *testing.T, old, next *simnet.PeerConfig, parts []resharePart
 				Rand:         rand.New(rand.NewSource(seed + int64(i)*7919)),
 				RoundTimeout: 2 * time.Second,
 				JoinTimeout:  20 * time.Second,
-				MaxAttempts:  1,
 				Logf: func(f string, a ...interface{}) {
 					t.Logf("participant (%d→%d): "+f, append([]interface{}{p.oldSelf, p.newSelf}, a...)...)
 				},

@@ -63,7 +63,8 @@ func loadStore(dir string, player int) (*coin.Store, error) {
 
 // Persist writes every player's store under dir. Call only after Close
 // has returned: the stores must be quiescent. A restarted process resumes
-// with LoadStores + Resume, never re-running the trusted dealer.
+// with LoadStores + Resume, never re-running the trusted dealer, and then
+// calls RemoveStores: a set of stores is good for one resume (see there).
 func (s *Service) Persist(dir string) error {
 	select {
 	case <-s.execDone: // the executive only exits after Close
@@ -96,11 +97,40 @@ func LoadStores(dir string, n int) ([]*coin.Store, error) {
 	return stores, nil
 }
 
-// HaveStores reports whether dir contains a persisted store for player 0
-// (and hence, for an uncorrupted state directory, for every player).
-func HaveStores(dir string) bool {
-	_, err := os.Stat(storeFile(dir, 0))
-	return err == nil
+// StoredPlayers counts the player stores dir holds (0 when dir is missing or
+// empty), so a caller can tell a fresh start (0) from a resumable directory
+// (n) from a half-written one (anything else) before loading any.
+func StoredPlayers(dir string) (int, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return 0, err
+	}
+	n := 0
+	for _, e := range ents {
+		if ok, _ := filepath.Match("player-*.store", e.Name()); ok {
+			n++
+		}
+	}
+	return n, nil
+}
+
+// RemoveStores deletes the n player stores under dir and fsyncs dir. A
+// resumed process calls it before it answers its first draw: the files
+// describe coins that are about to be exposed, and a process that dies
+// without a graceful Persist must find no stores — and deal afresh — rather
+// than reload these and expose the same sealed coins a second time.
+func RemoveStores(dir string, n int) error {
+	for i := 0; i < n; i++ {
+		if err := os.Remove(storeFile(dir, i)); err != nil {
+			return fmt.Errorf("beacon: retire player %d store: %w", i, err)
+		}
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // playerMeta is the per-player daemon metadata persisted next to the store.

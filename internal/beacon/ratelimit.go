@@ -6,9 +6,8 @@ import (
 )
 
 // TokenBucket is a classic token-bucket rate limiter: capacity `burst`
-// tokens, refilled continuously at `rate` tokens per second. A Service
-// guards its request queue with one; multicell guards each tenant with
-// one, in front of routing.
+// tokens, refilled continuously at `rate` tokens per second. multicell
+// guards each tenant with one, in front of routing.
 type TokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second

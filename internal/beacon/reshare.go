@@ -211,9 +211,6 @@ type ReshareConfig struct {
 	Stale bool
 	// Rand is this participant's private randomness for sub-dealing.
 	Rand io.Reader
-	// MaxAttempts bounds the retry loop (default 3). Every attempt bumps
-	// the journaled attempt number first.
-	MaxAttempts int
 	// JoinTimeout bounds each attempt's mesh formation and backfill
 	// (default 30s). RoundTimeout tunes the ceremony transport.
 	JoinTimeout  time.Duration
@@ -255,9 +252,6 @@ type ReshareResult struct {
 func RunReshare(ctx context.Context, rc ReshareConfig) (*ReshareResult, error) {
 	if rc.Logf == nil {
 		rc.Logf = func(string, ...interface{}) {}
-	}
-	if rc.MaxAttempts <= 0 {
-		rc.MaxAttempts = 3
 	}
 	if rc.Metrics == nil {
 		rc.Metrics = NewDaemonMetrics(nil)
@@ -311,8 +305,11 @@ func RunReshare(ctx context.Context, rc ReshareConfig) (*ReshareResult, error) {
 			journal.ToGeneration, rc.Next.Generation)
 	}
 
+	// Three tries per call; every attempt bumps the journaled attempt number
+	// first, so a retry (here or after a restart) never reuses one.
+	const maxAttempts = 3
 	var lastErr error
-	for try := 0; try < rc.MaxAttempts; try++ {
+	for try := 0; try < maxAttempts; try++ {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -330,7 +327,7 @@ func RunReshare(ctx context.Context, rc ReshareConfig) (*ReshareResult, error) {
 		lastErr = err
 		rc.Logf("reshare attempt %d failed: %v", attempt, err)
 	}
-	return nil, fmt.Errorf("beacon: resharing failed after %d attempts: %w", rc.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("beacon: resharing failed after %d attempts: %w", maxAttempts, lastErr)
 }
 
 // runReshareAttempt is one pass: mesh, position agreement, backfill,

@@ -21,7 +21,6 @@ func runBitGen(t *testing.T, cfg Config, r gf2k.Element, seed int64, faulty map[
 			fns[i] = f
 			continue
 		}
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(seed + int64(i)))
 			sh, err := DealAll(nd, cfg, rnd)
@@ -305,7 +304,6 @@ func TestDealAllRoundCount(t *testing.T) {
 	nw := simnet.New(4)
 	fns := make([]simnet.PlayerFunc, 4)
 	for i := range fns {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(int64(i)))
 			sh, err := DealAll(nd, cfg, rnd)

@@ -33,12 +33,23 @@ var ErrExhausted = errors.New("coin: batch exhausted")
 type Source interface {
 	// Expose reveals the next sealed coin.
 	Expose(nd *simnet.Node) (gf2k.Element, error)
-	// ExposeBit reveals the next coin reduced to one bit (F(0) mod 2).
-	ExposeBit(nd *simnet.Node) (byte, error)
-	// ExposeMod reveals the next coin reduced mod m into [1, m].
-	ExposeMod(nd *simnet.Node, m int) (int, error)
 	// Remaining reports how many sealed coins are left.
 	Remaining() int
+}
+
+// Bit reduces an exposed coin to the paper's binary coin (Fig. 6 step 3:
+// "Set coin_h = F(0) mod 2").
+func Bit(e gf2k.Element) byte { return byte(e & 1) }
+
+// Mod reduces an exposed coin into [1, m], as Coin-Gen's leader election
+// uses it (Fig. 5 step 9: "l ← Coin-Expose mod n; if l = 0 then set l = n").
+// m must be ≥ 1; a caller taking m from outside checks it first.
+func Mod(e gf2k.Element, m int) int {
+	l := int(uint64(e) % uint64(m))
+	if l == 0 {
+		l = m
+	}
+	return l
 }
 
 // Batch is one player's local state for a batch of sealed coins. All honest
@@ -356,34 +367,6 @@ func (b *Batch) readShares(payload []byte, col []gf2k.Element, stride, k int) bo
 		col[j*stride], payload = share, rest
 	}
 	return true
-}
-
-// ExposeBit reveals the next coin and reduces it to a single bit, the
-// paper's binary coin (Fig. 6 step 3: "Set coin_h = F(0) mod 2").
-func (b *Batch) ExposeBit(nd *simnet.Node) (byte, error) {
-	e, err := b.Expose(nd)
-	if err != nil {
-		return 0, err
-	}
-	return byte(e & 1), nil
-}
-
-// ExposeMod reveals the next coin reduced mod m (1-based: result in [1, m]),
-// as Coin-Gen's leader election uses it (Fig. 5 step 9: "l ← Coin-Expose
-// mod n; if l = 0 then set l = n").
-func (b *Batch) ExposeMod(nd *simnet.Node, m int) (int, error) {
-	if m <= 0 {
-		return 0, fmt.Errorf("coin: invalid modulus %d", m)
-	}
-	e, err := b.Expose(nd)
-	if err != nil {
-		return 0, err
-	}
-	l := int(uint64(e) % uint64(m))
-	if l == 0 {
-		l = m
-	}
-	return l, nil
 }
 
 // DealTrusted is the trusted-dealer seed setup ([17]-style): a dealer draws

@@ -216,15 +216,15 @@ func TestExposeBitAndMod(t *testing.T) {
 	for i := range fns {
 		b := batches[i]
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
-			bit, err := b.ExposeBit(nd)
+			e0, err := b.Expose(nd)
 			if err != nil {
 				return nil, err
 			}
-			l, err := b.ExposeMod(nd, n)
+			e1, err := b.Expose(nd)
 			if err != nil {
 				return nil, err
 			}
-			return [2]int{int(bit), l}, nil
+			return [2]int{int(Bit(e0)), Mod(e1, n)}, nil
 		}
 	}
 	wantBit := int(values[0] & 1)

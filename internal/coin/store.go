@@ -244,21 +244,3 @@ func (s *Store) ExposeN(nd *simnet.Node, k int) ([]gf2k.Element, error) {
 	}
 	return out, nil
 }
-
-// ExposeBit reveals the next coin reduced to one bit.
-func (s *Store) ExposeBit(nd *simnet.Node) (byte, error) {
-	e, err := s.Expose(nd)
-	if err != nil {
-		return 0, err
-	}
-	return byte(e & 1), nil
-}
-
-// ExposeMod reveals the next coin reduced mod m into [1, m].
-func (s *Store) ExposeMod(nd *simnet.Node, m int) (int, error) {
-	b := s.front()
-	if b == nil {
-		return 0, ErrExhausted
-	}
-	return b.ExposeMod(nd, m)
-}

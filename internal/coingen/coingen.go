@@ -171,12 +171,12 @@ func Run(nd *simnet.Node, cfg Config, rnd io.Reader) (*Result, error) {
 	agreeSpan := tr.Start(nd.Index(), nd.Round(), obs.KindPhase, "coingen/agree")
 	defer func() { agreeSpan.End(nd.Round()) }()
 	for attempt := 1; attempt <= 8*cfg.N; attempt++ { // the attempt bound: ErrTooManyAttempts below
-		leader1, err := cfg.Seed.ExposeMod(nd, cfg.N)
+		e, err := cfg.Seed.Expose(nd)
 		if err != nil {
 			return nil, fmt.Errorf("coingen: expose leader coin: %w", err)
 		}
 		seedUsed++
-		leader := leader1 - 1 // 0-based index
+		leader := coin.Mod(e, cfg.N) - 1 // 0-based index
 		tr.LeaderElected(nd.Index(), leader, attempt, nd.Round())
 
 		input := byte(0)

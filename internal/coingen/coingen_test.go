@@ -188,7 +188,7 @@ func badDealOnce(nd *simnet.Node, cfg Config, rnd *rand.Rand) error {
 			return err
 		}
 		for {
-			if _, err := cfg.Seed.ExposeMod(nd, cfg.N); err != nil {
+			if _, err := cfg.Seed.Expose(nd); err != nil {
 				return err
 			}
 			dec, err := (ba.PhaseKing{T: cfg.T}).Run(nd, 0)
@@ -271,7 +271,7 @@ func (fx *fixture) griefer(i int, seed int64) simnet.PlayerFunc {
 			return nil, err
 		}
 		for {
-			if _, err := cfg.Seed.ExposeMod(nd, cfg.N); err != nil {
+			if _, err := cfg.Seed.Expose(nd); err != nil {
 				return nil, err
 			}
 			dec, err := (ba.PhaseKing{T: cfg.T}).Run(nd, 0)
@@ -644,7 +644,7 @@ func (fx *fixture) forgingLeader(i int, seed int64) simnet.PlayerFunc {
 		}
 		_ = view
 		for {
-			if _, err := cfg.Seed.ExposeMod(nd, cfg.N); err != nil {
+			if _, err := cfg.Seed.Expose(nd); err != nil {
 				return nil, err
 			}
 			dec, err := (ba.PhaseKing{T: cfg.T}).Run(nd, 1) // votes for itself
@@ -836,7 +836,7 @@ func (fx *fixture) inconsistentDealer(i int, seed int64) simnet.PlayerFunc {
 			return nil, err
 		}
 		for {
-			if _, err := cfg.Seed.ExposeMod(nd, cfg.N); err != nil {
+			if _, err := cfg.Seed.Expose(nd); err != nil {
 				return nil, err
 			}
 			dec, err := (ba.PhaseKing{T: cfg.T}).Run(nd, 0)
@@ -900,7 +900,6 @@ func TestRoundAccountingExact(t *testing.T) {
 	fx := newFixture(t, n, tf, m, 6, 77)
 	fns := make([]simnet.PlayerFunc, n)
 	for i := range fns {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			cfg := fx.cfg
 			cfg.Seed = fx.seeds[nd.Index()]
@@ -951,7 +950,6 @@ func TestFieldOpCountsGolden(t *testing.T) {
 		t.Helper()
 		fns := make([]simnet.PlayerFunc, n)
 		for i := range fns {
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				cfg := Config{Field: f, N: n, T: tf, M: m, Seed: seeds[nd.Index()], Counters: &ctr}
 				return Run(nd, cfg, rand.New(rand.NewSource(seed+int64(i))))

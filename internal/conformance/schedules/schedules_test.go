@@ -19,7 +19,6 @@ import (
 func TestHostileMatrix(t *testing.T) {
 	k := K()
 	for _, sc := range conformance.Scenarios() {
-		sc := sc
 		for j := 0; j < k; j++ {
 			seed := ScheduleSeed(sc, j)
 			t.Run(fmt.Sprintf("%s/sched=%d", sc, seed), func(t *testing.T) {
@@ -44,7 +43,6 @@ func TestHostileDeterministic(t *testing.T) {
 		{Protocol: "coingen", Attack: "deal-corrupt", N: 13, T: 2, M: 3, Seed: 5},
 	}
 	for _, sc := range cases {
-		sc := sc
 		seed := ScheduleSeed(sc, 0)
 		t.Run(sc.String(), func(t *testing.T) {
 			fp1, err1 := Run(sc, seed)

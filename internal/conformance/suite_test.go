@@ -13,7 +13,6 @@ import (
 // harness and the fuzz driver share them).
 func TestSuite(t *testing.T) {
 	for _, sc := range Scenarios() {
-		sc := sc
 		t.Run(sc.String(), func(t *testing.T) {
 			t.Parallel()
 			if _, err := RunScenario(sc); err != nil {
@@ -36,7 +35,6 @@ func TestSuiteDeterministic(t *testing.T) {
 		{Protocol: "coingen", Attack: "deal-corrupt", N: 7, T: 1, M: 2, Seed: 15},
 	}
 	for _, sc := range cases {
-		sc := sc
 		t.Run(sc.String(), func(t *testing.T) {
 			t.Parallel()
 			first, err := RunScenario(sc)

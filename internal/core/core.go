@@ -243,7 +243,7 @@ func (g *Generator) NextBit(nd *simnet.Node, rnd io.Reader) (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	return byte(e & 1), nil
+	return coin.Bit(e), nil
 }
 
 // NextMod returns the next shared coin reduced mod m into [1, m].
@@ -255,11 +255,7 @@ func (g *Generator) NextMod(nd *simnet.Node, rnd io.Reader, m int) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	l := int(uint64(e) % uint64(m))
-	if l == 0 {
-		l = m
-	}
-	return l, nil
+	return coin.Mod(e, m), nil
 }
 
 // Expose reveals the next sealed coin with no refill check — the entry

@@ -37,7 +37,6 @@ func drive(t *testing.T, cfg Config, seedCoins int, seed int64,
 			fns[i] = f
 			continue
 		}
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			return fn(nd, gens[i], rand.New(rand.NewSource(seed+int64(i)*1000)))
 		}
@@ -214,7 +213,6 @@ func TestNewFromBatch(t *testing.T) {
 	nw := simnet.New(cfg.N)
 	fns := make([]simnet.PlayerFunc, cfg.N)
 	for i := range fns {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			g, err := NewFromBatch(cfg, batches[i])
 			if err != nil {
@@ -264,7 +262,6 @@ func TestProactiveRotation(t *testing.T) {
 				fns[i] = crash
 				continue
 			}
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				rnd := rand.New(rand.NewSource(seed + int64(i)))
 				out := make([]gf2k.Element, 0, 10)
@@ -353,7 +350,6 @@ func TestDeterministicGoldenStream(t *testing.T) {
 		nw := simnet.New(cfg.N)
 		fns := make([]simnet.PlayerFunc, cfg.N)
 		for i := 0; i < cfg.N; i++ {
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				rnd := rand.New(rand.NewSource(int64(i) * 7))
 				out := make([]gf2k.Element, 0, 12)

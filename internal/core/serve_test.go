@@ -20,7 +20,6 @@ func exposeSome(t *testing.T, gens []*Generator, count int, rndBase int64) []gf2
 	nw := simnet.New(n)
 	fns := make([]simnet.PlayerFunc, n)
 	for i := 0; i < n; i++ {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(rndBase + int64(i)*1000))
 			out := make([]gf2k.Element, 0, count)
@@ -147,7 +146,6 @@ func TestMintDetachAbsorb(t *testing.T) {
 	nw := simnet.New(cfg.N)
 	fns := make([]simnet.PlayerFunc, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			return Mint(cfg, nd, seeds[i], rand.New(rand.NewSource(int64(i)+400)))
 		}

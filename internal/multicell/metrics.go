@@ -11,8 +11,11 @@ import (
 // a Cluster without one builds its own on no registry, because CellStats
 // and RouterStats read these same counters: each routing event is counted
 // once, inline on the draw path (an atomic add — no clock read, no label
-// lookup). The per-cell depth gauges are snapshots taken by Refresh, which
-// the gateway calls at scrape time so every /metrics response is current.
+// lookup). What a cell knows about itself (store depth, queue, refills,
+// draw latency) is the cell's own beacon.ServiceMetrics, which New installs
+// on the same registry under {cell}; only the two router-owned per-cell
+// gauges are snapshots taken by Refresh, which the gateway calls at scrape
+// time so every /metrics response is current.
 type Metrics struct {
 	reg *prom.Registry
 
@@ -29,15 +32,10 @@ type Metrics struct {
 	// saturated, down.
 	rateLimited, streamQuota, saturated, allDown *prom.Counter
 
-	// Per-cell snapshot gauges (Refresh): store depth, queue depth, refill
-	// lag below the high-water mark, refill-in-flight, down flag.
-	Depth          *prom.GaugeVec
-	Queue          *prom.GaugeVec
-	RefillLag      *prom.GaugeVec
-	RefillInFlight *prom.GaugeVec
-	Down           *prom.GaugeVec
-	CellCoins      *prom.GaugeVec
-	CellBlocked    *prom.GaugeVec
+	// Per-cell snapshot gauges (Refresh): refill lag below the high-water
+	// mark (the router's shed criterion), down flag (the router's verdict).
+	RefillLag *prom.GaugeVec
+	Down      *prom.GaugeVec
 }
 
 // NewMetrics registers the cluster families on r. On a nil r the counters
@@ -49,20 +47,15 @@ func NewMetrics(r *prom.Registry) *Metrics {
 	}
 	rejected := live.CounterVec("multicell_rejected_total", "Draws rejected by the router (rate-limited, stream-quota, saturated, down).", "reason")
 	return &Metrics{
-		reg:            r,
-		RoutedDraws:    live.CounterVec("multicell_routed_draws_total", "Draws served, by serving cell and route (hash, rr, shed).", "cell", "route"),
-		Shed:           live.CounterVec("multicell_shed_total", "Draws shed away from their primary cell (saturated, lagging or down).", "cell"),
-		rateLimited:    rejected.With("rate-limited"),
-		streamQuota:    rejected.With("stream-quota"),
-		saturated:      rejected.With("saturated"),
-		allDown:        rejected.With("down"),
-		Depth:          r.GaugeVec("beacon_cell_depth", "Sealed coins left in the cell's store.", "cell"),
-		Queue:          r.GaugeVec("beacon_cell_queue_depth", "Draw requests waiting in the cell's bounded queue.", "cell"),
-		RefillLag:      r.GaugeVec("beacon_cell_refill_lag", "Coins the cell's store sits below its high-water mark (0 = pipeline keeping up).", "cell"),
-		RefillInFlight: r.GaugeVec("beacon_cell_refill_in_flight", "1 while the cell runs a pipelined Coin-Gen.", "cell"),
-		Down:           r.GaugeVec("beacon_cell_down", "1 once the cell failed terminally and was retired from routing.", "cell"),
-		CellCoins:      r.GaugeVec("beacon_cell_coins_total", "Coins the cell has delivered (snapshot of the cell's own counter).", "cell"),
-		CellBlocked:    r.GaugeVec("beacon_cell_blocked_draws", "Draws that waited on a Coin-Gen round inside this cell.", "cell"),
+		reg:         r,
+		RoutedDraws: live.CounterVec("multicell_routed_draws_total", "Draws served, by serving cell and route (hash, rr, shed).", "cell", "route"),
+		Shed:        live.CounterVec("multicell_shed_total", "Draws shed away from their primary cell (saturated, lagging or down).", "cell"),
+		rateLimited: rejected.With("rate-limited"),
+		streamQuota: rejected.With("stream-quota"),
+		saturated:   rejected.With("saturated"),
+		allDown:     rejected.With("down"),
+		RefillLag:   r.GaugeVec("beacon_cell_refill_lag", "Coins the cell's store sits below its high-water mark (0 = pipeline keeping up).", "cell"),
+		Down:        r.GaugeVec("beacon_cell_down", "1 once the cell failed terminally and was retired from routing.", "cell"),
 	}
 }
 
@@ -74,23 +67,16 @@ func (m *Metrics) registerGauges(cl *Cluster) {
 		func() float64 { return float64(cl.Cells()) })
 }
 
-// Refresh snapshots every cell's depth gauges. The gateway wraps its
+// Refresh snapshots the router's two per-cell gauges. The gateway wraps its
 // /metrics handler with this so scrapes are always current.
 func (m *Metrics) Refresh(cl *Cluster) {
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	for _, st := range cl.CellStats() {
 		c := strconv.Itoa(st.Cell)
-		m.Depth.With(c).SetInt(int64(st.Remaining))
-		m.Queue.With(c).SetInt(int64(st.QueueDepth))
 		m.RefillLag.With(c).SetInt(int64(st.RefillLag))
-		m.RefillInFlight.With(c).Set(b2f(st.RefillInFlight))
-		m.Down.With(c).Set(b2f(st.Down))
-		m.CellCoins.With(c).SetInt(st.Coins)
-		m.CellBlocked.With(c).SetInt(st.BlockedDraws)
+		down := int64(0)
+		if st.Down {
+			down = 1
+		}
+		m.Down.With(c).SetInt(down)
 	}
 }

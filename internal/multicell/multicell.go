@@ -31,9 +31,12 @@
 // the first coin in that cell's stream, so every response names a
 // verifiable position: (cell, seq, value) can be checked against the
 // cell's public stream after the fact. Streams (Stream) push coins the
-// same way, one callback per coin.
+// same way, one callback per coin. DrawBits and DrawMod route the cell's
+// own bit-packing and rejection-sampling draws and name the serving cell.
+// With Config.StateDir set, the sealed stores survive a graceful restart
+// (§1.2: "the new seed is stored until the next execution").
 //
-// cmd/beacongw is the HTTP face of this package; docs/OPERATIONS.md §9 is
+// cmd/beacongw is the HTTP face of this package; docs/OPERATIONS.md §10 is
 // the operator runbook.
 package multicell
 
@@ -43,12 +46,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/beacon"
+	"repro/internal/coin"
 	"repro/internal/gf2k"
 	"repro/internal/obs/prom"
 )
@@ -72,9 +77,9 @@ type Config struct {
 	// Cells is the number of independent beacon cells (M ≥ 1).
 	Cells int
 	// Cell is the per-cell beacon configuration template. Rand and Metrics
-	// must be left nil (see CellRand; cell metrics are exported with a cell
-	// label by the cluster), and Rate must be 0 — rate limiting is
-	// per-tenant at the router, not per-cell. Core.HighWater is free: a
+	// must be left nil: see CellRand, and the cluster installs each cell's
+	// Service families on the Metrics registry under a cell label. Tracer is
+	// forked per cell (origin = cell index). Core.HighWater is free: a
 	// cell's stream is a function of its dealer seed and CellRand alone.
 	Cell beacon.Config
 	// CellRand supplies the domain-separated randomness for cell `cell`,
@@ -100,9 +105,17 @@ type Config struct {
 	Replicas int
 	// StreamInterval paces Stream pushes (0 = as fast as draws allow).
 	StreamInterval time.Duration
-	// Metrics, when non-nil, exports the cluster's Prometheus families
-	// (beacon_cell_* gauges, routed-draw counters — see NewMetrics).
+	// Metrics, when non-nil, exports the cluster's Prometheus families:
+	// the router's own (see NewMetrics) and every cell's beacon_* Service
+	// families with a cell label.
 	Metrics *Metrics
+	// StateDir, when set, is where the sealed stores outlive the process:
+	// New resumes every cell from StateDir/cell-NN/player-NNN.store when
+	// all of them are there, deals fresh when none is and refuses anything
+	// in between; Persist writes them back after Close. A resume retires
+	// the files it loaded, so only a graceful shutdown leaves stores behind:
+	// a process that dies deals fresh, it does not replay its last session.
+	StateDir string
 
 	// now is the injectable clock for rate-limiter tests.
 	now func() time.Time
@@ -136,9 +149,6 @@ func (c Config) Validate() error {
 	}
 	if c.Cell.Metrics != nil {
 		return errors.New("multicell: leave Cell.Metrics nil; the cluster exports per-cell families with a cell label")
-	}
-	if c.Cell.Rate != 0 {
-		return errors.New("multicell: leave Cell.Rate 0; rate limiting is per-tenant at the router")
 	}
 	if c.TenantRate < 0 {
 		return fmt.Errorf("multicell: negative tenant rate %v", c.TenantRate)
@@ -188,10 +198,16 @@ type Cluster struct {
 }
 
 // New starts M cells, each a full beacon.Service on its own network with
-// its own domain-separated dealer seed, and the router in front of them.
+// its own domain-separated dealer seed — or, when Config.StateDir holds a
+// complete set of persisted stores, resumed from those with no dealer — and
+// the router in front of them.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	stores, err := cfg.loadStores()
+	if err != nil {
 		return nil, err
 	}
 	cellRand := cfg.CellRand
@@ -221,24 +237,93 @@ func New(cfg Config) (*Cluster, error) {
 		cl.shedAway[i] = cl.met.Shed.With(cell)
 	}
 	cl.ring = NewRing(ids, cfg.Replicas)
+	// unwind stops the cells already started so no goroutines leak.
+	unwind := func(err error) (*Cluster, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		for _, svc := range cl.cells {
+			if svc != nil {
+				svc.Close(ctx) //nolint:errcheck // best-effort unwind
+			}
+		}
+		return nil, err
+	}
 	for i := 0; i < cfg.Cells; i++ {
-		i := i
 		c := cfg.Cell
 		c.Rand = func(player int) io.Reader { return cellRand(i, player) }
-		svc, err := beacon.New(c)
+		c.Tracer = cfg.Cell.Tracer.Fork(i)
+		c.Metrics = beacon.NewServiceMetrics(cl.met.reg.Labelled("cell", strconv.Itoa(i)))
+		var svc *beacon.Service
+		if stores != nil {
+			svc, err = beacon.Resume(c, stores[i])
+		} else {
+			svc, err = beacon.New(c)
+		}
 		if err != nil {
-			// Unwind the cells already started so no goroutines leak.
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			for j := 0; j < i; j++ {
-				cl.cells[j].Close(ctx) //nolint:errcheck // best-effort unwind
-			}
-			return nil, fmt.Errorf("multicell: start cell %d: %w", i, err)
+			return unwind(fmt.Errorf("multicell: start cell %d: %w", i, err))
 		}
 		cl.cells[i] = svc
 	}
+	// Every cell is up on the loaded stores, so the files are spent: retire
+	// them before any caller can draw (see Config.StateDir).
+	for i := 0; stores != nil && i < cfg.Cells; i++ {
+		if err := beacon.RemoveStores(cellDir(cfg.StateDir, i), cfg.Cell.Core.N); err != nil {
+			return unwind(fmt.Errorf("multicell: cell %d: %w", i, err))
+		}
+	}
 	cl.met.registerGauges(cl)
 	return cl, nil
+}
+
+// cellDir is where cell i keeps its player stores under the state directory.
+func cellDir(stateDir string, cell int) string {
+	return filepath.Join(stateDir, fmt.Sprintf("cell-%02d", cell))
+}
+
+// loadStores reads every cell's persisted stores, or returns nil for a fresh
+// start (no StateDir, or none of this configuration's stores in it). Anything
+// in between — a cell or a player missing — is an error and touches nothing:
+// resuming some cells and dealing others would put a trusted dealer back into
+// a deployment that had retired its own.
+func (c Config) loadStores() ([][]*coin.Store, error) {
+	held := 0
+	for i := 0; c.StateDir != "" && i < c.Cells; i++ {
+		k, err := beacon.StoredPlayers(cellDir(c.StateDir, i))
+		if err != nil {
+			return nil, err
+		}
+		held += k
+	}
+	if held == 0 {
+		return nil, nil
+	}
+	stores := make([][]*coin.Store, c.Cells)
+	for i := range stores {
+		var err error
+		if stores[i], err = beacon.LoadStores(cellDir(c.StateDir, i), c.Cell.Core.N); err != nil {
+			return nil, fmt.Errorf("multicell: %s holds %d player stores, not the %d a resume needs: cell %d: %w",
+				c.StateDir, held, c.Cells*c.Cell.Core.N, i, err)
+		}
+	}
+	return stores, nil
+}
+
+// Resumed reports whether the cells were restored from Config.StateDir (no
+// trusted dealer involved) rather than freshly dealt.
+func (cl *Cluster) Resumed() bool { return cl.cells[0].Stats().Resumed }
+
+// Persist writes every cell's stores under Config.StateDir. Call only after
+// Close has returned; the next New on the same directory resumes from them.
+func (cl *Cluster) Persist() error {
+	if cl.cfg.StateDir == "" {
+		return errors.New("multicell: persist needs Config.StateDir")
+	}
+	for i, svc := range cl.cells {
+		if err := svc.Persist(cellDir(cl.cfg.StateDir, i)); err != nil {
+			return fmt.Errorf("multicell: persist cell %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Cells returns the configured cell count.
@@ -256,25 +341,72 @@ func (cl *Cluster) Draw(ctx context.Context, tenant string) (Coin, error) {
 // DrawN routes one batched draw of n coins for the tenant. All n coins
 // come from one cell, contiguous in its stream from the returned Seq.
 func (cl *Cluster) DrawN(ctx context.Context, tenant string, n int) (Batch, error) {
-	if cl.closed.Load() {
-		return Batch{}, ErrClosed
-	}
-	// Validate here, not in the cell: a cell's DrawN error for a bad n
-	// would otherwise read as a terminal cell failure and poison routing.
+	// Validate here, before the tenant's bucket is charged for a request
+	// no cell can serve.
 	if n < 1 || n > beacon.MaxDrawBatch {
 		return Batch{}, fmt.Errorf("multicell: batch size %d outside [1,%d]: %w", n, beacon.MaxDrawBatch, beacon.ErrBadRequest)
 	}
-	if !cl.tenants.allow(tenant) {
-		cl.met.rateLimited.Inc()
-		return Batch{}, ErrRateLimited
+	if err := cl.admit(tenant); err != nil {
+		return Batch{}, err
 	}
 	return cl.drawRouted(ctx, tenant, n)
 }
 
-// drawRouted is the routing core, past tenancy checks (Stream pushes come
-// here directly: stream admission is governed by the quota and pacing, not
-// the per-draw bucket).
-func (cl *Cluster) drawRouted(ctx context.Context, tenant string, n int) (Batch, error) {
+// DrawBits routes one beacon.Service.DrawBits for the tenant and names the
+// cell that served it.
+func (cl *Cluster) DrawBits(ctx context.Context, tenant string, nbits int) (bits []byte, cell int, err error) {
+	if err := cl.admit(tenant); err != nil {
+		return nil, 0, err
+	}
+	k := cl.cfg.Cell.Core.Field.K()
+	cell, err = cl.route(ctx, tenant, (nbits+k-1)/k, func(svc *beacon.Service) (err error) {
+		bits, err = svc.DrawBits(ctx, nbits)
+		return err
+	})
+	return bits, cell, err
+}
+
+// DrawMod routes one beacon.Service.DrawMod — a value in [1, m], exactly
+// uniform — for the tenant and names the cell that served it.
+func (cl *Cluster) DrawMod(ctx context.Context, tenant string, m int) (v, cell int, err error) {
+	if err := cl.admit(tenant); err != nil {
+		return 0, 0, err
+	}
+	cell, err = cl.route(ctx, tenant, 1, func(svc *beacon.Service) (err error) {
+		v, err = svc.DrawMod(ctx, m)
+		return err
+	})
+	return v, cell, err
+}
+
+// admit is the tenancy check in front of one routed draw: the cluster is
+// open and the tenant's token bucket has a token for it.
+func (cl *Cluster) admit(tenant string) error {
+	if cl.closed.Load() {
+		return ErrClosed
+	}
+	if !cl.tenants.allow(tenant) {
+		cl.met.rateLimited.Inc()
+		return ErrRateLimited
+	}
+	return nil
+}
+
+// drawRouted is a routed DrawN past tenancy checks (Stream pushes come here
+// directly: stream admission is governed by the quota and pacing, not the
+// per-draw bucket).
+func (cl *Cluster) drawRouted(ctx context.Context, tenant string, n int) (b Batch, err error) {
+	b.Cell, err = cl.route(ctx, tenant, n, func(svc *beacon.Service) (err error) {
+		b.Vals, b.Seq, err = svc.DrawN(ctx, n)
+		return err
+	})
+	return b, err
+}
+
+// route is the routing core: it offers draw — one of a cell's own Draw*
+// calls, expected to take about `need` coins — the tenant's cells in shed
+// order until one serves it, and returns that cell.
+func (cl *Cluster) route(ctx context.Context, tenant string, need int, draw func(*beacon.Service) error) (int, error) {
 	order, route := cl.routeOrder(tenant)
 	// Pass 0 skips cells whose refill has fallen behind (the draw would
 	// wait on a Coin-Gen round — shed to a deeper cell instead); pass 1
@@ -286,10 +418,10 @@ func (cl *Cluster) drawRouted(ctx context.Context, tenant string, n int) (Batch,
 			if cl.down[c].Load() {
 				continue
 			}
-			if pass == 0 && cl.lagging(c, n) {
+			if pass == 0 && cl.lagging(c, need) {
 				continue
 			}
-			vals, seq, err := cl.cells[c].DrawN(ctx, n)
+			err := draw(cl.cells[c])
 			switch {
 			case err == nil:
 				if i > 0 {
@@ -297,11 +429,12 @@ func (cl *Cluster) drawRouted(ctx context.Context, tenant string, n int) (Batch,
 					cl.shedAway[order[0]].Inc()
 				}
 				cl.routed[c][route].Inc()
-				return Batch{Cell: c, Seq: seq, Vals: vals}, nil
+				return c, nil
 			case errors.Is(err, beacon.ErrOverloaded):
 				continue
-			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				return Batch{}, err
+			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
+				errors.Is(err, beacon.ErrBadRequest): // the caller's doing, not the cell's
+				return 0, err
 			default:
 				// ErrClosed or a terminal protocol error: the cell is gone.
 				cl.down[c].Store(true)
@@ -314,11 +447,11 @@ func (cl *Cluster) drawRouted(ctx context.Context, tenant string, n int) (Batch,
 	for _, c := range order {
 		if !cl.down[c].Load() {
 			cl.met.saturated.Inc()
-			return Batch{}, ErrSaturated
+			return 0, ErrSaturated
 		}
 	}
 	cl.met.allDown.Inc()
-	return Batch{}, ErrAllCellsDown
+	return 0, ErrAllCellsDown
 }
 
 // How a served draw reached its cell, and the route label values in the

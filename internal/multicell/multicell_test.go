@@ -307,7 +307,7 @@ func TestConfigValidate(t *testing.T) {
 		{"valid", func(*Config) {}, true},
 		{"zero cells", func(c *Config) { c.Cells = 0 }, false},
 		{"cell rand set directly", func(c *Config) { c.Cell.Rand = func(int) io.Reader { return rand.New(rand.NewSource(1)) } }, false},
-		{"cell rate set", func(c *Config) { c.Cell.Rate = 10 }, false},
+		{"cell metrics set directly", func(c *Config) { c.Cell.Metrics = beacon.NewServiceMetrics(nil) }, false},
 		{"negative tenant rate", func(c *Config) { c.TenantRate = -1 }, false},
 	}
 	for _, tc := range cases {
@@ -641,10 +641,15 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		check(c.RoutedRR, "multicell_routed_draws_total", "cell", id, "route", "rr")
 		check(c.RoutedShed, "multicell_routed_draws_total", "cell", id, "route", "shed")
 		check(c.ShedAway, "multicell_shed_total", "cell", id)
-		check(c.Coins, "beacon_cell_coins_total", "cell", id)
-		check(c.BlockedDraws, "beacon_cell_blocked_draws", "cell", id)
-		check(int64(c.Remaining), "beacon_cell_depth", "cell", id)
+		// The cell's own Service families, installed by New under {cell}.
+		check(c.Draws, "beacon_draws_total", "cell", id)
+		check(c.Draws, "beacon_draw_latency_seconds_count", "cell", id)
+		check(c.Coins, "beacon_coins_delivered_total", "cell", id)
+		check(c.BlockedDraws, "beacon_blocked_draws_total", "cell", id)
+		check(int64(c.Remaining), "beacon_store_remaining", "cell", id)
+		check(int64(c.QueueDepth), "beacon_queue_depth", "cell", id)
 		check(1, "beacon_cell_down", "cell", id)
+		check(int64(c.RefillLag), "beacon_cell_refill_lag", "cell", id)
 		if c.Draws != c.RoutedHash+c.RoutedRR+c.RoutedShed {
 			t.Errorf("cell %d served %d draws but the router routed %d to it", c.Cell, c.Draws, c.RoutedHash+c.RoutedRR+c.RoutedShed)
 		}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // traceFor records a tiny per-daemon trace: origin stamped, one phase span
@@ -49,6 +48,31 @@ func TestTracerStampsOriginAndEpoch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(parsed, ring.Events()) {
 		t.Fatalf("JSONL round trip lost correlation keys:\ngot  %+v\nwant %+v", parsed, ring.Events())
+	}
+}
+
+// TestForkKeepsSpanStacksApart: two forks feed one ring; each stamps its own
+// origin, and player 0's open span in one fork does not become the parent of
+// player 0's span in the other.
+func TestForkKeepsSpanStacksApart(t *testing.T) {
+	ring := NewRing(0)
+	root := New(nil, ring)
+	a, b := root.Fork(0), root.Fork(1)
+	outer := a.Start(0, 0, KindProtocol, "coin-gen")
+	inner := b.Start(0, 0, KindProtocol, "coin-gen")
+	inner.End(1)
+	outer.End(1)
+	evs := ring.Events()
+	if len(evs) != 4 {
+		t.Fatalf("%d events in the shared ring, want 4", len(evs))
+	}
+	for i, wantOrigin := range []int{0, 1, 1, 0} {
+		if evs[i].Origin != wantOrigin || evs[i].Parent != 0 {
+			t.Errorf("event %d: origin %d parent %d, want origin %d and no parent", i, evs[i].Origin, evs[i].Parent, wantOrigin)
+		}
+	}
+	if (*Tracer)(nil).Fork(3) != nil {
+		t.Fatal("the nop tracer must fork to the nop tracer")
 	}
 }
 
@@ -235,35 +259,5 @@ func TestTimelineInterleavesOrigins(t *testing.T) {
 	Timeline(&buf, append(e0, e1...))
 	if !strings.Contains(buf.String(), "epoch 1 round 0") || !strings.Contains(buf.String(), "epoch 2 round 0") {
 		t.Fatalf("multi-epoch timeline missing epoch headers:\n%s", buf.String())
-	}
-}
-
-func TestDurationSink(t *testing.T) {
-	type obsv struct {
-		name string
-		kind SpanKind
-		d    time.Duration
-	}
-	var got []obsv
-	ds := NewDurationSink(func(name string, kind SpanKind, d time.Duration) {
-		got = append(got, obsv{name, kind, d})
-	})
-	now := time.Unix(0, 0)
-	ds.now = func() time.Time { return now }
-	ds.Emit(Event{Type: EvSpanBegin, Span: 1, Kind: KindPhase, Name: "emit"})
-	now = now.Add(40 * time.Millisecond)
-	ds.Emit(Event{Type: EvSpanBegin, Span: 2, Kind: KindProtocol, Name: "refill"})
-	now = now.Add(10 * time.Millisecond)
-	ds.Emit(Event{Type: EvSpanEnd, Span: 2, Kind: KindProtocol, Name: "refill"})
-	now = now.Add(50 * time.Millisecond)
-	ds.Emit(Event{Type: EvSpanEnd, Span: 1, Kind: KindPhase, Name: "emit"})
-	// End without a begin: ignored.
-	ds.Emit(Event{Type: EvSpanEnd, Span: 99, Name: "ghost"})
-	want := []obsv{
-		{"refill", KindProtocol, 10 * time.Millisecond},
-		{"emit", KindPhase, 100 * time.Millisecond},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("durations = %+v, want %+v", got, want)
 	}
 }

@@ -43,6 +43,20 @@ func New(ctr *metrics.Counters, sinks ...Sink) *Tracer {
 	return &Tracer{ctr: ctr, sinks: sinks, stack: make(map[int][]uint64)}
 }
 
+// Fork returns a tracer on t's sinks and counters that stamps its events with
+// origin and keeps its own span stacks and numbering. One process hosting
+// several clusters (the gateway's cells) forks one per cluster: player i of
+// two cells must not share a span stack, and origin tells their events apart
+// in the shared flight recorder exactly as it does across daemons.
+func (t *Tracer) Fork(origin int) *Tracer {
+	if t == nil {
+		return nil
+	}
+	f := New(t.ctr, t.sinks...)
+	f.origin = origin
+	return f
+}
+
 // SetOrigin stamps all subsequently emitted events with the given process
 // id (the daemon's player id). Call it once at startup, before the first
 // span; it exists so per-daemon traces are self-identifying when merged.

@@ -17,7 +17,10 @@
 //
 // Vec variants attach label dimensions ("peer", "phase", ...); With resolves
 // a label combination to a child handle once, and call sites hold the child,
-// so the hot path never touches a map.
+// so the hot path never touches a map. Labelled gives a view of a registry
+// that puts one constant label pair in front of everything registered
+// through it, so a subsystem written for one instance per process (a
+// beacon.Service) can run many times on one registry ({cell="0"}, {cell="1"}).
 //
 // The disabled path is a nil handle: every method on a nil *Registry,
 // *Counter, *Gauge or *Histogram (and the nil Vec types) returns immediately
@@ -44,11 +47,26 @@ type Registry struct {
 	mu   sync.Mutex
 	fams []*family
 	byN  map[string]*family
+
+	// A Labelled view registers on root, with constName in front of each
+	// family's label names and constValue in front of each child's values.
+	root                  *Registry
+	constName, constValue string
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{byN: make(map[string]*family)}
+}
+
+// Labelled returns a view of the root registry r on which every family
+// carries the constant label name=value ahead of its own labels. Families
+// and exposition are r's (scrape r, not the view); a nil registry stays nil.
+func (r *Registry) Labelled(name, value string) *Registry {
+	if r == nil {
+		return nil
+	}
+	return &Registry{root: r, constName: name, constValue: value}
 }
 
 // family is one named metric with its type, help text, label schema and
@@ -62,12 +80,19 @@ type family struct {
 	mu       sync.Mutex
 	order    []string // child keys in creation order
 	children map[string]any
-	fn       func() float64 // GaugeFunc only
 }
 
-func (r *Registry) register(name, help, typ string, labels []string, buckets []float64) *family {
+// gaugeFunc is the child kind GaugeFunc installs: sampled at scrape time.
+type gaugeFunc func() float64
+
+func (r *Registry) register(name, help, typ string, labels []string, buckets []float64) vec {
 	if name == "" {
 		panic("prom: empty metric name")
+	}
+	fixed := r.constValue
+	if r.root != nil {
+		labels = append([]string{r.constName}, labels...)
+		r = r.root
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -77,7 +102,7 @@ func (r *Registry) register(name, help, typ string, labels []string, buckets []f
 		if f.typ != typ || strings.Join(f.labels, ",") != strings.Join(labels, ",") {
 			panic(fmt.Sprintf("prom: metric %s re-registered with a different shape", name))
 		}
-		return f
+		return vec{f, fixed}
 	}
 	f := &family{
 		name: name, help: help, typ: typ,
@@ -87,12 +112,23 @@ func (r *Registry) register(name, help, typ string, labels []string, buckets []f
 	}
 	r.fams = append(r.fams, f)
 	r.byN[name] = f
-	return f
+	return vec{f, fixed}
+}
+
+// vec is what the three Vec types are: a family plus the constant label
+// value of the registry view it was registered through ("" on the root).
+type vec struct {
+	f     *family
+	fixed string
 }
 
 // child returns (creating on first use) the family's child for the given
 // label values.
-func (f *family) child(values []string, make func() any) any {
+func (v vec) child(values []string, make func() any) any {
+	f := v.f
+	if v.fixed != "" {
+		values = append([]string{v.fixed}, values...)
+	}
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("prom: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
@@ -149,7 +185,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 }
 
 // CounterVec is a counter family with label dimensions.
-type CounterVec struct{ f *family }
+type CounterVec struct{ vec }
 
 // CounterVec registers (or finds) a counter family with the given label
 // names.
@@ -157,7 +193,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{f: r.register(name, help, "counter", labels, nil)}
+	return &CounterVec{r.register(name, help, "counter", labels, nil)}
 }
 
 // With resolves one label-value combination to its child counter. Resolve
@@ -166,7 +202,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
+	return v.child(values, func() any { return &Counter{} }).(*Counter)
 }
 
 // --- gauge --------------------------------------------------------------------
@@ -218,14 +254,14 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // GaugeVec is a gauge family with label dimensions.
-type GaugeVec struct{ f *family }
+type GaugeVec struct{ vec }
 
 // GaugeVec registers (or finds) a gauge family with the given label names.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return &GaugeVec{f: r.register(name, help, "gauge", labels, nil)}
+	return &GaugeVec{r.register(name, help, "gauge", labels, nil)}
 }
 
 // With resolves one label-value combination to its child gauge.
@@ -233,7 +269,7 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	if v == nil {
 		return nil
 	}
-	return v.f.child(values, func() any { return &Gauge{} }).(*Gauge)
+	return v.child(values, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape time —
@@ -243,10 +279,13 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	f := r.register(name, help, "gauge", nil, nil)
-	f.mu.Lock()
-	f.fn = fn
-	f.mu.Unlock()
+	v := r.register(name, help, "gauge", nil, nil)
+	v.f.mu.Lock()
+	if _, ok := v.f.children[v.fixed]; !ok {
+		v.f.order = append(v.f.order, v.fixed)
+	}
+	v.f.children[v.fixed] = gaugeFunc(fn) // registering again replaces the callback
+	v.f.mu.Unlock()
 }
 
 // --- histogram ----------------------------------------------------------------
@@ -326,7 +365,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 }
 
 // HistogramVec is a histogram family with label dimensions.
-type HistogramVec struct{ f *family }
+type HistogramVec struct{ vec }
 
 // HistogramVec registers (or finds) a histogram family. All children share
 // the bucket layout fixed here.
@@ -341,7 +380,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	if !sort.Float64sAreSorted(b) {
 		panic(fmt.Sprintf("prom: histogram %s buckets not sorted", name))
 	}
-	return &HistogramVec{f: r.register(name, help, "histogram", labels, b)}
+	return &HistogramVec{r.register(name, help, "histogram", labels, b)}
 }
 
 // With resolves one label-value combination to its child histogram.
@@ -350,7 +389,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 		return nil
 	}
 	f := v.f
-	return f.child(values, func() any {
+	return v.child(values, func() any {
 		return &Histogram{upper: f.buckets, counts: make([]atomic.Uint64, len(f.buckets)+1)}
 	}).(*Histogram)
 }
@@ -385,6 +424,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	if r.root != nil {
+		r = r.root
+	}
 	r.mu.Lock()
 	fams := append([]*family(nil), r.fams...)
 	r.mu.Unlock()
@@ -403,9 +445,8 @@ func (f *family) writeText(w io.Writer) error {
 	for i, k := range keys {
 		children[i] = f.children[k]
 	}
-	fn := f.fn
 	f.mu.Unlock()
-	if len(children) == 0 && fn == nil {
+	if len(children) == 0 {
 		return nil // registered family with no children yet: omit
 	}
 	if f.help != "" {
@@ -414,10 +455,6 @@ func (f *family) writeText(w io.Writer) error {
 		}
 	}
 	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
-		return err
-	}
-	if fn != nil {
-		_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatValue(fn()))
 		return err
 	}
 	for i, key := range keys {
@@ -440,6 +477,9 @@ func (f *family) writeChild(w io.Writer, values []string, c any) error {
 		return err
 	case *Gauge:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, base, formatValue(m.Value()))
+		return err
+	case gaugeFunc:
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, base, formatValue(m()))
 		return err
 	case *Histogram:
 		cum, count, sum := m.snapshot()

@@ -366,3 +366,45 @@ func TestEmptyFamilyOmitted(t *testing.T) {
 		t.Fatalf("family with no children leaked into exposition:\n%s", sb.String())
 	}
 }
+
+// TestLabelledView: two instances of one subsystem register the same
+// families through labelled views and land as children of shared families
+// on the root — counters, labelled vecs and scrape-time gauges alike.
+func TestLabelledView(t *testing.T) {
+	r := NewRegistry()
+	for i, cell := range []string{"0", "1"} {
+		v := r.Labelled("cell", cell)
+		v.Counter("beacon_draws_total", "Draw requests served.").Add(int64(10 + i))
+		v.CounterVec("beacon_refills_total", "Refills by kind.", "kind").With("pipelined").Inc()
+		v.GaugeFunc("beacon_queue_depth", "Queued draws.", func() float64 { return float64(i) })
+	}
+	var sb strings.Builder
+	if err := r.Labelled("cell", "9").WriteText(&sb); err != nil { // a view exposes its root
+		t.Fatal(err)
+	}
+	want := `# HELP beacon_draws_total Draw requests served.
+# TYPE beacon_draws_total counter
+beacon_draws_total{cell="0"} 10
+beacon_draws_total{cell="1"} 11
+# HELP beacon_refills_total Refills by kind.
+# TYPE beacon_refills_total counter
+beacon_refills_total{cell="0",kind="pipelined"} 1
+beacon_refills_total{cell="1",kind="pipelined"} 1
+# HELP beacon_queue_depth Queued draws.
+# TYPE beacon_queue_depth gauge
+beacon_queue_depth{cell="0"} 0
+beacon_queue_depth{cell="1"} 1
+`
+	if sb.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", sb.String(), want)
+	}
+	if (*Registry)(nil).Labelled("cell", "0") != nil {
+		t.Fatal("a nil registry must stay nil under Labelled")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an unlabelled registration of a labelled family must panic")
+		}
+	}()
+	r.Counter("beacon_draws_total", "Draw requests served.")
+}

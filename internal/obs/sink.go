@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // Sink consumes trace events. Implementations must be safe for concurrent
@@ -23,7 +22,8 @@ type Sink interface {
 // call NewRing.
 type Ring struct {
 	mu      sync.Mutex
-	buf     []Event
+	buf     []Event // grows on demand up to limit: an idle recorder costs nothing
+	limit   int
 	next    int
 	full    bool
 	dropped int64
@@ -38,17 +38,17 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+	return &Ring{limit: capacity}
 }
 
 // Emit appends the event, evicting the oldest when at capacity.
 func (r *Ring) Emit(e Event) {
 	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.limit {
 		r.buf = append(r.buf, e)
 	} else {
 		r.buf[r.next] = e
-		r.next = (r.next + 1) % cap(r.buf)
+		r.next = (r.next + 1) % r.limit
 		r.full = true
 		r.dropped++
 	}
@@ -153,53 +153,5 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 			return nil, fmt.Errorf("obs: parse JSONL line %d: %w", line, jerr)
 		}
 		out = append(out, e)
-	}
-}
-
-// --- durations ----------------------------------------------------------------
-
-// DurationSink measures wall-clock span durations. Events carry no
-// timestamps (they would break the determinism goldens), so this sink
-// records time.Now at each EvSpanBegin and calls fn with the elapsed time at
-// the matching EvSpanEnd — the bridge from obs spans to latency histograms.
-// No program installs one yet; it stays for the per-phase duration series
-// of ROADMAP item 7b.
-//
-// Spans that never end are forgotten when the sink exceeds its internal
-// high-water mark, bounding memory under span leaks.
-type DurationSink struct {
-	fn  func(name string, kind SpanKind, d time.Duration)
-	now func() time.Time
-
-	mu      sync.Mutex
-	started map[uint64]time.Time
-}
-
-// NewDurationSink creates a DurationSink calling fn at every span close.
-func NewDurationSink(fn func(name string, kind SpanKind, d time.Duration)) *DurationSink {
-	return &DurationSink{fn: fn, now: time.Now, started: make(map[uint64]time.Time)}
-}
-
-// Emit implements Sink.
-func (d *DurationSink) Emit(e Event) {
-	switch e.Type {
-	case EvSpanBegin:
-		d.mu.Lock()
-		if len(d.started) > 4096 { // leaked spans: reset rather than grow
-			d.started = make(map[uint64]time.Time)
-		}
-		d.started[e.Span] = d.now()
-		d.mu.Unlock()
-	case EvSpanEnd:
-		d.mu.Lock()
-		t0, ok := d.started[e.Span]
-		if ok {
-			delete(d.started, e.Span)
-		}
-		now := d.now()
-		d.mu.Unlock()
-		if ok {
-			d.fn(e.Name, e.Kind, now.Sub(t0))
-		}
 	}
 }

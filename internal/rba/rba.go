@@ -92,10 +92,11 @@ func Run(nd *simnet.Node, cfg Config, input byte) (byte, error) {
 			maj = 1
 		}
 
-		b, err := cfg.Coins.ExposeBit(nd)
+		e, err := cfg.Coins.Expose(nd)
 		if err != nil {
 			return 0, fmt.Errorf("rba: phase %d coin: %w", phase, err)
 		}
+		b := coin.Bit(e)
 		if count[maj] >= n-2*t {
 			v = maj
 		} else {

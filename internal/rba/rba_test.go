@@ -25,7 +25,6 @@ func runRBA(t *testing.T, n, tf, phases int, inputs []byte, seed int64, faulty m
 			fns[i] = fb
 			continue
 		}
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			cfg := Config{N: n, T: tf, Phases: phases, Coins: batches[i]}
 			return Run(nd, cfg, inputs[i])
@@ -133,7 +132,6 @@ func TestValidation(t *testing.T) {
 	nw := simnet.New(6)
 	fns := make([]simnet.PlayerFunc, 6)
 	for i := range fns {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			if _, err := Run(nd, Config{N: 6, T: 1, Phases: 2, Coins: batches[i]}, 5); err == nil {
 				return nil, nil
@@ -161,7 +159,6 @@ func TestCoinConsumptionIsLockstep(t *testing.T) {
 	nw := simnet.New(n)
 	fns := make([]simnet.PlayerFunc, n)
 	for i := range fns {
-		i := i
 		fns[i] = func(nd *simnet.Node) (interface{}, error) {
 			cfg := Config{N: n, T: tf, Phases: phases, Coins: batches[i]}
 			if _, err := Run(nd, cfg, byte(i%2)); err != nil {

@@ -130,7 +130,7 @@ type peerNet struct {
 
 	ln   net.Listener
 	out  []*peerConn      // outgoing authenticated connections, nil at self
-	inst *peerInstruments // prom instrumentation, nil when disabled
+	inst *peerInstruments // prom instrumentation (on no registry when not configured)
 
 	// epoch is this daemon's beacon epoch + 1 (0 = never set), stamped on
 	// every done/status frame so peers can track cluster epoch positions.
@@ -280,20 +280,20 @@ func (pc *peerConn) dialLoop() {
 		}
 		conn, err := net.DialTimeout("tcp", pn.cfg.Peers[pc.to].Addr, writeTimeout)
 		if err != nil {
-			pn.inst.handshake('d')
+			pn.inst.hsDialErr.Inc()
 		} else {
 			conn.SetDeadline(time.Now().Add(10 * time.Second))
 			err = dialHandshake(conn, pn.cfg.Secret, pn.self, pc.to, pn.digest)
 			if err != nil {
-				pn.inst.handshake('r')
+				pn.inst.hsReject.Inc()
 				conn.Close()
 			} else {
-				pn.inst.handshake('o')
+				pn.inst.hsOK.Inc()
 				conn.SetDeadline(time.Time{})
 			}
 		}
 		if err != nil {
-			pn.inst.setBackoff(pc.to, backoff.Seconds())
+			pn.inst.backoff[pc.to].Set(backoff.Seconds())
 			select {
 			case <-pn.done:
 				return
@@ -306,9 +306,9 @@ func (pc *peerConn) dialLoop() {
 			continue
 		}
 		backoff = pn.opts.backoffMin
-		pn.inst.setBackoff(pc.to, 0)
-		pn.inst.connect(pc.to)
-		pn.inst.setConnected(pc.to, true)
+		pn.inst.backoff[pc.to].Set(0)
+		pn.inst.connects[pc.to].Inc()
+		pn.inst.connected[pc.to].Set(1)
 
 		pc.mu.Lock()
 		pc.conn = conn
@@ -327,7 +327,7 @@ func (pc *peerConn) dialLoop() {
 
 		pc.replyRead(conn) // blocks until the connection dies
 		pc.clear(conn)
-		pn.inst.setConnected(pc.to, false)
+		pn.inst.connected[pc.to].Set(0)
 	}
 }
 
@@ -608,11 +608,11 @@ func (pn *peerNet) advanceWatermark(from, r, epoch int) {
 	}
 	if r > pn.watermark[from] {
 		pn.watermark[from] = r
-		pn.inst.setWatermark(from, r)
+		pn.inst.watermark[from].SetInt(int64(r))
 	}
 	if epoch > pn.peerEpoch[from] {
 		pn.peerEpoch[from] = epoch
-		pn.inst.setEpoch(from, epoch)
+		pn.inst.epoch[from].SetInt(int64(epoch))
 	}
 	if from != pn.self && pn.watermark[from] >= pn.round-1 && pn.watermark[from] >= 0 {
 		pn.required[from] = true
@@ -700,10 +700,7 @@ func (pn *peerNet) endRound(nd *Node) ([]Message, error) {
 		return nil, ErrNotStarted
 	}
 	r := nd.round
-	var t0 time.Time
-	if pn.inst != nil {
-		t0 = time.Now()
-	}
+	t0 := pn.inst.stamp()
 
 	// Flush outside the lock: socket writes may block on deadlines, and the
 	// inbound readers need the lock to keep staging. Per-peer write errors
@@ -777,7 +774,7 @@ func (pn *peerNet) endRound(nd *Node) ([]Message, error) {
 		for j := range pn.required {
 			if pn.required[j] && pn.watermark[j] < r {
 				pn.required[j] = false
-				pn.inst.demoted(j)
+				pn.inst.demotions[j].Inc()
 				// A zero-length span marks the demotion on the obs timeline.
 				pn.nw.tracer.Start(pn.self, r, obs.KindPhase, fmt.Sprintf("peer-demoted-%d", j)).End(r)
 			}
@@ -786,9 +783,7 @@ func (pn *peerNet) endRound(nd *Node) ([]Message, error) {
 	msgs := pn.commitLocked(r)
 	pn.mu.Unlock()
 
-	if pn.inst != nil {
-		pn.inst.observeRound(time.Since(t0).Seconds())
-	}
+	since(pn.inst.roundDur, t0)
 	nd.round++
 	return msgs, nil
 }
@@ -815,15 +810,13 @@ func (pn *peerNet) commitLocked(r int) []Message {
 		msgs = pn.nw.eng.reorder(r, pn.self, msgs)
 	}
 	pn.round = r + 1
-	if pn.inst != nil {
-		lead := r
-		for _, w := range pn.watermark {
-			if w > lead {
-				lead = w
-			}
+	lead := r
+	for _, w := range pn.watermark {
+		if w > lead {
+			lead = w
 		}
-		pn.inst.updateLags(pn.self, lead, pn.watermark)
 	}
+	pn.inst.updateLags(pn.self, lead, pn.watermark)
 	if pn.nw.ctr != nil {
 		pn.nw.ctr.AddRounds(1)
 	}
@@ -972,10 +965,7 @@ func (nw *Network) Query(to int, req []byte, timeout time.Duration) ([]byte, err
 		pn.qMu.Unlock()
 	}
 
-	var q0 time.Time
-	if pn.inst != nil {
-		q0 = time.Now()
-	}
+	q0 := pn.inst.stamp()
 	payload := make([]byte, 8, 8+len(req))
 	binary.LittleEndian.PutUint64(payload, id)
 	payload = append(payload, req...)
@@ -985,9 +975,7 @@ func (nw *Network) Query(to int, req []byte, timeout time.Duration) ([]byte, err
 	}
 	select {
 	case resp := <-ch:
-		if pn.inst != nil {
-			pn.inst.observeQuery(to, time.Since(q0).Seconds())
-		}
+		since(pn.inst.queryRTT[to], q0)
 		return resp, nil
 	case <-time.After(timeout):
 		cancel()

@@ -9,14 +9,16 @@ package simnet
 
 import (
 	"strconv"
+	"time"
 
 	"repro/internal/obs/prom"
 )
 
 // PeerMetrics declares the peer-transport metric families on a registry.
-// Pass it to NewPeer via WithPeerMetrics; a nil *PeerMetrics (or one built
-// from a nil registry) disables the instrumentation with no overhead beyond
-// a nil check.
+// Pass it to NewPeer via WithPeerMetrics. A network given none builds its
+// own on no registry, so the transport uses the handles unconditionally: the
+// counters and gauges still count, nothing is exported, and the two
+// histograms — the only instruments that need a clock read — are off.
 type PeerMetrics struct {
 	// Watermark is simnet_peer_watermark{peer}: the highest round each peer
 	// has declared complete, -1 until first heard from.
@@ -51,19 +53,23 @@ type PeerMetrics struct {
 	RoundDuration *prom.Histogram
 }
 
-// NewPeerMetrics registers the peer-transport families on r (nil r → nil
-// handles throughout, the disabled path).
+// NewPeerMetrics registers the peer-transport families on r. On a nil r
+// nothing is exported and the histograms are off.
 func NewPeerMetrics(r *prom.Registry) *PeerMetrics {
+	live := r
+	if live == nil {
+		live = prom.NewRegistry()
+	}
 	return &PeerMetrics{
-		Watermark:     r.GaugeVec("simnet_peer_watermark", "Highest round the peer declared complete (-1 if never heard from).", "peer"),
-		WatermarkLag:  r.GaugeVec("simnet_peer_watermark_lag", "Rounds the peer trails the cluster lead.", "peer"),
-		Connected:     r.GaugeVec("simnet_peer_connected", "1 while the authenticated outgoing connection to the peer is up.", "peer"),
-		Epoch:         r.GaugeVec("simnet_peer_epoch", "Beacon epoch the peer last announced (-1 if never announced).", "peer"),
-		Demotions:     r.CounterVec("simnet_peer_demotions_total", "Round barriers that timed out waiting for the peer and demoted it.", "peer"),
-		Connects:      r.CounterVec("simnet_peer_reconnects_total", "Successful authenticated dials to the peer (first connect included).", "peer"),
-		RedialBackoff: r.GaugeVec("simnet_peer_redial_backoff_seconds", "Current redial backoff delay while disconnected (0 when connected).", "peer"),
+		Watermark:     live.GaugeVec("simnet_peer_watermark", "Highest round the peer declared complete (-1 if never heard from).", "peer"),
+		WatermarkLag:  live.GaugeVec("simnet_peer_watermark_lag", "Rounds the peer trails the cluster lead.", "peer"),
+		Connected:     live.GaugeVec("simnet_peer_connected", "1 while the authenticated outgoing connection to the peer is up.", "peer"),
+		Epoch:         live.GaugeVec("simnet_peer_epoch", "Beacon epoch the peer last announced (-1 if never announced).", "peer"),
+		Demotions:     live.CounterVec("simnet_peer_demotions_total", "Round barriers that timed out waiting for the peer and demoted it.", "peer"),
+		Connects:      live.CounterVec("simnet_peer_reconnects_total", "Successful authenticated dials to the peer (first connect included).", "peer"),
+		RedialBackoff: live.GaugeVec("simnet_peer_redial_backoff_seconds", "Current redial backoff delay while disconnected (0 when connected).", "peer"),
 		QueryRTT:      r.HistogramVec("simnet_peer_query_rtt_seconds", "Round-trip time of out-of-band peer queries.", nil, "peer"),
-		Handshakes:    r.CounterVec("simnet_handshake_total", "Outgoing dial attempts by outcome (ok, reject, dial-error).", "result"),
+		Handshakes:    live.CounterVec("simnet_handshake_total", "Outgoing dial attempts by outcome (ok, reject, dial-error).", "result"),
 		RoundDuration: r.Histogram("simnet_round_duration_seconds", "EndRound wall-clock time: flush plus distributed barrier wait.", nil),
 	}
 }
@@ -76,7 +82,7 @@ func WithPeerMetrics(pm *PeerMetrics) Option {
 
 // peerInstruments is the per-network resolved form of PeerMetrics: label
 // lookups done once at NewPeer, so the round path touches only atomic
-// handles. All methods are nil-receiver safe.
+// handles. A peer network always has one.
 type peerInstruments struct {
 	watermark, lag, connected, backoff, epoch []*prom.Gauge
 	demotions, connects                       []*prom.Counter
@@ -87,7 +93,7 @@ type peerInstruments struct {
 
 func newPeerInstruments(pm *PeerMetrics, n int) *peerInstruments {
 	if pm == nil {
-		return nil
+		pm = NewPeerMetrics(nil)
 	}
 	pi := &peerInstruments{
 		watermark: make([]*prom.Gauge, n),
@@ -119,72 +125,25 @@ func newPeerInstruments(pm *PeerMetrics, n int) *peerInstruments {
 	return pi
 }
 
-func (pi *peerInstruments) setConnected(j int, up bool) {
-	if pi == nil {
-		return
+// stamp reads the clock only when the histograms are on: a transport nobody
+// scrapes must not pay for time.Now on the round path.
+func (pi *peerInstruments) stamp() (t0 time.Time) {
+	if pi.roundDur != nil {
+		t0 = time.Now()
 	}
-	v := 0.0
-	if up {
-		v = 1
-	}
-	pi.connected[j].Set(v)
+	return t0
 }
 
-func (pi *peerInstruments) setBackoff(j int, seconds float64) {
-	if pi == nil {
-		return
+// since feeds h the time elapsed since a stamp taken with the histograms on.
+func since(h *prom.Histogram, t0 time.Time) {
+	if h != nil {
+		h.Observe(time.Since(t0).Seconds())
 	}
-	pi.backoff[j].Set(seconds)
-}
-
-func (pi *peerInstruments) handshake(outcome byte) {
-	if pi == nil {
-		return
-	}
-	switch outcome {
-	case 'o':
-		pi.hsOK.Inc()
-	case 'r':
-		pi.hsReject.Inc()
-	default:
-		pi.hsDialErr.Inc()
-	}
-}
-
-func (pi *peerInstruments) connect(j int) {
-	if pi == nil {
-		return
-	}
-	pi.connects[j].Inc()
-}
-
-func (pi *peerInstruments) demoted(j int) {
-	if pi == nil {
-		return
-	}
-	pi.demotions[j].Inc()
-}
-
-func (pi *peerInstruments) setWatermark(j, w int) {
-	if pi == nil {
-		return
-	}
-	pi.watermark[j].SetInt(int64(w))
-}
-
-func (pi *peerInstruments) setEpoch(j, e int) {
-	if pi == nil {
-		return
-	}
-	pi.epoch[j].SetInt(int64(e))
 }
 
 // updateLags refreshes the per-peer lag gauges against the given cluster
 // lead (the max of every watermark and the local committed round).
 func (pi *peerInstruments) updateLags(self, lead int, watermark []int) {
-	if pi == nil {
-		return
-	}
 	for j, w := range watermark {
 		if j == self {
 			pi.lag[j].Set(0)
@@ -196,18 +155,4 @@ func (pi *peerInstruments) updateLags(self, lead int, watermark []int) {
 		}
 		pi.lag[j].SetInt(int64(lag))
 	}
-}
-
-func (pi *peerInstruments) observeRound(seconds float64) {
-	if pi == nil {
-		return
-	}
-	pi.roundDur.Observe(seconds)
-}
-
-func (pi *peerInstruments) observeQuery(j int, seconds float64) {
-	if pi == nil {
-		return
-	}
-	pi.queryRTT[j].Observe(seconds)
 }

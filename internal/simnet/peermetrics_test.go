@@ -157,11 +157,17 @@ func TestPeerMetricsDemotionAndQueryRTT(t *testing.T) {
 	}
 }
 
-// TestPeerMetricsDisabled pins the nil path: no metrics option, nil
-// PeerMetrics, and PeerMetrics from a nil registry must all run cleanly.
+// TestPeerMetricsDisabled pins the unexported path: a network given no
+// metrics (or a nil *PeerMetrics) runs on a bundle built on no registry,
+// whose counters and gauges are live and whose histograms — the clock
+// reads — are off.
 func TestPeerMetricsDisabled(t *testing.T) {
-	if pm := NewPeerMetrics(nil); pm.Watermark != nil || pm.RoundDuration != nil {
-		t.Fatal("NewPeerMetrics(nil) should hand out nil instruments")
+	pm := NewPeerMetrics(nil)
+	if pm.Watermark == nil || pm.Handshakes == nil || pm.RoundDuration != nil || pm.QueryRTT != nil {
+		t.Fatal("NewPeerMetrics(nil) should hand out live counters and gauges and no histograms")
+	}
+	if pi := newPeerInstruments(nil, 2); !pi.stamp().IsZero() {
+		t.Fatal("instruments on no registry must not read the clock")
 	}
 	cfg := testPeerCfg(t, 2)
 	nws := startPeerCluster(t, cfg, WithPeerMetrics(nil))

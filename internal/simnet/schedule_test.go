@@ -17,7 +17,6 @@ func chatter(nw *Network, rounds int) [][]string {
 	out := make([][]string, n)
 	fns := make([]PlayerFunc, n)
 	for i := 0; i < n; i++ {
-		i := i
 		fns[i] = func(nd *Node) (interface{}, error) {
 			var lines []string
 			for r := 0; r < rounds; r++ {
@@ -182,7 +181,6 @@ func TestScheduleReorderPreservesPerSenderFIFO(t *testing.T) {
 	type rec struct{ order [][]int } // per round, sequence of From values
 	recs := make([]rec, n)
 	for i := 0; i < n; i++ {
-		i := i
 		fns[i] = func(nd *Node) (interface{}, error) {
 			for r := 0; r < 4; r++ {
 				nd.SendAll([]byte{byte(r), 0})

@@ -87,7 +87,6 @@ func TestDeterministicOrdering(t *testing.T) {
 		nw := New(4)
 		fns := make([]PlayerFunc, 4)
 		for i := 0; i < 3; i++ {
-			i := i
 			fns[i] = func(nd *Node) (interface{}, error) {
 				nd.Send(3, []byte{byte(i), 0})
 				nd.Send(3, []byte{byte(i), 1})

@@ -199,7 +199,6 @@ func TestFaultyPlayersCannotFrameHonestDealer(t *testing.T) {
 		fns[i] = h.player(0, secrets, 13)
 	}
 	for _, bad := range []int{2, 5} {
-		bad := bad
 		fns[bad] = func(nd *simnet.Node) (interface{}, error) {
 			cfg := h.cfg
 			cfg.Coins = h.batches[nd.Index()]
@@ -427,7 +426,6 @@ func TestMaskKeepsSecretsHidden(t *testing.T) {
 		var captured gf2k.Element
 		fns := make([]simnet.PlayerFunc, h.n)
 		for i := range fns {
-			i := i
 			fns[i] = func(nd *simnet.Node) (interface{}, error) {
 				cfg := h.cfg
 				cfg.Coins = h.batches[nd.Index()]

@@ -25,7 +25,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	nw := NewNetwork(cfg.N, WithCounters(&ctr))
 	fns := make([]PlayerFunc, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		i := i
 		fns[i] = func(nd *Node) (interface{}, error) {
 			rnd := rand.New(rand.NewSource(int64(i + 100)))
 			out := make([]Element, 0, 20)
