@@ -115,7 +115,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.SetOutput(stderr)
 	var c config
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:8433", "HTTP listen address of the observability endpoints (empty disables HTTP)")
-	fs.StringVar(&c.data, "data", "", "state directory: the ceremony's output (-deal), the player's store, meta and public log (-player, -reshare-join)")
+	fs.StringVar(&c.data, "data", "", "state directory: the ceremony's output (-deal), the player's store and public log (-player, -reshare-join)")
 	fs.BoolVar(&c.insecureRand, "insecure-rand", false, "use seeded math/rand instead of crypto/rand (reproducible demos ONLY)")
 	fs.Int64Var(&c.rngSeed, "rng-seed", 1, "seed for -insecure-rand")
 	fs.BoolVar(&c.deal, "deal", false, "run the one-time dealer ceremony for -config, write state files under -data, and exit")
@@ -208,8 +208,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 }
 
 // runDeal executes the one-time dealer ceremony for a multi-process
-// cluster: every player's initial store/meta pair lands under -data, ready
-// to be scattered to the daemons' machines.
+// cluster: every player's initial store lands under -data, ready to be
+// scattered to the daemons' machines.
 func runDeal(c *config, stdout io.Writer) error {
 	pc, err := simnet.LoadPeerConfig(c.configPath)
 	if err != nil {

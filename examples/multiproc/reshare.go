@@ -518,23 +518,18 @@ func rsLaunch(bin, logDir, tag string, args ...string) (*exec.Cmd, error) {
 	return cmd, nil
 }
 
-// rsScatter copies player id's dealt state files (store + meta) from the
-// ceremony output into the member's own state directory.
+// rsScatter copies player id's dealt store from the ceremony output into
+// the member's own state directory.
 func rsScatter(dealDir, dst string, id int) error {
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return err
 	}
-	for _, ext := range []string{"store", "meta"} {
-		name := fmt.Sprintf("player-%03d.%s", id, ext)
-		b, err := os.ReadFile(filepath.Join(dealDir, name))
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dst, name), b, 0o600); err != nil {
-			return err
-		}
+	name := fmt.Sprintf("player-%03d.store", id)
+	b, err := os.ReadFile(filepath.Join(dealDir, name))
+	if err != nil {
+		return err
 	}
-	return nil
+	return os.WriteFile(filepath.Join(dst, name), b, 0o600)
 }
 
 // rsWaitAllPaused polls every daemon's /v1/healthz until each reports an

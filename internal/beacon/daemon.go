@@ -28,7 +28,7 @@ package beacon
 //        imminent.
 //   4. Emission loop: one Next() per iteration — exposure rounds plus the
 //      occasional inline blocking refill, exactly the Fig. 1 loop. Every
-//      opened coin is appended to the public log; the store+meta snapshot
+//      opened coin is appended to the public log; the stamped store snapshot
 //      is rewritten after each refill and at graceful shutdown.
 //
 // A daemon that was down across a refill cannot rejoin (its store lacks
@@ -74,7 +74,7 @@ type DaemonConfig struct {
 	Peers *simnet.PeerConfig
 	// Self is this daemon's 0-based player index.
 	Self int
-	// StateDir holds this player's store, meta, and public coin log. The
+	// StateDir holds this player's store and public coin log. The
 	// ceremony (DealCluster) must have populated it.
 	StateDir string
 	// Emit stops the daemon once the public log holds this many coins
@@ -166,8 +166,8 @@ func effectiveBatch(pc *simnet.PeerConfig) int {
 }
 
 // DealCluster is the bootstrap ceremony: run the one-time trusted dealer
-// for the whole cluster and write every player's initial store, meta and
-// empty coin log under dir. The operator then moves each player-NNN.* set
+// for the whole cluster and write every player's initial store and empty
+// coin log under dir. The operator then moves each player-NNN.* set
 // to its machine's state directory. This is the only moment any process
 // sees more than one player's shares.
 func DealCluster(pc *simnet.PeerConfig, dir string, rnd io.Reader) error {
@@ -180,7 +180,7 @@ func DealCluster(pc *simnet.PeerConfig, dir string, rnd io.Reader) error {
 		return err
 	}
 	for i, g := range gens {
-		if err := writeGeneration(dir, i, nil, playerMeta{}, g.Store()); err != nil {
+		if err := writeGeneration(dir, i, nil, g.Store()); err != nil {
 			return err
 		}
 	}
@@ -222,8 +222,8 @@ type DaemonStats struct {
 	LogLen    int `json:"log"`
 	Epoch     int `json:"epoch"`
 	Remaining int `json:"remaining"`
-	// Generation is the committee generation this daemon serves (from its
-	// meta file; bumped only by a completed reshare + restart).
+	// Generation is the committee generation this daemon serves (its
+	// store's; bumped only by a completed reshare + restart).
 	Generation int  `json:"generation"`
 	Refilling  bool `json:"refilling"`
 	Joined     bool `json:"joined"`
@@ -305,7 +305,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 			cutover, attempt = j.Cutover, j.Attempt
 		}
 	}
-	ps, err := openPlayerState(cfg.StateDir, cfg.Self, cfg.Peers.Generation, false)
+	ps, err := openPlayerState(cfg.StateDir, cfg.Self, cfg.Peers.Generation)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w (run the dealer ceremony first: beacond -deal)", err)
 	}
@@ -318,12 +318,11 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{cfg: cfg, core: coreCfg, gen: gen, rnd: cfg.Rand, ps: ps, reshareAttempt: attempt}
-	d.state = DaemonStats{Player: cfg.Self, Epoch: ps.meta.Epoch, LogLen: len(ps.log), Remaining: gen.Remaining(),
-		Generation: ps.meta.Generation, ReshareArmed: cfg.ReshareNext != nil, Cutover: cutover}
+	d.state = DaemonStats{Player: cfg.Self, Epoch: ps.epoch, LogLen: len(ps.log), Remaining: gen.Remaining(),
+		Generation: ps.store.Generation, ReshareArmed: cfg.ReshareNext != nil, Cutover: cutover}
 
-	opts := append(transportOptions(cfg.Counters, cfg.Tracer, cfg.PeerMetrics, cfg.RoundTimeout, cfg.DialBackoffMax, d.handleQuery),
-		simnet.WithMaxRounds(serveMaxRounds))
-	nw, err := simnet.NewPeer(cfg.Peers, cfg.Self, opts...)
+	nw, err := simnet.NewPeer(cfg.Peers, cfg.Self,
+		transportOptions(cfg.Counters, cfg.Tracer, cfg.PeerMetrics, cfg.RoundTimeout, cfg.DialBackoffMax, d.handleQuery)...)
 	if err != nil {
 		ps.close()
 		return nil, err
@@ -333,8 +332,8 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	// Correlation keys: every trace event and peer frame this process emits
 	// carries who it is and which refill epoch it is in.
 	cfg.Tracer.SetOrigin(cfg.Self)
-	cfg.Tracer.SetEpoch(ps.meta.Epoch)
-	nw.SetEpoch(ps.meta.Epoch)
+	cfg.Tracer.SetEpoch(ps.epoch)
+	nw.SetEpoch(ps.epoch)
 	cfg.Metrics.registerGauges(d)
 	return d, nil
 }
@@ -609,7 +608,7 @@ func (d *Daemon) queryStates() ([]DaemonStats, []int) {
 // fast-forwards to the longest public log (a crashed cluster's logs differ
 // by at most the final in-flight coins) and starts at round 0.
 func (d *Daemon) coldStart(states []DaemonStats, peers []int) error {
-	target, epoch := len(d.ps.log), d.ps.meta.Epoch
+	target, epoch := len(d.ps.log), d.ps.epoch
 	for i, st := range states {
 		if st.Epoch != epoch {
 			return fmt.Errorf("%w: peer %d at epoch %d, this player at %d", ErrEpochMismatch, peers[i], st.Epoch, epoch)
@@ -642,7 +641,7 @@ func (d *Daemon) rejoin(states []DaemonStats, peers []int, leadIdx int) error {
 	if lead.Refilling {
 		return fmt.Errorf("peer %d is mid-refill", peers[leadIdx])
 	}
-	epoch := d.ps.meta.Epoch
+	epoch := d.ps.epoch
 	if lead.Epoch != epoch {
 		return fmt.Errorf("%w: cluster at epoch %d, this player at %d", ErrEpochMismatch, lead.Epoch, epoch)
 	}
@@ -739,7 +738,7 @@ func (d *Daemon) emit(ctx context.Context) error {
 			d.mu.Lock()
 			d.state.Refilling = true
 			d.mu.Unlock()
-			d.cfg.Logf("refill starting at log position %d (epoch %d)", logLen, d.ps.meta.Epoch)
+			d.cfg.Logf("refill starting at log position %d (epoch %d)", logLen, d.ps.epoch)
 		}
 		batchesBefore := d.gen.Stats().Batches
 		t0 := time.Now()
@@ -754,31 +753,31 @@ func (d *Daemon) emit(ctx context.Context) error {
 		d.cfg.Metrics.observeEmit(time.Since(t0).Seconds(), refilled)
 
 		werr := d.ps.append(v)
-		d.ps.meta.Epoch += refilled
+		d.ps.epoch += refilled
 		d.mu.Lock()
 		d.state.LogLen = len(d.ps.log)
 		d.state.Round = d.nd.Round()
 		d.state.Remaining = d.gen.Remaining()
-		d.state.Epoch = d.ps.meta.Epoch
+		d.state.Epoch = d.ps.epoch
 		if refilled > 0 {
 			d.state.Refilling = false
 		}
 		d.mu.Unlock()
 		if werr != nil {
-			// Halt without persisting: the meta snapshot must not record a
-			// LogLen the on-disk log never reached, and the restart replays
+			// Halt without persisting: the snapshot must not stamp a LogLen
+			// the on-disk log never reached, and the restart replays
 			// the lost tail from peers.
 			return werr
 		}
 		if refilled > 0 {
 			// Re-stamp the correlation keys: trace events and peer frames
 			// emitted from here on belong to the new epoch.
-			d.cfg.Tracer.SetEpoch(d.ps.meta.Epoch)
-			d.nw.SetEpoch(d.ps.meta.Epoch)
+			d.cfg.Tracer.SetEpoch(d.ps.epoch)
+			d.nw.SetEpoch(d.ps.epoch)
 			if err := d.ps.snapshot(); err != nil {
 				return err
 			}
-			d.cfg.Logf("refill complete: epoch %d, %d coins in store", d.ps.meta.Epoch, d.gen.Remaining())
+			d.cfg.Logf("refill complete: epoch %d, %d coins in store", d.ps.epoch, d.gen.Remaining())
 		}
 
 		if d.cfg.EmitInterval > 0 {

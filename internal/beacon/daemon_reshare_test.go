@@ -60,10 +60,7 @@ func runArmedCluster(t *testing.T, pc, next *simnet.PeerConfig, dirs []string, s
 	}
 	cut := -1
 	for i := 0; i < n; i++ {
-		meta, err := loadMeta(dirs[i], i)
-		if err != nil {
-			t.Fatalf("player %d meta: %v", i, err)
-		}
+		meta, _ := readStamp(t, dirs[i], i)
 		j, err := LoadReshareJournal(dirs[i])
 		if err != nil || j == nil {
 			t.Fatalf("player %d journal after cutover: %v %v", i, j, err)
@@ -295,12 +292,8 @@ func TestDaemonReshareHandover(t *testing.T) {
 		if log := readLogFile(t, newDirs[j], j); log != ref {
 			t.Fatalf("new member %d log differs", j)
 		}
-		meta, err := loadMeta(newDirs[j], j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.Generation != 1 {
-			t.Fatalf("new member %d generation %d, want 1", j, meta.Generation)
+		if _, gen := readStamp(t, newDirs[j], j); gen != 1 {
+			t.Fatalf("new member %d generation %d, want 1", j, gen)
 		}
 	}
 }
@@ -422,12 +415,8 @@ func TestDaemonStaleMemberRecoversViaRefresh(t *testing.T) {
 			t.Fatalf("player %d log differs after stale recovery", i)
 		}
 	}
-	meta, err := loadMeta(dirs[stale], stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Generation != 1 {
-		t.Fatalf("recovered member generation %d, want 1", meta.Generation)
+	if _, gen := readStamp(t, dirs[stale], stale); gen != 1 {
+		t.Fatalf("recovered member generation %d, want 1", gen)
 	}
 }
 

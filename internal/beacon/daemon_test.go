@@ -126,10 +126,7 @@ func TestDaemonClusterRoundTrip(t *testing.T) {
 		}
 	}
 	// Seed 24 coins, threshold 6: the refill must have fired before coin 30.
-	meta, err := loadMeta(dirs[0], 0)
-	if err != nil {
-		t.Fatalf("meta: %v", err)
-	}
+	meta, _ := readStamp(t, dirs[0], 0)
 	if meta.Epoch != 1 {
 		t.Fatalf("expected exactly one refill epoch, got %d", meta.Epoch)
 	}
@@ -252,17 +249,12 @@ func scatterStateDirs(t *testing.T, ceremony string, dirs []string) {
 		if err := os.MkdirAll(dir, 0o700); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{
-			fmt.Sprintf("player-%03d.store", i),
-			fmt.Sprintf("player-%03d.meta", i),
-		} {
-			data, err := os.ReadFile(filepath.Join(ceremony, name))
-			if err != nil {
-				t.Fatalf("ceremony output %s: %v", name, err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
-				t.Fatal(err)
-			}
+		data, err := os.ReadFile(storeFile(ceremony, i))
+		if err != nil {
+			t.Fatalf("ceremony output: %v", err)
+		}
+		if err := os.WriteFile(storeFile(dir, i), data, 0o600); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

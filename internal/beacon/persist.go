@@ -2,6 +2,7 @@ package beacon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,17 +17,20 @@ import (
 )
 
 // Player state: everything a player keeps on disk — player-NNN.store (the
-// SECRET shares), player-NNN.meta and the public log player-NNN.coins —
-// goes through this file. ARCHITECTURE.md ("Player state") describes the
-// files, the four operations and the two write orders. Files are created
-// 0600 and the directory 0700; store and meta are replaced atomically, the
-// log is only ever appended to. The single-process Service keeps only the
-// store files, n side by side.
+// SECRET shares, stamped with the position they were snapshotted at) and the
+// public log player-NNN.coins — goes through this file. ARCHITECTURE.md
+// ("Player state") describes the files, the four operations and the one
+// write order. Files are created 0600 and the directory 0700; the store is
+// replaced atomically, the log is only ever appended to, and every rename
+// and unlink is made durable by syncDir. The single-process Service keeps
+// only the store files, n side by side.
 
 func storeFile(dir string, player int) string {
 	return filepath.Join(dir, fmt.Sprintf("player-%03d.store", player))
 }
 
+// metaFile is where state written before store files carried their stamp
+// kept it: read beside a bare store, removed by the first snapshot.
 func metaFile(dir string, player int) string {
 	return filepath.Join(dir, fmt.Sprintf("player-%03d.meta", player))
 }
@@ -38,27 +42,71 @@ func CoinLogFile(dir string, player int) string {
 	return filepath.Join(dir, fmt.Sprintf("player-%03d.coins", player))
 }
 
-func saveStore(dir string, player int, st *coin.Store) error {
+// stamp is the position a store snapshot was taken at. It travels in the
+// store file's header, so store and position are replaced by one rename.
+type stamp struct {
+	// Epoch counts absorbed Coin-Gen refills since the current committee
+	// took over (the dealer ceremony, or the last reshare). A rejoining
+	// daemon whose epoch differs from the cluster's has missed a refill and
+	// catches up with a proactive reshare (docs/OPERATIONS.md).
+	Epoch int
+	// LogLen is the public-log length at the moment of the snapshot; the
+	// recovery discard is len(log) − LogLen. A Service keeps no log and
+	// stamps zero.
+	LogLen int
+}
+
+// storeFileMagic opens a stamped store file: magic, Epoch and LogLen as
+// little-endian uint64s, then the coin.Store encoding unchanged. Files
+// written before the header existed start with coin's own magic instead.
+const storeFileMagic = "DPRBGp1\x00"
+
+// writeStore is the one writer of player-NNN.store: daemon snapshots, a
+// generation's first files and Service.Persist (stamp zero) all land here.
+func writeStore(dir string, player int, at stamp, st *coin.Store) error {
 	enc, err := st.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("beacon: marshal player %d store: %w", player, err)
 	}
-	if err := writeAtomic(storeFile(dir, player), enc); err != nil {
+	buf := binary.LittleEndian.AppendUint64([]byte(storeFileMagic), uint64(at.Epoch))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(at.LogLen))
+	if err := writeAtomic(storeFile(dir, player), append(buf, enc...)); err != nil {
 		return fmt.Errorf("beacon: persist player %d store: %w", player, err)
 	}
 	return nil
 }
 
-func loadStore(dir string, player int) (*coin.Store, error) {
-	var st *coin.Store
+// loadStore reads player's store and the stamp it was written with. A bare
+// store — written by a daemon or by Service.Persist before the header
+// existed — takes its stamp from the .meta beside it (a missing .meta reads
+// as zero, its Generation field is ignored); bare reports that case.
+func loadStore(dir string, player int) (st *coin.Store, at stamp, bare bool, err error) {
 	data, err := os.ReadFile(storeFile(dir, player))
+	body, headed := bytes.CutPrefix(data, []byte(storeFileMagic))
+	switch {
+	case err != nil:
+	case !headed:
+		if data, err = os.ReadFile(metaFile(dir, player)); err == nil {
+			err = json.Unmarshal(data, &at)
+		} else if os.IsNotExist(err) {
+			err = nil
+		}
+	case len(body) < 16:
+		err = errors.New("truncated store header")
+	default:
+		at = stamp{Epoch: int(binary.LittleEndian.Uint64(body)), LogLen: int(binary.LittleEndian.Uint64(body[8:]))}
+		body = body[16:]
+	}
+	if err == nil && (at.Epoch < 0 || at.LogLen < 0) {
+		err = fmt.Errorf("negative snapshot stamp %+v", at)
+	}
 	if err == nil {
-		st, err = coin.UnmarshalStore(data)
+		st, err = coin.UnmarshalStore(body)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("beacon: load player %d store: %w", player, err)
+		return nil, at, false, fmt.Errorf("beacon: load player %d store: %w", player, err)
 	}
-	return st, nil
+	return st, at, !headed, nil
 }
 
 // Persist writes every player's store under dir. Call only after Close
@@ -75,7 +123,7 @@ func (s *Service) Persist(dir string) error {
 		return err
 	}
 	for i, g := range s.gens {
-		if err := saveStore(dir, i, g.Store()); err != nil {
+		if err := writeStore(dir, i, stamp{}, g.Store()); err != nil {
 			return err
 		}
 	}
@@ -87,12 +135,11 @@ func (s *Service) Persist(dir string) error {
 // distinguish "fresh start" from genuine corruption.
 func LoadStores(dir string, n int) ([]*coin.Store, error) {
 	stores := make([]*coin.Store, n)
+	var err error
 	for i := range stores {
-		st, err := loadStore(dir, i)
-		if err != nil {
+		if stores[i], _, _, err = loadStore(dir, i); err != nil {
 			return nil, err
 		}
-		stores[i] = st
 	}
 	return stores, nil
 }
@@ -114,60 +161,21 @@ func StoredPlayers(dir string) (int, error) {
 	return n, nil
 }
 
-// RemoveStores deletes the n player stores under dir and fsyncs dir. A
-// resumed process calls it before it answers its first draw: the files
-// describe coins that are about to be exposed, and a process that dies
-// without a graceful Persist must find no stores — and deal afresh — rather
-// than reload these and expose the same sealed coins a second time.
+// RemoveStores deletes the n player stores under dir, durably. A resumed
+// process calls it before it answers its first draw: the files describe
+// coins that are about to be exposed, and a process that dies without a
+// graceful Persist must find no stores — and deal afresh — rather than
+// reload these and expose the same sealed coins a second time.
 func RemoveStores(dir string, n int) error {
-	for i := 0; i < n; i++ {
-		if err := os.Remove(storeFile(dir, i)); err != nil {
-			return fmt.Errorf("beacon: retire player %d store: %w", i, err)
-		}
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = storeFile(dir, i)
 	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
+	removed, err := syncDir(dir, paths...)
+	if err == nil && removed != n {
+		err = fmt.Errorf("beacon: retire stores: %d of %d present in %s", removed, n, dir)
 	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// playerMeta is the per-player daemon metadata persisted next to the store.
-type playerMeta struct {
-	// Epoch counts absorbed Coin-Gen refills since the current committee
-	// took over (the dealer ceremony, or the last reshare). A rejoining
-	// daemon whose epoch differs from the cluster's has missed a refill and
-	// catches up with a proactive reshare (docs/OPERATIONS.md).
-	Epoch int
-	// LogLen is the public-log length at the moment the store snapshot was
-	// written; the recovery discard is len(log) − LogLen.
-	LogLen int
-	// Generation counts committee handovers: 0 for the dealt committee,
-	// bumped by every reshare. openPlayerState fences on it.
-	Generation int `json:",omitempty"`
-}
-
-func saveMeta(dir string, player int, m playerMeta) error {
-	enc, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return writeAtomic(metaFile(dir, player), enc)
-}
-
-// loadMeta reads the player's daemon metadata; a missing file is the zero
-// meta (fresh post-ceremony state).
-func loadMeta(dir string, player int) (playerMeta, error) {
-	var m playerMeta
-	data, err := os.ReadFile(metaFile(dir, player))
-	if err == nil {
-		err = json.Unmarshal(data, &m)
-	}
-	if err != nil && !os.IsNotExist(err) {
-		return m, fmt.Errorf("beacon: player %d meta: %w", player, err)
-	}
-	return m, nil
+	return err
 }
 
 // appendLogLines is the public-log line codec, shared by the file and the
@@ -314,10 +322,12 @@ type playerState struct {
 	dir    string
 	player int
 	// store is the live store (the one the daemon's core.Generator draws
-	// from). meta.Epoch is kept current by the run loop, one bump per
-	// absorbed refill; meta.LogLen is stamped by snapshot.
+	// from); epoch is kept current by the run loop, one bump per absorbed
+	// refill, and stamped with the store by snapshot. bare marks a store
+	// opened from the layout before the header: a .meta may lie beside it.
 	store *coin.Store
-	meta  playerMeta
+	epoch int
+	bare  bool
 
 	mu   sync.Mutex
 	log  []gf2k.Element // guarded by mu
@@ -357,49 +367,44 @@ func openPlayerLog(dir string, player int) (*playerState, error) {
 	return &playerState{dir: dir, player: player, log: log, file: f}, nil
 }
 
-// openPlayerState loads player's store, meta and log and reconciles them.
+// openPlayerState loads player's store and log and reconciles them.
 //
 // Generation fence: state from another committee generation — a daemon
 // pointed at the wrong roster file, or at state a reshare already
 // superseded — fails here with a pointed error instead of desyncing later
 // (the config digest separates the meshes anyway; this turns a confusing
-// connect-timeout into a diagnosis). handover relaxes the fence for the
-// resharing ceremony only: a meta one generation AHEAD of the store is the
-// signature of a ceremony that crashed between its meta and store writes
-// (writeGeneration), and the retry must be able to load the old store again.
+// connect-timeout into a diagnosis). The store's own generation is the one
+// fenced: a generation write replaces it in one rename, so a ceremony that
+// crashed before that rename finds the old store, and one that crashed after
+// it finds the new.
 //
 // Crash reconciliation: the log advances one line per coin while the store
 // snapshot only advances at refill boundaries — the gap is replayed onto
 // the share cursor. This is the only place that rule is applied.
-func openPlayerState(dir string, player, generation int, handover bool) (*playerState, error) {
-	st, err := loadStore(dir, player)
+func openPlayerState(dir string, player, generation int) (*playerState, error) {
+	st, at, bare, err := loadStore(dir, player)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := loadMeta(dir, player)
-	if err != nil {
-		return nil, err
-	}
-	metaOK := meta.Generation == generation || handover && meta.Generation == generation+1
-	if st.Generation != generation || !metaOK {
-		return nil, fmt.Errorf("beacon: player %d state is generation %d/%d (store/meta) but peers.yaml says %d — finish the reshare or point the daemon at the matching roster file",
-			player, st.Generation, meta.Generation, generation)
+	if st.Generation != generation {
+		return nil, fmt.Errorf("beacon: player %d store is generation %d but peers.yaml says %d — finish the reshare or point the daemon at the matching roster file",
+			player, st.Generation, generation)
 	}
 	ps, err := openPlayerLog(dir, player)
 	if err != nil {
 		return nil, err
 	}
-	gap := len(ps.log) - meta.LogLen
+	gap := len(ps.log) - at.LogLen
 	if gap < 0 {
 		ps.close()
 		return nil, fmt.Errorf("beacon: player %d log (%d entries) is behind its store snapshot (%d) — state dir corrupt",
-			player, len(ps.log), meta.LogLen)
+			player, len(ps.log), at.LogLen)
 	}
 	if err := st.Discard(gap); err != nil {
 		ps.close()
 		return nil, fmt.Errorf("beacon: player %d crash reconciliation: %w", player, err)
 	}
-	ps.store, ps.meta = st, meta
+	ps.store, ps.epoch, ps.bare = st, at.Epoch, bare
 	return ps, nil
 }
 
@@ -460,32 +465,40 @@ func (ps *playerState) fastForward(target int, query queryFunc, servers []int, q
 	return ps.append(entries...)
 }
 
-// snapshot makes the current position durable: log fsync, then store, then
-// meta. The log goes first because meta.LogLen must never point past the
-// durable log (open treats a log behind its snapshot as corruption); the
-// log is otherwise only synced by the OS, one snapshot per refill.
+// snapshot makes the current position durable: log fsync, then the store
+// stamped with it, in one atomic write. The log goes first because the
+// stamp's LogLen must never point past the durable log (open treats a log
+// behind its snapshot as corruption); the log is otherwise only synced by
+// the OS, one snapshot per refill. A bare store's .meta is stale once the
+// stamped store is down, and goes.
 func (ps *playerState) snapshot() error {
 	if err := ps.file.Sync(); err != nil {
 		return err
 	}
-	ps.meta.LogLen = len(ps.log)
-	if err := saveStore(ps.dir, ps.player, ps.store); err != nil {
+	if err := writeStore(ps.dir, ps.player, stamp{Epoch: ps.epoch, LogLen: len(ps.log)}, ps.store); err != nil {
 		return err
 	}
-	return saveMeta(ps.dir, ps.player, ps.meta)
+	if ps.bare {
+		if _, err := syncDir(ps.dir, metaFile(ps.dir, ps.player)); err != nil {
+			return err
+		}
+		ps.bare = false
+	}
+	return nil
 }
 
 // writeGeneration writes the first files of a committee generation for
 // player — the dealer ceremony's generation 0, or a resharing ceremony's
-// next one: the public log up to the handover position, then meta, then the
-// store, each durable before the next is started. The store goes LAST so
-// that finding a generation's store on disk proves its log and meta are
-// there too (RunReshare's idempotent completion check relies on it).
+// next one: the public log up to the handover position, then the store
+// stamped epoch 0 at that position, each durable before the next is
+// started. The store goes LAST so that finding a generation's store on disk
+// proves its log is there too (RunReshare's idempotent completion check
+// relies on it).
 //
 // Whatever log the identity already holds must be a prefix of log (a member
 // keeping its index, a retry after a crash): only the missing suffix is
 // appended, nothing is rewritten.
-func writeGeneration(dir string, player int, log []gf2k.Element, meta playerMeta, st *coin.Store) error {
+func writeGeneration(dir string, player int, log []gf2k.Element, st *coin.Store) error {
 	ps, err := openPlayerLog(dir, player)
 	if err != nil {
 		return err
@@ -501,36 +514,53 @@ func writeGeneration(dir string, player int, log []gf2k.Element, meta playerMeta
 	if err := ps.file.Sync(); err != nil {
 		return err
 	}
-	if err := saveMeta(dir, player, meta); err != nil {
-		return err
-	}
-	return saveStore(dir, player, st)
+	return writeStore(dir, player, stamp{LogLen: len(log)}, st)
 }
 
-// writeAtomic writes data to path via a temp file, fsync and rename, so a
-// crash mid-write never leaves a truncated store behind and the rename
-// target is durable before it becomes visible.
+// writeAtomic writes data to path via a temp file, fsync, rename and an
+// fsync of the directory, so a crash mid-write never leaves a truncated file
+// behind, the rename target is durable before it becomes visible, and the
+// rename itself survives a power cut — a lost rename would bring the older
+// store back, and with it coins already exposed.
 func writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".store-*")
+	tmp, err := os.CreateTemp(dir, ".store-*") // created 0600
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := tmp.Chmod(0o600); err != nil {
-		tmp.Close()
-		return err
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		_, err = syncDir(dir)
 	}
-	return os.Rename(tmp.Name(), path)
+	return err
+}
+
+// syncDir unlinks paths, all inside dir (one already gone is skipped;
+// removed counts the rest), then fsyncs dir: every rename and unlink in a
+// state directory is made durable here, before the caller moves on.
+func syncDir(dir string, paths ...string) (removed int, err error) {
+	for _, p := range paths {
+		switch err := os.Remove(p); {
+		case err == nil:
+			removed++
+		case !os.IsNotExist(err):
+			return removed, err
+		}
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return removed, err
+	}
+	defer d.Close()
+	return removed, d.Sync()
 }

@@ -145,18 +145,26 @@ func TestTornTailHealedInPlace(t *testing.T) {
 	}
 }
 
-// dealtDir deals a 7-player cluster into a fresh directory.
-func dealtDir(t *testing.T, seed int64) (*simnet.PeerConfig, string) {
-	t.Helper()
+// localConfig is a 7-player config (t=1, threshold 6) whose addresses
+// nothing dials, with batch as both its batch and its seed size.
+func localConfig(batch int) *simnet.PeerConfig {
 	pc := &simnet.PeerConfig{Cluster: "t", Secret: []byte("0123456789abcdef0123456789abcdef"),
-		T: 1, K: 32, Batch: 24, Threshold: 6, SeedCoins: 24}
+		T: 1, K: 32, Batch: batch, Threshold: 6, SeedCoins: batch}
 	for i := 0; i < 7; i++ {
 		pc.Peers = append(pc.Peers, simnet.Peer{ID: i, Addr: fmt.Sprintf("127.0.0.1:%d", 1000+i)})
 	}
+	return pc
+}
+
+// dealtDir deals a 7-player cluster into a fresh directory.
+func dealtDir(t testing.TB, seed int64) (*simnet.PeerConfig, string) {
+	t.Helper()
+	pc := localConfig(24)
 	dir := t.TempDir()
 	if err := DealCluster(pc, dir, rand.New(rand.NewSource(seed))); err != nil {
 		t.Fatal(err)
 	}
+	noMeta(t, dir)
 	return pc, dir
 }
 
@@ -185,29 +193,34 @@ func exposeAll(t *testing.T, pc *simnet.PeerConfig, stores []*coin.Store, k int)
 }
 
 // TestOpenPlayerState drives the seam's open: a clean state, the crash gap,
-// and each fence, table-driven over what is on disk.
+// the fence, and the legacy layout (a bare store with the stamp in a .meta
+// beside it), table-driven over what is on disk.
 func TestOpenPlayerState(t *testing.T) {
 	cases := []struct {
 		name       string
 		log        string // player 0's log file ("" = as dealt)
-		meta       *playerMeta
+		at         stamp  // the stamped store's header
+		meta       string // legacy: write the store bare, with this .meta ("-" = none)
 		rmStore    bool
 		generation int
-		handover   bool
 		wantErr    string // "" = opens; otherwise a required substring
 		wantLeft   int    // sealed coins after reconciliation
+		wantEpoch  int
 	}{
 		{name: "clean", wantLeft: 24},
 		{name: "crash gap replayed", log: "0 aa\n1 bb\n2 cc\n", wantLeft: 21},
 		{name: "torn tail not replayed", log: "0 aa\n1 bb\n2 c", wantLeft: 22},
-		{name: "gap inside snapshot", log: "0 aa\n1 bb\n2 cc\n", meta: &playerMeta{LogLen: 2}, wantLeft: 23},
-		{name: "log behind snapshot", log: "0 aa\n", meta: &playerMeta{LogLen: 3}, wantErr: "behind its store snapshot"},
+		{name: "gap inside snapshot", log: "0 aa\n1 bb\n2 cc\n", at: stamp{Epoch: 2, LogLen: 2}, wantLeft: 23, wantEpoch: 2},
+		{name: "log behind snapshot", log: "0 aa\n", at: stamp{LogLen: 3}, wantErr: "behind its store snapshot"},
 		{name: "gap beyond the store", log: logOf(30), wantErr: "crash reconciliation"},
-		{name: "roster generation mismatch", generation: 1, wantErr: "state is generation 0/0 (store/meta) but peers.yaml says 1"},
-		{name: "meta generation mismatch", meta: &playerMeta{Generation: 1}, wantErr: "state is generation 0/1"},
-		{name: "meta ahead tolerated mid-handover", meta: &playerMeta{Generation: 1}, handover: true, wantLeft: 24},
-		{name: "meta two ahead is never fine", meta: &playerMeta{Generation: 2}, handover: true, wantErr: "state is generation 0/2"},
+		{name: "roster generation mismatch", generation: 1, wantErr: "store is generation 0 but peers.yaml says 1"},
 		{name: "no store", rmStore: true, wantErr: "no such file"},
+		{name: "legacy gap inside snapshot", log: "0 aa\n1 bb\n2 cc\n", meta: `{"Epoch":2,"LogLen":2}`, wantLeft: 23, wantEpoch: 2},
+		{name: "legacy log behind snapshot", log: "0 aa\n", meta: `{"Epoch":0,"LogLen":3}`, wantErr: "behind its store snapshot"},
+		{name: "legacy missing meta reads as zero", log: "0 aa\n", meta: "-", wantLeft: 23},
+		{name: "legacy meta generation ignored", meta: `{"Epoch":0,"LogLen":0,"Generation":1}`, wantLeft: 24},
+		{name: "legacy meta garbage", meta: `{"LogLen":`, wantErr: "JSON input"},
+		{name: "legacy meta negative", log: "0 aa\n", meta: `{"LogLen":-1}`, wantErr: "negative snapshot stamp"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -217,15 +230,19 @@ func TestOpenPlayerState(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if tc.meta != nil {
-				if err := saveMeta(dir, 0, *tc.meta); err != nil {
-					t.Fatal(err)
-				}
+			st, _, _, err := loadStore(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.meta != "" {
+				writeLegacy(t, dir, 0, st, tc.meta)
+			} else if err := writeStore(dir, 0, tc.at, st); err != nil {
+				t.Fatal(err)
 			}
 			if tc.rmStore {
 				os.Remove(storeFile(dir, 0))
 			}
-			ps, err := openPlayerState(dir, 0, tc.generation, tc.handover)
+			ps, err := openPlayerState(dir, 0, tc.generation)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("open error = %v, want %q", err, tc.wantErr)
@@ -239,8 +256,8 @@ func TestOpenPlayerState(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ps.close()
-			if got := ps.store.Remaining(); got != tc.wantLeft {
-				t.Fatalf("store holds %d coins after open, want %d", got, tc.wantLeft)
+			if got := ps.store.Remaining(); got != tc.wantLeft || ps.epoch != tc.wantEpoch {
+				t.Fatalf("store holds %d coins at epoch %d after open, want %d at %d", got, ps.epoch, tc.wantLeft, tc.wantEpoch)
 			}
 		})
 	}
@@ -248,6 +265,42 @@ func TestOpenPlayerState(t *testing.T) {
 
 func logOf(n int) string {
 	return string(appendLogLines(nil, 0, make([]gf2k.Element, n)))
+}
+
+// writeLegacy lays player's state out the way the commits before the store
+// header did: the bare coin.Store encoding, and meta ("-" = none) beside it.
+func writeLegacy(t *testing.T, dir string, player int, st *coin.Store, meta string) {
+	t.Helper()
+	enc, err := st.MarshalBinary()
+	if err == nil {
+		err = writeAtomic(storeFile(dir, player), enc)
+	}
+	if err == nil && meta != "-" {
+		err = os.WriteFile(metaFile(dir, player), []byte(meta), 0o600)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// noMeta fails when dir holds any .meta: no code path writes one.
+func noMeta(t testing.TB, dir string) {
+	t.Helper()
+	if metas, _ := filepath.Glob(filepath.Join(dir, "player-*.meta")); len(metas) != 0 {
+		t.Fatalf("%s holds %v", dir, metas)
+	}
+}
+
+// readStamp reads the stamp and generation of player's store, and checks no
+// .meta lies in dir.
+func readStamp(t *testing.T, dir string, player int) (stamp, int) {
+	t.Helper()
+	noMeta(t, dir)
+	st, at, bare, err := loadStore(dir, player)
+	if err != nil || bare {
+		t.Fatalf("player %d store: bare %t, %v", player, bare, err)
+	}
+	return at, st.Generation
 }
 
 // TestCrashGapReplaysToReferenceCursor: a cluster that crashed k coins past
@@ -270,7 +323,7 @@ func TestCrashGapReplaysToReferenceCursor(t *testing.T) {
 		if err := os.WriteFile(CoinLogFile(dir, i), appendLogLines(nil, 0, ref[:k]), 0o600); err != nil {
 			t.Fatal(err)
 		}
-		ps, err := openPlayerState(dir, i, 0, false)
+		ps, err := openPlayerState(dir, i, 0)
 		if err != nil {
 			t.Fatalf("player %d: %v", i, err)
 		}
@@ -289,7 +342,7 @@ func TestCrashGapReplaysToReferenceCursor(t *testing.T) {
 // a reopen after it replays only the coins logged since.
 func TestSnapshotThenReopen(t *testing.T) {
 	_, dir := dealtDir(t, 5)
-	ps, err := openPlayerState(dir, 0, 0, false)
+	ps, err := openPlayerState(dir, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +352,7 @@ func TestSnapshotThenReopen(t *testing.T) {
 	if err := ps.store.Discard(3); err != nil { // what exposing three coins does to the cursor
 		t.Fatal(err)
 	}
-	ps.meta.Epoch = 4
+	ps.epoch = 4
 	if err := ps.snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -307,54 +360,57 @@ func TestSnapshotThenReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps.close()
-	meta, err := loadMeta(dir, 0)
-	if err != nil || meta != (playerMeta{Epoch: 4, LogLen: 3}) {
-		t.Fatalf("meta after snapshot = %+v, %v", meta, err)
+	if at, _ := readStamp(t, dir, 0); at != (stamp{Epoch: 4, LogLen: 3}) {
+		t.Fatalf("stamp after snapshot = %+v", at)
 	}
-	re, err := openPlayerState(dir, 0, 0, false)
+	re, err := openPlayerState(dir, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.close()
-	if len(re.log) != 4 || re.store.Remaining() != 24-4 || re.meta.Epoch != 4 {
-		t.Fatalf("reopened at log %d, %d coins, epoch %d; want 4, 20, 4", len(re.log), re.store.Remaining(), re.meta.Epoch)
+	if len(re.log) != 4 || re.store.Remaining() != 24-4 || re.epoch != 4 {
+		t.Fatalf("reopened at log %d, %d coins, epoch %d; want 4, 20, 4", len(re.log), re.store.Remaining(), re.epoch)
 	}
 }
 
 // TestWriteGenerationOrder makes each step of the next-generation write
 // fail in turn (a directory squatting on the file's name defeats open and
-// rename alike) and checks the order is log → meta → store: whatever step
-// fails, every earlier file is complete and no later file exists — so a
-// store on disk implies its meta and log.
+// rename alike) and checks the order is log → store: whatever step fails,
+// every earlier file is complete and no later file exists — so a store on
+// disk implies its log, and carries the stamp (epoch 0, len(log)).
 func TestWriteGenerationOrder(t *testing.T) {
 	_, dealt := dealtDir(t, 3)
-	st, err := loadStore(dealt, 0)
+	st, _, _, err := loadStore(dealt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	log := []gf2k.Element{0xa, 0xb, 0xc}
-	meta := playerMeta{LogLen: 3, Generation: 1}
 	present := func(path string) bool { fi, err := os.Stat(path); return err == nil && fi.Mode().IsRegular() }
-	for step, block := range []func(dir string, player int) string{CoinLogFile, metaFile, storeFile, nil} {
+	for step, block := range []func(dir string, player int) string{CoinLogFile, storeFile, nil} {
 		dir := t.TempDir()
 		if block != nil {
 			if err := os.Mkdir(block(dir, 4), 0o700); err != nil {
 				t.Fatal(err)
 			}
 		}
-		err := writeGeneration(dir, 4, log, meta, st)
+		err := writeGeneration(dir, 4, log, st)
 		if (err == nil) != (block == nil) {
 			t.Fatalf("step %d blocked: writeGeneration error = %v", step, err)
 		}
-		got := []bool{present(CoinLogFile(dir, 4)), present(metaFile(dir, 4)), present(storeFile(dir, 4))}
+		got := []bool{present(CoinLogFile(dir, 4)), present(storeFile(dir, 4))}
 		for i, ok := range got {
 			if ok != (i < step) {
-				t.Fatalf("step %d blocked: log/meta/store present = %v", step, got)
+				t.Fatalf("step %d blocked: log/store present = %v", step, got)
 			}
 		}
 		if step > 0 {
 			if data, _ := os.ReadFile(CoinLogFile(dir, 4)); string(data) != "0 a\n1 b\n2 c\n" {
 				t.Fatalf("step %d blocked: log = %q", step, data)
+			}
+		}
+		if block == nil {
+			if at, _ := readStamp(t, dir, 4); at != (stamp{LogLen: 3}) {
+				t.Fatalf("generation stamp = %+v, want epoch 0 at 3", at)
 			}
 		}
 	}
@@ -364,12 +420,259 @@ func TestWriteGenerationOrder(t *testing.T) {
 	if err := os.WriteFile(CoinLogFile(dir, 4), []byte("0 a\n1 ff\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeGeneration(dir, 4, log, meta, st); err == nil || !strings.Contains(err.Error(), "not a prefix") {
+	if err := writeGeneration(dir, 4, log, st); err == nil || !strings.Contains(err.Error(), "not a prefix") {
 		t.Fatalf("diverging local log: error = %v", err)
 	}
-	if present(metaFile(dir, 4)) || present(storeFile(dir, 4)) {
-		t.Fatal("diverging local log: meta/store written anyway")
+	if present(storeFile(dir, 4)) {
+		t.Fatal("diverging local log: store written anyway")
 	}
+}
+
+// TestSnapshotCrashPoints blocks each durable step of snapshot in turn —
+// closing the log defeats its fsync, a non-empty directory squatting on a
+// file's name defeats rename and unlink alike — on stamped state and on the
+// layout from before the stamp, then reopens: whatever step the crash hit,
+// every player's next opened coin is the uninterrupted stream's, and the
+// epoch read back is the one stored with that store.
+func TestSnapshotCrashPoints(t *testing.T) {
+	const n, a, more = 7, 3, 4
+	layouts := []struct {
+		name  string
+		state func(t *testing.T) (*simnet.PeerConfig, string)
+		steps []string
+	}{
+		{"stamped", func(t *testing.T) (*simnet.PeerConfig, string) { return dealtDir(t, 13) },
+			[]string{"log fsync", "store rename", "none"}},
+		{"legacy", func(t *testing.T) (*simnet.PeerConfig, string) { return localConfig(40), parentLayoutDir(t) },
+			[]string{"log fsync", "store rename", "meta removal", "none"}},
+	}
+	openAll := func(t *testing.T, dir string) ([]*playerState, []*coin.Store) {
+		pss, stores := make([]*playerState, n), make([]*coin.Store, n)
+		for i := range pss {
+			ps, err := openPlayerState(dir, i, 0)
+			if err != nil {
+				t.Fatalf("player %d: %v", i, err)
+			}
+			pss[i], stores[i] = ps, ps.store
+		}
+		return pss, stores
+	}
+	for _, lay := range layouts {
+		pc, dir := lay.state(t)
+		pss, stores := openAll(t, dir)
+		ref := exposeAll(t, pc, stores, a+more) // the uninterrupted stream
+		for _, ps := range pss {
+			ps.close()
+		}
+		for _, step := range lay.steps {
+			t.Run(lay.name+"/"+step, func(t *testing.T) {
+				_, dir := lay.state(t)
+				pss, stores := openAll(t, dir)
+				vals := exposeAll(t, pc, stores, a)
+				for i, ps := range pss {
+					if err := ps.append(vals...); err != nil {
+						t.Fatal(err)
+					}
+					ps.epoch++ // as if the a-th coin had ended a refill
+					var squat string
+					switch step {
+					case "log fsync":
+						ps.file.Close()
+					case "store rename":
+						squat = storeFile(dir, i)
+					case "meta removal":
+						squat = metaFile(dir, i)
+					}
+					if squat != "" {
+						if err := os.Rename(squat, squat+".aside"); err != nil {
+							t.Fatal(err)
+						}
+						if err := os.MkdirAll(filepath.Join(squat, "squatter"), 0o700); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := ps.snapshot(); (err == nil) != (step == "none") {
+						t.Fatalf("player %d, %q blocked: snapshot error = %v", i, step, err)
+					}
+					ps.close()
+					if squat != "" {
+						if err := os.RemoveAll(squat); err != nil {
+							t.Fatal(err)
+						}
+						if err := os.Rename(squat+".aside", squat); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				pss, stores = openAll(t, dir)
+				defer func() {
+					for _, ps := range pss {
+						ps.close()
+					}
+				}()
+				storeWritten := step == "meta removal" || step == "none"
+				for i, ps := range pss {
+					if storeWritten != (ps.epoch == 1) {
+						t.Fatalf("player %d reopened at epoch %d with the store written: %t", i, ps.epoch, storeWritten)
+					}
+				}
+				if step == "none" {
+					noMeta(t, dir)
+				}
+				for i, v := range exposeAll(t, pc, stores, more) {
+					if v != ref[a+i] {
+						t.Fatalf("coin %d after a crash at %q = %#x, the uninterrupted stream has %#x", a+i, step, v, ref[a+i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// parentLayoutDir copies testdata/state-pr21 — a bare store, a .meta and a
+// log per player, written before the player-state seam existed — into a
+// fresh directory.
+func parentLayoutDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/state-pr21/player-*")
+	if err != nil || len(files) != 3*7 {
+		t.Fatalf("fixture: %d files, %v", len(files), err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o600)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestLoadStoresReadsBareEncoding: stores persisted the way Service.Persist
+// wrote them before the header — writeAtomic(storeFile, MarshalBinary()) —
+// still load, unchanged.
+func TestLoadStoresReadsBareEncoding(t *testing.T) {
+	_, dealt := dealtDir(t, 21)
+	want, err := LoadStores(dealt, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for i, st := range want {
+		writeLegacy(t, dir, i, st, "-")
+	}
+	got, err := LoadStores(dir, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		a, _ := want[i].MarshalBinary()
+		b, _ := got[i].MarshalBinary()
+		if !bytes.Equal(a, b) {
+			t.Fatalf("player %d: bare store loaded differently", i)
+		}
+	}
+}
+
+// FuzzLoadStore: the store-file reader — stamped header or bare store plus
+// .meta — takes what a bad disk hands it without panicking, and a stamped
+// file it accepts re-encodes byte for byte (a stamped file around coin's
+// legacy v1 encoding, which no writer produces, is the one exception: it
+// loads, and upgrades like coin.UnmarshalStore's own v1 input does).
+func FuzzLoadStore(f *testing.F) {
+	const headerLen = len(storeFileMagic) + 16
+	_, dealt := dealtDir(f, 2)
+	st, _, _, err := loadStore(dealt, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	bare, _ := st.MarshalBinary()
+	if err := writeStore(dealt, 0, stamp{Epoch: 3, LogLen: 17}, st); err != nil {
+		f.Fatal(err)
+	}
+	stamped, _ := os.ReadFile(storeFile(dealt, 0))
+	for _, seed := range []struct{ store, meta []byte }{
+		{stamped, nil},
+		{stamped, []byte(`{"Epoch":9,"LogLen":1}`)},
+		{bare, []byte(`{"Epoch":1,"LogLen":5,"Generation":1}`)},
+		{bare, nil},
+		{bare, []byte(`{"LogLen":`)},
+		{bare, []byte(`{"LogLen":-4}`)},
+		{bare, []byte(`[]`)},
+		{stamped[:headerLen-1], nil},
+		{stamped[:len(storeFileMagic)], nil},
+		{stamped[:headerLen], nil},
+		{append([]byte(storeFileMagic), bytes.Repeat([]byte{0xff}, 16)...), nil},
+	} {
+		f.Add(seed.store, seed.meta)
+	}
+	dir, reDir := f.TempDir(), f.TempDir()
+	f.Fuzz(func(t *testing.T, store, meta []byte) {
+		if err := os.WriteFile(storeFile(dir, 0), store, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		os.Remove(metaFile(dir, 0))
+		if meta != nil {
+			if err := os.WriteFile(metaFile(dir, 0), meta, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, at, bare, err := loadStore(dir, 0)
+		if err != nil || bare || bytes.HasPrefix(store[headerLen:], []byte("DPRBGs1\x00")) {
+			return
+		}
+		if err := writeStore(reDir, 0, at, st); err != nil {
+			t.Fatalf("accepted stamped file %x fails to re-encode: %v", store, err)
+		}
+		if re, _ := os.ReadFile(storeFile(reDir, 0)); !bytes.Equal(re, store) {
+			t.Fatalf("accepted stamped file %x re-encodes as %x", store, re)
+		}
+	})
+}
+
+// TestLegacySnapshotMigrates: the first snapshot of a directory in the
+// layout from before the stamp writes the stamped store and removes the
+// .meta; a reopen finds the same position, epoch and store.
+func TestLegacySnapshotMigrates(t *testing.T) {
+	dir := parentLayoutDir(t)
+	for i := 0; i < 7; i++ {
+		ps, err := openPlayerState(dir, i, 0)
+		if err != nil {
+			t.Fatalf("player %d: %v", i, err)
+		}
+		before, err := ps.store.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ps.bare {
+			t.Fatalf("player %d: fixture store opened as stamped", i)
+		}
+		err = ps.snapshot()
+		ps.close()
+		if err != nil {
+			t.Fatalf("player %d snapshot: %v", i, err)
+		}
+		if _, err := os.Stat(metaFile(dir, i)); !os.IsNotExist(err) {
+			t.Fatalf("player %d .meta survived the first snapshot: %v", i, err)
+		}
+		re, err := openPlayerState(dir, i, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re.close()
+		after, err := re.store.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.bare || len(re.log) != len(ps.log) || re.epoch != ps.epoch || !bytes.Equal(after, before) {
+			t.Fatalf("player %d reopened bare=%t at log %d epoch %d; want stamped at %d epoch %d, same store",
+				i, re.bare, len(re.log), re.epoch, len(ps.log), ps.epoch)
+		}
+	}
+	noMeta(t, dir)
 }
 
 // fakeLogServers answers LOG queries from per-server logs; a nil log is a
@@ -432,7 +735,7 @@ func TestFastForwardBackfill(t *testing.T) {
 			if err := os.WriteFile(CoinLogFile(dir, 0), appendLogLines(nil, 0, full[:2]), 0o600); err != nil {
 				t.Fatal(err)
 			}
-			ps, err := openPlayerState(dir, 0, 0, false)
+			ps, err := openPlayerState(dir, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -487,7 +790,7 @@ func TestParentLayoutStateOpens(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		ps, err := openPlayerState(dir, i, 0, false)
+		ps, err := openPlayerState(dir, i, 0)
 		if err != nil {
 			t.Fatalf("player %d: %v", i, err)
 		}

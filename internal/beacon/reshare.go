@@ -102,12 +102,9 @@ func SaveReshareJournal(dir string, j ReshareJournal) error {
 	return writeAtomic(reshareJournalFile(dir), enc)
 }
 
-// ClearReshareJournal removes the journal (missing is fine).
+// ClearReshareJournal removes the journal, durably (missing is fine).
 func ClearReshareJournal(dir string) error {
-	err := os.Remove(reshareJournalFile(dir))
-	if os.IsNotExist(err) {
-		return nil
-	}
+	_, err := syncDir(dir, reshareJournalFile(dir))
 	return err
 }
 
@@ -282,13 +279,13 @@ func RunReshare(ctx context.Context, rc ReshareConfig) (*ReshareResult, error) {
 	// so next-generation state that opens cleanly means the crash happened
 	// between the writes and the journal removal.
 	if rc.NewSelf >= 0 {
-		if ps, err := openPlayerState(rc.StateDir, rc.NewSelf, rc.Next.Generation, false); err == nil {
+		if ps, err := openPlayerState(rc.StateDir, rc.NewSelf, rc.Next.Generation); err == nil {
 			ps.close()
 			if err := ClearReshareJournal(rc.StateDir); err != nil {
 				return nil, err
 			}
 			rc.Logf("reshare to generation %d already completed; cleared journal", rc.Next.Generation)
-			return &ReshareResult{Generation: rc.Next.Generation, Cutover: ps.meta.LogLen,
+			return &ReshareResult{Generation: rc.Next.Generation, Cutover: len(ps.log),
 				Coins: ps.store.Remaining(), Resumed: true}, nil
 		}
 	}
@@ -372,7 +369,7 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 			return nil, err
 		}
 	default:
-		ps, err := openPlayerState(rc.StateDir, rc.OldSelf, rc.Old.Generation, true)
+		ps, err := openPlayerState(rc.StateDir, rc.OldSelf, rc.Old.Generation)
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("%w (a member without a current store joins with -reshare-stale)", err)
 		}
@@ -510,19 +507,19 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 	case rc.OldSelf >= 0 && rc.OldSelf != rc.NewSelf:
 		// The member continues under a different index: all its
 		// old-identity files are dead (and the store, again, toxic waste).
-		retired = []string{storeFile(rc.StateDir, rc.OldSelf),
-			metaFile(rc.StateDir, rc.OldSelf), CoinLogFile(rc.StateDir, rc.OldSelf)}
+		retired = []string{storeFile(rc.StateDir, rc.OldSelf), CoinLogFile(rc.StateDir, rc.OldSelf)}
+	}
+	if rc.OldSelf >= 0 {
+		// A .meta from before store files carried their stamp is dead too.
+		retired = append(retired, metaFile(rc.StateDir, rc.OldSelf))
 	}
 	if rc.NewSelf >= 0 {
-		meta := playerMeta{Epoch: 0, LogLen: cutover, Generation: rc.Next.Generation}
-		if err := writeGeneration(rc.StateDir, rc.NewSelf, log, meta, res.Store); err != nil {
+		if err := writeGeneration(rc.StateDir, rc.NewSelf, log, res.Store); err != nil {
 			return nil, err
 		}
 	}
-	for _, f := range retired {
-		if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
-			return nil, err
-		}
+	if _, err := syncDir(rc.StateDir, retired...); err != nil {
+		return nil, err
 	}
 	if err := ClearReshareJournal(rc.StateDir); err != nil {
 		return nil, err

@@ -906,38 +906,16 @@ func (nw *Network) PeerConnected() []bool {
 	return out
 }
 
-// PeerWatermark returns the highest round peer j has declared complete, or
-// -1 if it has never been heard from.
-func (nw *Network) PeerWatermark(j int) int {
-	if nw.pn == nil {
-		return -1
-	}
-	nw.pn.mu.Lock()
-	defer nw.pn.mu.Unlock()
-	return nw.pn.watermark[j]
-}
-
 // SetEpoch records this daemon's beacon epoch. Peer mode stamps it on every
 // subsequent done/status frame (as an optional 4-byte payload older readers
 // ignore), so peers can correlate round positions with refill generations;
-// PeerEpoch reads back what each peer announced. In-memory networks ignore
-// it.
+// the simnet_peer_epoch{peer} gauge reports what each peer announced.
+// In-memory networks ignore it.
 func (nw *Network) SetEpoch(epoch int) {
 	if nw.pn == nil || epoch < 0 {
 		return
 	}
 	nw.pn.epoch.Store(int64(epoch) + 1)
-}
-
-// PeerEpoch returns the beacon epoch peer j last announced on a done/status
-// frame, or -1 if it never announced one.
-func (nw *Network) PeerEpoch(j int) int {
-	if nw.pn == nil {
-		return -1
-	}
-	nw.pn.mu.Lock()
-	defer nw.pn.mu.Unlock()
-	return nw.pn.peerEpoch[j]
 }
 
 // Query sends an application request to peer `to` over the authenticated

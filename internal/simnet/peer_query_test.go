@@ -106,9 +106,14 @@ func TestWatermarkClampedAfterStart(t *testing.T) {
 	cfg := testPeerCfg(t, 2)
 	nws := startPeerCluster(t, cfg)
 
+	watermark := func(nw *Network, j int) int {
+		nw.pn.mu.Lock()
+		defer nw.pn.mu.Unlock()
+		return nw.pn.watermark[j]
+	}
 	// Not started: the declared position is recorded as-is.
 	nws[1].pn.advanceWatermark(0, 1<<30, -1)
-	if got := nws[1].PeerWatermark(0); got != 1<<30 {
+	if got := watermark(nws[1], 0); got != 1<<30 {
 		t.Fatalf("pre-start watermark = %d, want %d", got, 1<<30)
 	}
 
@@ -116,7 +121,7 @@ func TestWatermarkClampedAfterStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	nws[0].pn.advanceWatermark(1, 1<<30, -1)
-	if got := nws[0].PeerWatermark(1); got != maxFutureWindow {
+	if got := watermark(nws[0], 1); got != maxFutureWindow {
 		t.Fatalf("post-start watermark = %d, want clamp at %d", got, maxFutureWindow)
 	}
 }

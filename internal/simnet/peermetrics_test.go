@@ -101,13 +101,13 @@ func TestPeerMetricsEndToEnd(t *testing.T) {
 	if v, ok := prom.Value(samples, "simnet_round_duration_seconds_count"); !ok || v != rounds {
 		t.Errorf("round duration count = %v, %v; want %d", v, ok, rounds)
 	}
-	// The accessor agrees with the gauge.
-	if got := nws[0].PeerEpoch(1); got != epoch {
-		t.Errorf("PeerEpoch(1) = %d, want %d", got, epoch)
-	}
-	// Own slot: never announced to ourselves.
-	if got := nws[0].PeerEpoch(0); got != -1 {
-		t.Errorf("PeerEpoch(self) = %d, want -1", got)
+	// The transport state agrees with the gauge; the own slot was never
+	// announced to ourselves.
+	nws[0].pn.mu.Lock()
+	got := []int{nws[0].pn.peerEpoch[1], nws[0].pn.peerEpoch[0]}
+	nws[0].pn.mu.Unlock()
+	if got[0] != epoch || got[1] != -1 {
+		t.Errorf("peerEpoch[1], peerEpoch[self] = %v, want [%d -1]", got, epoch)
 	}
 }
 

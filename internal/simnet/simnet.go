@@ -29,11 +29,11 @@
 //     round barrier is stretched across processes with crash-tolerant
 //     demotion/promotion (see peer.go and ARCHITECTURE.md §9).
 //
-// Interceptors apply to the in-memory transport only (adversarial tests
-// need a vantage point that sees all n players' traffic, which no single
-// daemon has); WithRoundTimeout, WithDialBackoff, WithScheduleUnit and
-// WithQueryHandler apply to peer networks only, and the remaining Options
-// apply to both.
+// Interceptors and WithMaxRounds apply to the in-memory transport only
+// (adversarial tests need a vantage point that sees all n players' traffic,
+// which no single daemon has; the peer barrier has no round budget);
+// WithRoundTimeout, WithDialBackoff, WithScheduleUnit and WithQueryHandler
+// apply to peer networks only, and the remaining Options apply to both.
 package simnet
 
 import (
@@ -215,7 +215,8 @@ func WithCounters(c *metrics.Counters) Option {
 	return func(nw *Network) { nw.ctr = c }
 }
 
-// WithMaxRounds overrides the default round budget (100000).
+// WithMaxRounds overrides the default round budget (100000) of an
+// in-memory network; peer networks ignore it.
 func WithMaxRounds(r int) Option {
 	return func(nw *Network) { nw.maxRounds = r }
 }
