@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -206,14 +205,8 @@ func TestDaemonReshareHandover(t *testing.T) {
 		simnet.Peer{ID: 0, Addr: pcB.Peers[5].Addr},
 		simnet.Peer{ID: 1, Addr: pcB.Peers[6].Addr},
 	)
-	for j := 2; j < 9; j++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		next.Peers = append(next.Peers, simnet.Peer{ID: j, Addr: addr})
+	for j, addr := range reserveAddrs(t, 7, next.Peers[0].Addr, next.Peers[1].Addr) {
+		next.Peers = append(next.Peers, simnet.Peer{ID: 2 + j, Addr: addr})
 	}
 	if err := next.Validate(); err != nil {
 		t.Fatalf("next config invalid: %v", err)

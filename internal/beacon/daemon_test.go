@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,9 +15,35 @@ import (
 	"repro/internal/simnet"
 )
 
+// reserveAddrs returns n distinct loopback addresses, none of them in taken.
+// Every listener stays open until all n are picked, so the kernel cannot
+// hand out one port twice, and a port a roster already names is skipped.
+// Closing them leaves a tiny race with other processes, which is fine for
+// tests.
+func reserveAddrs(t *testing.T, n int, taken ...string) []string {
+	t.Helper()
+	var lns []net.Listener
+	defer func() {
+		for _, ln := range lns {
+			ln.Close()
+		}
+	}()
+	addrs := make([]string, 0, n)
+	for len(addrs) < n {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("reserve port: %v", err)
+		}
+		lns = append(lns, ln)
+		if addr := ln.Addr().String(); !slices.Contains(taken, addr) {
+			addrs = append(addrs, addr)
+		}
+	}
+	return addrs
+}
+
 // testPeerConfig builds an n-player loopback cluster config with freshly
-// reserved ports. The reserve-then-close trick leaves a tiny race window,
-// which is fine for tests.
+// reserved ports.
 func testPeerConfig(t *testing.T, n, tolerance, batch, threshold, seedCoins int) *simnet.PeerConfig {
 	t.Helper()
 	pc := &simnet.PeerConfig{
@@ -28,13 +55,7 @@ func testPeerConfig(t *testing.T, n, tolerance, batch, threshold, seedCoins int)
 		Threshold: threshold,
 		SeedCoins: seedCoins,
 	}
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
+	for i, addr := range reserveAddrs(t, n) {
 		pc.Peers = append(pc.Peers, simnet.Peer{ID: i, Addr: addr})
 	}
 	if err := pc.Validate(); err != nil {

@@ -70,6 +70,9 @@ type Shares struct {
 	Received []bool
 	// OwnPolys holds this player's own dealt polynomials (mask last).
 	OwnPolys []poly.Poly
+
+	r   gf2k.Element     // the challenge byR multiplies by
+	byR *gf2k.Multiplier // nil until the first γ is combined
 }
 
 // DealAll performs Fig. 4 step 1 for all n dealers at once: this player
@@ -87,17 +90,16 @@ func DealAll(nd *simnet.Node, cfg Config, rnd io.Reader) (*Shares, error) {
 	defer func() { sp.End(nd.Round()) }()
 	f := cfg.Field
 
+	// Each polynomial is its secret followed by t random coefficients, the
+	// order they are drawn in, so one read fills all M+1 of them.
+	terms := cfg.T + 1
+	coef := make([]gf2k.Element, (cfg.M+1)*terms)
+	if err := f.RandElements(rnd, coef); err != nil {
+		return nil, err
+	}
 	polys := make([]poly.Poly, cfg.M+1)
-	for j := 0; j <= cfg.M; j++ {
-		secret, err := f.Rand(rnd)
-		if err != nil {
-			return nil, err
-		}
-		p, err := poly.Random(f, cfg.T, secret, rnd)
-		if err != nil {
-			return nil, err
-		}
-		polys[j] = p
+	for j := range polys {
+		polys[j] = coef[j*terms : (j+1)*terms : (j+1)*terms]
 	}
 
 	sh := &Shares{
@@ -116,11 +118,13 @@ func DealAll(nd *simnet.Node, cfg Config, rnd io.Reader) (*Shares, error) {
 	if err != nil {
 		return nil, err
 	}
+	size := (cfg.M + 1) * f.ByteLen()
+	wire := make([]byte, cfg.N*size) // the n messages share one backing array
 	bufs := parallel.Map(cfg.Pool, cfg.N, func(i int) []byte {
 		if i == nd.Index() {
 			return nil // own shares are kept below, not serialized
 		}
-		buf := make([]byte, 0, (cfg.M+1)*f.ByteLen())
+		buf := wire[i*size : i*size : (i+1)*size]
 		for _, p := range polys {
 			buf = f.AppendElement(buf, ids.EvalAt(p, i))
 		}
@@ -148,7 +152,7 @@ func DealAll(nd *simnet.Node, cfg Config, rnd io.Reader) (*Shares, error) {
 		if j == nd.Index() {
 			continue
 		}
-		if len(payload) != (cfg.M+1)*f.ByteLen() {
+		if len(payload) != size {
 			continue
 		}
 		row, rest, err := f.ReadElements(payload, cfg.M)
@@ -166,13 +170,27 @@ func DealAll(nd *simnet.Node, cfg Config, rnd io.Reader) (*Shares, error) {
 	return sh, nil
 }
 
+// challenge returns f.Multiplier(r), building it only when r is not the
+// challenge sh last combined under: all M products of a γ share the operand
+// r, and so do the n dealers' combinations and Coin-Gen's self-check.
+func (sh *Shares) challenge(f gf2k.Field, r gf2k.Element) *gf2k.Multiplier {
+	if sh.byR == nil || sh.r != r {
+		sh.r, sh.byR = r, f.Multiplier(r)
+	}
+	return sh.byR
+}
+
 // Gamma computes this player's announcement for dealer j under challenge r:
 // γ = g(i) + Σ_{h=1..M} r^h·α_h in Horner form (Fig. 4 step 3). The second
-// return is false when dealer j's dealing never arrived. byR is
-// f.Multiplier(r): all M products share the operand r, and so do the n
-// dealers' combinations, so callers build it once per challenge.
+// return is false when dealer j's dealing never arrived. The multiplier by
+// r is kept on sh, so calls under one challenge build it once; calls under
+// a new challenge must not run concurrently.
 // Cost: M multiplications (⌈k/8⌉ table loads each) and M+1 additions.
-func (sh *Shares) Gamma(f gf2k.Field, j int, byR *gf2k.Multiplier) (gf2k.Element, bool) {
+func (sh *Shares) Gamma(f gf2k.Field, j int, r gf2k.Element) (gf2k.Element, bool) {
+	return sh.gamma(f, j, sh.challenge(f, r))
+}
+
+func (sh *Shares) gamma(f gf2k.Field, j int, byR *gf2k.Multiplier) (gf2k.Element, bool) {
 	if !sh.Received[j] {
 		return 0, false
 	}
@@ -188,15 +206,14 @@ func (sh *Shares) Gamma(f gf2k.Field, j int, byR *gf2k.Multiplier) (gf2k.Element
 // Gammas computes this player's announcements for all n dealers under
 // challenge r — n independent M-term Horner combinations, fanned out across
 // the pool (nil runs inline). ok[j] is false where dealer j's dealing never
-// arrived. This is the γ half of one player's intra-round compute; the
-// parallel-speedup benchmark drives it directly.
+// arrived. This is the γ half of one player's intra-round compute.
 func (sh *Shares) Gammas(f gf2k.Field, r gf2k.Element, pl *parallel.Pool) (gammas []gf2k.Element, ok []bool) {
 	n := len(sh.Received)
 	gammas = make([]gf2k.Element, n)
 	ok = make([]bool, n)
-	byR := f.Multiplier(r)
+	byR := sh.challenge(f, r)
 	pl.ForEach(n, func(j int) {
-		gammas[j], ok[j] = sh.Gamma(f, j, byR)
+		gammas[j], ok[j] = sh.gamma(f, j, byR)
 	})
 	return gammas, ok
 }
@@ -257,9 +274,10 @@ func ExchangeGammas(nd *simnet.Node, cfg Config, sh *Shares, r gf2k.Element) (*V
 		GammaOf:   make([][]gf2k.Element, n),
 		Has:       make([][]bool, n),
 	}
+	gammaOf, has := make([]gf2k.Element, n*n), make([]bool, n*n)
 	for k := 0; k < n; k++ {
-		v.GammaOf[k] = make([]gf2k.Element, n)
-		v.Has[k] = make([]bool, n)
+		v.GammaOf[k] = gammaOf[k*n : (k+1)*n : (k+1)*n]
+		v.Has[k] = has[k*n : (k+1)*n : (k+1)*n]
 	}
 	v.GammaOf[nd.Index()] = myGamma
 	v.Has[nd.Index()] = myHas
@@ -325,7 +343,7 @@ func ExchangeGammas(nd *simnet.Node, cfg Config, sh *Shares, r gf2k.Element) (*V
 // cfg.Pool itself (the fan-out happens one level up, across dealers).
 func (v *View) Decode(cfg Config, ids []gf2k.Element, j int) Output {
 	f := cfg.Field
-	var xs, ys []gf2k.Element
+	xs, ys := make([]gf2k.Element, 0, cfg.N), make([]gf2k.Element, 0, cfg.N)
 	for k := 0; k < cfg.N; k++ {
 		if !v.Has[k][j] {
 			continue

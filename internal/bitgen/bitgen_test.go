@@ -240,7 +240,7 @@ func TestEquivocatingGammaBreaksEdgeLocally(t *testing.T) {
 		f := cfg.Field
 		buf := make([]byte, 0, cfg.N*(1+f.ByteLen()))
 		for j := 0; j < cfg.N; j++ {
-			g, _ := sh.Gamma(f, j, f.Multiplier(r))
+			g, _ := sh.Gamma(f, j, r)
 			buf = append(buf, 0)
 			buf = f.AppendElement(buf, g)
 		}

@@ -396,17 +396,17 @@ func DealTrusted(f gf2k.Field, n, t, count int, rnd io.Reader) ([]*Batch, []gf2k
 			Shares: make([]gf2k.Element, count),
 		}
 	}
+	// Coin h's polynomial is its value followed by t random coefficients,
+	// the order they are drawn in, so one read fills all of them.
+	terms := t + 1
+	coef := make([]gf2k.Element, count*terms)
+	if err := f.RandElements(rnd, coef); err != nil {
+		return nil, nil, err
+	}
 	values := make([]gf2k.Element, count)
-	for h := 0; h < count; h++ {
-		secret, err := f.Rand(rnd)
-		if err != nil {
-			return nil, nil, err
-		}
-		values[h] = secret
-		p, err := poly.Random(f, t, secret, rnd)
-		if err != nil {
-			return nil, nil, err
-		}
+	for h := range values {
+		p := poly.Poly(coef[h*terms : (h+1)*terms])
+		values[h] = p[0]
 		for i := 0; i < n; i++ {
 			id, err := f.ElementFromID(i + 1)
 			if err != nil {

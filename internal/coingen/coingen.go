@@ -329,12 +329,11 @@ func assembleBatch(cfg Config, ids *poly.Domain, sh *bitgen.Shares, cand *clique
 // selfCheck verifies that this player's own announced γ for every clique
 // member k equals F_k(own id) under the agreed polynomials. Passing implies
 // (whp, Lemma 5) that the player's shares lie on the common coin
-// polynomials, making it a safe transmitter for Coin-Expose.
+// polynomials, making it a safe transmitter for Coin-Expose. The γ's are
+// recombined under the multiplier by r that ExchangeGammas left on sh.
 func selfCheck(cfg Config, ids *poly.Domain, sh *bitgen.Shares, cand *cliqueMsg, self int, r gf2k.Element) bool {
-	f := cfg.Field
-	byR := f.Multiplier(r)
 	for idx, k := range cand.members {
-		gamma, ok := sh.Gamma(f, k, byR)
+		gamma, ok := sh.Gamma(cfg.Field, k, r)
 		if !ok {
 			return false
 		}

@@ -226,11 +226,29 @@ func (f Field) BatchInv(a []Element) ([]Element, error) {
 
 // Rand returns a uniformly random field element read from r.
 func (f Field) Rand(r io.Reader) (Element, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("gf2k: read randomness: %w", err)
+	var e [1]Element
+	err := f.RandElements(r, e[:])
+	return e[0], err
+}
+
+// RandElements fills dst with uniformly random field elements from one
+// io.ReadFull of 8·len(dst) bytes, each element the masked little-endian
+// word Rand would read. A stream reader yields the same bytes however its
+// reads are split, so this equals len(dst) calls of Rand, element for
+// element, and leaves r at the same position.
+func (f Field) RandElements(r io.Reader, dst []Element) error {
+	if len(dst) == 0 {
+		return nil
 	}
-	return Element(binary.LittleEndian.Uint64(buf[:]) & f.mask()), nil
+	buf := make([]byte, 8*len(dst))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return fmt.Errorf("gf2k: read randomness: %w", err)
+	}
+	m := f.mask()
+	for i := range dst {
+		dst[i] = Element(binary.LittleEndian.Uint64(buf[8*i:]) & m)
+	}
+	return nil
 }
 
 // ElementFromID maps a 1-based player identifier to the field element with

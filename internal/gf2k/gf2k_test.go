@@ -2,9 +2,12 @@ package gf2k
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"repro/internal/metrics"
@@ -226,6 +229,99 @@ func TestRandErrorPropagates(t *testing.T) {
 	f := MustNew(8)
 	if _, err := f.Rand(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected error from empty randomness source")
+	}
+}
+
+// randWord is Rand as it read before RandElements existed — one
+// io.ReadFull of 8 bytes per element, masked — kept as the reference.
+func randWord(f Field, r io.Reader) (Element, error) {
+	var buf [8]byte
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
+		return 0, err
+	}
+	return Element(binary.LittleEndian.Uint64(buf[:]) & f.mask()), nil
+}
+
+// TestRandElementsMatchesRand: one RandElements read yields the elements a
+// loop of 8-byte reads yields, as does a loop of Rand, and each leaves the
+// reader at the same position, for readers that split reads differently. A
+// *rand.Rand also serves Uint32 calls around the draw, as a protocol's Rand
+// stream may.
+func TestRandElementsMatchesRand(t *testing.T) {
+	const maxCount, probe = 40, 16
+	data := make([]byte, 8*maxCount+probe)
+	rand.New(rand.NewSource(7)).Read(data)
+	readers := []struct {
+		name string
+		make func() io.Reader
+	}{
+		{"math/rand", func() io.Reader { return rand.New(rand.NewSource(11)) }},
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader(data) }},
+		{"OneByteReader", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }},
+		{"HalfReader", func() io.Reader { return iotest.HalfReader(bytes.NewReader(data)) }},
+	}
+	loopOf := func(one func(Field, io.Reader) (Element, error)) func(Field, io.Reader, []Element) error {
+		return func(f Field, r io.Reader, dst []Element) error {
+			for i := range dst {
+				e, err := one(f, r)
+				if err != nil {
+					return err
+				}
+				dst[i] = e
+			}
+			return nil
+		}
+	}
+	draws := []struct {
+		name string
+		draw func(Field, io.Reader, []Element) error
+	}{
+		{"8-byte reads", loopOf(randWord)}, // the reference: first
+		{"Rand", loopOf(Field.Rand)},
+		{"RandElements", Field.RandElements},
+	}
+	// interleave draws a Uint32 from a *rand.Rand and reports it.
+	interleave := func(r io.Reader) uint32 {
+		if rr, ok := r.(*rand.Rand); ok {
+			return rr.Uint32()
+		}
+		return 0
+	}
+	for _, k := range []int{5, 32, 64} {
+		f := MustNew(k)
+		for _, rc := range readers {
+			for _, count := range []int{0, 1, 3, maxCount} {
+				var want []Element
+				var wantNext uint32
+				var wantRest []byte
+				for i, d := range draws {
+					r := rc.make()
+					interleave(r)
+					got := make([]Element, count)
+					if err := d.draw(f, r, got); err != nil {
+						t.Fatalf("%s: %s: %v", rc.name, d.name, err)
+					}
+					next, rest := interleave(r), make([]byte, probe)
+					if _, err := io.ReadFull(r, rest); err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						want, wantNext, wantRest = got, next, rest
+						continue
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("GF(2^%d) %s, %d elements: %s drew %#x, 8-byte reads %#x", k, rc.name, count, d.name, got, want)
+					}
+					if next != wantNext || !bytes.Equal(rest, wantRest) {
+						t.Fatalf("GF(2^%d) %s, %d elements: %s left the reader at a different position", k, rc.name, count, d.name)
+					}
+				}
+			}
+		}
+	}
+	short := bytes.NewReader(data[:8*3-1])
+	if err := MustNew(32).RandElements(iotest.HalfReader(short), make([]Element, 3)); err == nil {
+		t.Fatal("RandElements accepted a reader one byte short")
 	}
 }
 

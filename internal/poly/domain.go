@@ -15,7 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/gf2k"
 	"repro/internal/metrics"
@@ -303,8 +303,8 @@ func (d *Domain) Prefix(m int) (*Domain, error) {
 const maxCachedDomains = 1024
 
 var (
-	domainCache sync.Map // string key -> *Domain
-	domainCount atomic.Int64
+	domainMu    sync.RWMutex
+	domainCache = make(map[string]*Domain) // keyed by appendDomainKey
 )
 
 // DomainFor returns the cached Domain for (f, xs), constructing and caching
@@ -325,12 +325,13 @@ func DomainFor(f gf2k.Field, xs []gf2k.Element, ctr *metrics.Counters) (*Domain,
 // once it is certain to be cached, given the slots for its points'
 // multipliers.
 func cachedDomain(f gf2k.Field, xs []gf2k.Element, ctr *metrics.Counters, universe bool) (*Domain, error) {
-	key := domainKey(f, xs, universe)
-	if v, ok := domainCache.Load(key); ok {
+	var buf [keyBufLen]byte
+	key := appendDomainKey(buf[:0], f, xs, universe)
+	if d := lookupDomain(key); d != nil {
 		if ctr != nil {
 			ctr.AddDomainHits(1)
 		}
-		return v.(*Domain), nil
+		return d, nil
 	}
 	if ctr != nil {
 		ctr.AddDomainMisses(1)
@@ -339,17 +340,27 @@ func cachedDomain(f gf2k.Field, xs []gf2k.Element, ctr *metrics.Counters, univer
 	if err != nil {
 		return nil, err
 	}
-	if domainCount.Load() >= maxCachedDomains {
+	domainMu.Lock()
+	defer domainMu.Unlock()
+	if cached, ok := domainCache[string(key)]; ok {
+		return cached, nil
+	}
+	if len(domainCache) >= maxCachedDomains {
 		return d, nil // cache full: hand out an uncached domain
 	}
 	if universe {
 		d.at = make([]pointMultiplier, len(xs))
 	}
-	if actual, loaded := domainCache.LoadOrStore(key, d); loaded {
-		return actual.(*Domain), nil
-	}
-	domainCount.Add(1)
+	domainCache[string(key)] = d
 	return d, nil
+}
+
+// lookupDomain returns the cached Domain under key, or nil; a hit does not
+// allocate.
+func lookupDomain(key []byte) *Domain {
+	domainMu.RLock()
+	defer domainMu.RUnlock()
+	return domainCache[string(key)]
 }
 
 // IDDomain returns the cached Domain over the player IDs 1..n — the point
@@ -377,24 +388,25 @@ func cachedUniverse(f gf2k.Field, xs []gf2k.Element) *Domain {
 			return nil
 		}
 	}
-	if v, ok := domainCache.Load(domainKey(f, xs, true)); ok {
-		return v.(*Domain)
-	}
-	return nil
+	var buf [keyBufLen]byte
+	return lookupDomain(appendDomainKey(buf[:0], f, xs, true))
 }
 
-// domainKey serializes the cache identity of (f, xs) and of being a
-// universe.
-func domainKey(f gf2k.Field, xs []gf2k.Element, universe bool) string {
-	buf := make([]byte, 0, 24+8*len(xs)+24+1)
+// keyBufLen holds the cache key of up to 28 points without a heap buffer.
+const keyBufLen = 256
+
+// appendDomainKey appends the cache identity of (f, xs) and of being a
+// universe to buf: k, the modulus, the address of f's counters, the points
+// and a universe mark.
+func appendDomainKey(buf []byte, f gf2k.Field, xs []gf2k.Element, universe bool) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.K()))
 	buf = binary.LittleEndian.AppendUint64(buf, f.Modulus())
-	buf = fmt.Appendf(buf, "%p", f.Counters())
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(uintptr(unsafe.Pointer(f.Counters()))))
 	for _, x := range xs {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 	}
 	if universe {
 		buf = append(buf, 'U')
 	}
-	return string(buf)
+	return buf
 }

@@ -116,16 +116,21 @@ func TestDomainChurnRetainsNoMultipliers(t *testing.T) {
 	f := gf2k.MustNew(32).WithCounters(&ctr)
 	var keys []string
 	t.Cleanup(func() {
+		domainMu.Lock()
+		defer domainMu.Unlock()
 		for _, key := range keys {
-			if _, ok := domainCache.LoadAndDelete(key); ok {
-				domainCount.Add(-1)
-			}
+			delete(domainCache, key)
 		}
 	})
+	cached := func() int {
+		domainMu.RLock()
+		defer domainMu.RUnlock()
+		return len(domainCache)
+	}
 	p := Poly{7, 7, 7}
-	for c := 0; domainCount.Load() < maxCachedDomains; c++ {
+	for c := 0; cached() < maxCachedDomains; c++ {
 		xs := []gf2k.Element{gf2k.Element(4*c + 1), gf2k.Element(4*c + 2), gf2k.Element(4*c + 3), gf2k.Element(4*c + 4)}
-		keys = append(keys, domainKey(f, xs, false))
+		keys = append(keys, string(appendDomainKey(nil, f, xs, false)))
 		d, err := DomainFor(f, xs, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -89,12 +89,8 @@ func Random(f gf2k.Field, deg int, secret gf2k.Element, r io.Reader) (Poly, erro
 	}
 	p := make(Poly, deg+1)
 	p[0] = secret
-	for i := 1; i <= deg; i++ {
-		c, err := f.Rand(r)
-		if err != nil {
-			return nil, err
-		}
-		p[i] = c
+	if err := f.RandElements(r, p[1:]); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

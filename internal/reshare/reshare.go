@@ -253,13 +253,19 @@ func Run(nd *simnet.Node, cfg Config, old *coin.Store, rnd io.Reader) (*Result, 
 	// new member its evaluation column.
 	var ownColumn []byte
 	if isOld && !silentOld {
+		// One read draws the t' random coefficients of every polynomial, in
+		// stream order: the mask's, then each tail coin's.
+		terms := cfg.NewT + 1
+		draws := make([]gf2k.Element, (m+1)*cfg.NewT)
+		if err := f.RandElements(rnd, draws); err != nil {
+			return nil, err
+		}
+		coef := make([]gf2k.Element, (m+1)*terms)
 		polys := make([]poly.Poly, m+1)
-		secrets := append([]gf2k.Element{maskShare}, tail...)
-		for i, s := range secrets {
-			p, err := poly.Random(f, cfg.NewT, s, rnd)
-			if err != nil {
-				return nil, err
-			}
+		for i, s := range append([]gf2k.Element{maskShare}, tail...) {
+			p := poly.Poly(coef[i*terms : (i+1)*terms : (i+1)*terms])
+			p[0] = s
+			copy(p[1:], draws[i*cfg.NewT:])
 			polys[i] = p
 		}
 		yids, err := newIDs(f, cfg.NewN)

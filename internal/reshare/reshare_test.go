@@ -1,6 +1,9 @@
 package reshare
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -297,6 +300,33 @@ func TestProactiveRefreshSameRoster(t *testing.T) {
 				t.Fatalf("refreshed member %d coin %d mismatch", j, c)
 			}
 		}
+	}
+}
+
+// TestRefreshSharesGolden pins the fresh shares of a seeded 7→7 refresh to
+// the values recorded while the trusted dealer and every sub-dealer drew
+// each coefficient with its own read: drawing them in one read must keep
+// the order they come off the stream.
+func TestRefreshSharesGolden(t *testing.T) {
+	const want = "e60cdb10f1d945a838d5dd787e2056b54017ab66dae50bc57d5c00f5509a69db"
+	f := gf2k.MustNew(32)
+	stores, _ := dealOldCommittee(t, f, 7, 1, 6)
+	cfg := Config{
+		Field: f, OldN: 7, OldT: 1, NewN: 7, NewT: 1,
+		NewOf:      []int{0, 1, 2, 3, 4, 5, 6},
+		Generation: 1,
+	}
+	h := sha256.New()
+	for i, r := range runReshare(t, cfg, stores, nil) {
+		if r.Err != nil {
+			t.Fatalf("node %d: %v", i, r.Err)
+		}
+		for _, s := range r.Value.(*Result).Store.Batches()[0].Shares {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(s)))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("fresh shares hash to %s, want %s", got, want)
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 )
 
 // testPeerCfg builds an n-player loopback cluster with freshly reserved
-// ports (reserve-then-close; the tiny race is fine for tests).
+// ports. Every listener stays open until all n are picked, so no port is
+// handed out twice; closing them leaves a tiny race with other processes,
+// which is fine for tests.
 func testPeerCfg(t *testing.T, n int) *PeerConfig {
 	t.Helper()
 	cfg := &PeerConfig{
@@ -25,9 +27,8 @@ func testPeerCfg(t *testing.T, n int) *PeerConfig {
 		if err != nil {
 			t.Fatalf("reserve port: %v", err)
 		}
-		addr := ln.Addr().String()
-		ln.Close()
-		cfg.Peers = append(cfg.Peers, Peer{ID: i, Addr: addr})
+		defer ln.Close()
+		cfg.Peers = append(cfg.Peers, Peer{ID: i, Addr: ln.Addr().String()})
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)

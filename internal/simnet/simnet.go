@@ -37,9 +37,10 @@
 package simnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -298,11 +299,11 @@ func (nw *Network) activeIndicesLocked() []int {
 // order — sender, then staging sequence — that every transport, the
 // interceptor and the schedule engine start from.
 func sortCanonical(msgs []Message) {
-	sort.Slice(msgs, func(a, b int) bool {
-		if msgs[a].From != msgs[b].From {
-			return msgs[a].From < msgs[b].From
+	slices.SortFunc(msgs, func(a, b Message) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return msgs[a].seq < msgs[b].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 }
 
@@ -409,7 +410,17 @@ func (nw *Network) commitLocked() {
 		}
 	}
 	nw.delivery = nw.staging
+	// Lockstep protocols repeat their traffic shape, so each recipient's next
+	// staging slice is presized to this round's count, all from one array.
+	total := 0
+	for _, msgs := range nw.delivery {
+		total += len(msgs)
+	}
+	next := make([]Message, total)
 	nw.staging = make([][]Message, nw.n)
+	for i, msgs := range nw.delivery {
+		nw.staging[i], next = next[:0:len(msgs)], next[len(msgs):]
+	}
 	nw.round++
 	nw.arrived = 0
 	if nw.ctr != nil {

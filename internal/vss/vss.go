@@ -132,24 +132,26 @@ func Deal(nd *simnet.Node, cfg Config, dealer int, secrets []gf2k.Element, rnd i
 	inst := &Instance{cfg: cfg, dealer: dealer}
 
 	if nd.Index() == dealer {
-		m := len(secrets)
+		// One read draws every random coefficient in stream order: t per
+		// secret, then the mask's secret and its t.
+		m, terms := len(secrets), cfg.T+1
+		draws := make([]gf2k.Element, m*cfg.T+terms)
+		if err := cfg.Field.RandElements(rnd, draws); err != nil {
+			return nil, err
+		}
+		coef := make([]gf2k.Element, (m+1)*terms)
 		polys := make([]poly.Poly, m+1)
-		for j, s := range secrets {
-			p, err := poly.Random(cfg.Field, cfg.T, s, rnd)
-			if err != nil {
-				return nil, err
+		for j := range polys {
+			p := poly.Poly(coef[j*terms : (j+1)*terms : (j+1)*terms])
+			if j < m {
+				p[0] = secrets[j]
+				copy(p[1:], draws[j*cfg.T:])
+			} else {
+				copy(p, draws[m*cfg.T:])
 			}
 			polys[j] = p
 		}
-		maskSecret, err := cfg.Field.Rand(rnd)
-		if err != nil {
-			return nil, err
-		}
-		mask, err := poly.Random(cfg.Field, cfg.T, maskSecret, rnd)
-		if err != nil {
-			return nil, err
-		}
-		polys[m] = mask
+		mask := polys[m]
 		inst.Polys = polys
 
 		// Evaluate every player's share vector first — (m+1)·n pure Horner

@@ -3,6 +3,7 @@ package vss
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/coin"
@@ -263,6 +264,51 @@ func TestSilentDealerRejected(t *testing.T) {
 		if r.Value != false {
 			t.Fatalf("player %d accepted a silent dealer", i)
 		}
+	}
+}
+
+// TestDealDrawOrder: the dealer's one read of randomness yields the
+// polynomials a coefficient-by-coefficient draw yields — each secret's t
+// coefficients in turn, then the mask's secret and coefficients — and
+// leaves the reader where that draw leaves it.
+func TestDealDrawOrder(t *testing.T) {
+	h := newHarness(t, 7, 2, 32, 2, 101, nil)
+	secrets := []gf2k.Element{0xabcdef, 42, 7}
+	rnd, ref := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	var want []poly.Poly
+	draw := func(s gf2k.Element) {
+		p, err := poly.Random(h.f, h.t, s, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
+	}
+	for _, s := range secrets {
+		draw(s)
+	}
+	maskSecret, err := h.f.Rand(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw(maskSecret)
+	fns := make([]simnet.PlayerFunc, h.n)
+	for i := range fns {
+		fns[i] = func(nd *simnet.Node) (interface{}, error) {
+			if nd.Index() != 0 {
+				return Deal(nd, h.cfg, 0, nil, nil)
+			}
+			return Deal(nd, h.cfg, 0, secrets, rnd)
+		}
+	}
+	res := simnet.Run(h.nw, fns)
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	if got := res[0].Value.(*Instance).Polys; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dealt polynomials %v, want %v", got, want)
+	}
+	if rnd.Uint64() != ref.Uint64() {
+		t.Fatal("Deal left the dealer's reader at a different position")
 	}
 }
 
