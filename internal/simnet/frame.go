@@ -38,17 +38,26 @@ const maxFramePayload = 1 << 24
 
 const frameHeaderLen = 9
 
+// appendFrame appends one encoded frame to dst and returns the extended
+// slice. A round's frames for one peer are appended to one buffer and
+// leave in one Write.
+func appendFrame(dst []byte, typ byte, arg int, payload []byte) []byte {
+	var hdr [frameHeaderLen]byte
+	hdr[0] = typ
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(arg))
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
+	return append(append(dst, hdr[:]...), payload...)
+}
+
 // writeFrame writes one frame with a single Write call.
 func writeFrame(w io.Writer, typ byte, arg int, payload []byte) error {
-	buf := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
-	buf[0] = typ
-	binary.LittleEndian.PutUint32(buf[1:], uint32(arg))
-	binary.LittleEndian.PutUint32(buf[5:], uint32(len(payload)))
-	_, err := w.Write(append(buf, payload...))
+	_, err := w.Write(appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), typ, arg, payload))
 	return err
 }
 
-// readFrame reads one frame. An empty payload is returned as nil.
+// readFrame reads one frame. An empty payload is returned as nil. Readers
+// of a live connection pass a bufio.Reader, so a round's frames cost about
+// one read between them.
 func readFrame(r io.Reader) (typ byte, arg int, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {

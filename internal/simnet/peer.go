@@ -16,7 +16,16 @@ package simnet
 //     miss the round deadline are demoted out of the required set (the
 //     barrier stops waiting for them — a crashed daemon must not stall the
 //     beacon); a demoted peer that reconnects and announces a current
-//     watermark is promoted back in.
+//     watermark is promoted back in. One timer per network, re-armed each
+//     round, carries that deadline.
+//   - A round costs one socket write per peer: the round's data and
+//     broadcast frames for that peer, then its done marker, are appended to
+//     one buffer and written together under one write deadline. The
+//     receiving side reads each connection through a bufio.Reader, created
+//     after the handshake, so the whole flush usually arrives in one read.
+//     Only done and status frames wake the barrier: a connection is FIFO
+//     and read by one goroutine, so a peer's round-r data is staged before
+//     its round-r done marker can be.
 //   - Frames for future rounds (a peer may legitimately run one round ahead,
 //     or far ahead of a daemon that is still catching up) are buffered in a
 //     round-keyed staging area; frames for already-committed rounds are
@@ -44,6 +53,7 @@ package simnet
 // with framePeerReply on the same connection, outside the round machinery.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,10 +71,17 @@ var ErrNotStarted = errors.New("simnet: peer network not started (call StartAt)"
 // ErrPeerClosed is the base error after Close tears the peer network down.
 var ErrPeerClosed = errors.New("simnet: peer network closed")
 
-// writeTimeout is the per-frame socket write (and dial) deadline. A blocked
-// write marks the connection broken and hands it to the redial loop rather
-// than stalling the round.
+// writeTimeout is the deadline of every socket write — one round's flush to
+// a peer, one status, query or reply frame — and of a dial. Each write sets
+// its own deadline first, so none is ever cleared. A blocked write marks the
+// connection broken and hands it to the redial loop rather than stalling
+// the round.
 const writeTimeout = 5 * time.Second
+
+// maxPendingKeep caps the flush buffer a peer connection keeps between
+// rounds: a round that grew it past this (a megabyte payload) gives it back
+// to the collector instead of pinning it.
+const maxPendingKeep = 64 << 10
 
 // maxFutureWindow bounds how far ahead of the newest known round a frame may
 // be staged; anything further is dropped as garbage. One round of real
@@ -148,6 +165,14 @@ type peerNet struct {
 	staged    map[int][]Message // round → staged messages (remote + self copies)
 	seq       uint64
 
+	// The barrier timer: one per network, armed by each endRound for round
+	// barrierRound, due at barrierDue; expired is the last round whose wait
+	// it ended (-1 none). See barrierFired.
+	barrier      *time.Timer
+	barrierRound int
+	barrierDue   time.Time
+	expired      int
+
 	inMu   sync.Mutex
 	inConn []net.Conn // live inbound connection per peer id (duplicate guard)
 
@@ -174,6 +199,10 @@ type qWaiter struct {
 type peerConn struct {
 	pn *peerNet
 	to int
+
+	// pending holds the current round's encoded frames for this peer until
+	// flush writes them. Only the node goroutine (endRound) touches it.
+	pending []byte
 
 	mu      sync.Mutex
 	conn    net.Conn // nil while disconnected
@@ -226,6 +255,7 @@ func NewPeer(cfg *PeerConfig, self int, opts ...Option) (*Network, error) {
 		required:  make([]bool, cfg.N()),
 		peerEpoch: make([]int, cfg.N()),
 		staged:    make(map[int][]Message),
+		expired:   -1,
 		inConn:    make([]net.Conn, cfg.N()),
 		qPending:  make(map[uint64]qWaiter),
 		done:      make(chan struct{}),
@@ -339,8 +369,9 @@ func (pc *peerConn) dialLoop() {
 // connection is broken.
 func (pc *peerConn) replyRead(conn net.Conn) {
 	pn := pc.pn
+	br := bufio.NewReader(conn) // after the handshake, which reads the bare conn
 	for {
-		typ, _, payload, err := readFrame(conn)
+		typ, _, payload, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -366,25 +397,55 @@ func (pc *peerConn) replyRead(conn net.Conn) {
 	}
 }
 
-// write sends one frame on the peer's current connection under a write
-// deadline. On any failure the connection is closed and cleared so the
-// dialLoop redials; the error is returned for callers that care (the round
-// flush does not — a peer missing our traffic is the demotion machinery's
-// problem, not the barrier's).
-func (pc *peerConn) write(typ byte, arg int, payload []byte) error {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
+// send writes buf — whole encoded frames — to conn in one Write under a
+// fresh deadline. It is the one write primitive after the handshake: round
+// flushes, status and query frames, and query replies.
+func send(conn net.Conn, buf []byte) error {
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	_, err := conn.Write(buf)
+	return err
+}
+
+// sendLocked sends buf on the peer's current connection. On any failure the
+// connection is closed and cleared so the dialLoop redials; the error is
+// returned for callers that care (the round flush does not — a peer missing
+// our traffic is the demotion machinery's problem, not the barrier's).
+// Caller holds pc.mu.
+func (pc *peerConn) sendLocked(buf []byte) error {
 	if pc.conn == nil {
 		return fmt.Errorf("simnet: peer %d not connected", pc.to)
 	}
-	pc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if err := writeFrame(pc.conn, typ, arg, payload); err != nil {
+	if err := send(pc.conn, buf); err != nil {
 		pc.conn.Close()
 		pc.conn = nil
 		return err
 	}
-	pc.conn.SetWriteDeadline(time.Time{})
 	return nil
+}
+
+// write sends one frame outside the round flush: a status announcement or
+// a query.
+func (pc *peerConn) write(typ byte, arg int, payload []byte) error {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.sendLocked(appendFrame(nil, typ, arg, payload))
+}
+
+// flush ends round r on this connection: the done marker joins the round's
+// pending frames and all of them leave in one write. A flush that fails, or
+// finds the peer disconnected, drops the round's frames exactly as a lost
+// connection would; none is carried into the next round.
+func (pc *peerConn) flush(r int, epoch []byte) {
+	pc.pending = appendFrame(pc.pending, frameDone, r, epoch)
+	pc.mu.Lock()
+	pc.flushed = r
+	_ = pc.sendLocked(pc.pending)
+	pc.mu.Unlock()
+	if cap(pc.pending) > maxPendingKeep {
+		pc.pending = nil
+	} else {
+		pc.pending = pc.pending[:0]
+	}
 }
 
 // clear drops the given connection if it is still current (a write failure
@@ -472,9 +533,10 @@ func (pn *peerNet) inboundBound(j int) bool {
 // into the staging area, done/status frames into the watermark, queries to
 // the application handler.
 func (pn *peerNet) ingest(from int, conn net.Conn) {
-	var wmu sync.Mutex // serializes reply writes on this connection
+	var wmu sync.Mutex          // serializes reply writes on this connection
+	br := bufio.NewReader(conn) // after the handshake, which reads the bare conn
 	for {
-		typ, arg, payload, err := readFrame(conn)
+		typ, arg, payload, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -549,9 +611,7 @@ func (pn *peerNet) ingest(from int, conn net.Conn) {
 				defer pn.wg.Done()
 				wmu.Lock()
 				defer wmu.Unlock()
-				conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-				_ = writeFrame(conn, framePeerReply, 0, append(append([]byte{}, id...), resp...))
-				conn.SetWriteDeadline(time.Time{})
+				_ = send(conn, appendFrame(nil, framePeerReply, 0, append(id, resp...)))
 			}(append([]byte{}, id...), resp)
 		default:
 			return // protocol violation: drop the connection
@@ -561,7 +621,9 @@ func (pn *peerNet) ingest(from int, conn net.Conn) {
 
 // stageRemote buffers one round-stamped message from an authenticated peer.
 // Stale frames (round already committed) are dropped; so are frames
-// implausibly far in the future of anything we have heard of.
+// implausibly far in the future of anything we have heard of. Staging wakes
+// no one: the barrier waits on watermarks, and the sender's done marker for
+// this round arrives behind this frame on the same connection.
 func (pn *peerNet) stageRemote(from, round int, kind Kind, payload []byte) {
 	pn.mu.Lock()
 	defer pn.mu.Unlock()
@@ -581,7 +643,6 @@ func (pn *peerNet) stageRemote(from, round int, kind Kind, payload []byte) {
 		seq:     pn.seq,
 	})
 	pn.seq++
-	pn.cond.Broadcast()
 }
 
 // advanceWatermark records that `from` has declared rounds ≤ r complete, and
@@ -669,14 +730,15 @@ func (nw *Network) StartAt(r int) error {
 	pn.mu.Unlock()
 	nw.nodes[pn.self].round = r
 
+	status := appendFrame(nil, framePeerStatus, r-1, pn.epochPayload())
 	for _, pc := range pn.out {
 		if pc == nil {
 			continue
 		}
 		pc.mu.Lock()
 		pc.flushed = r - 1
+		_ = pc.sendLocked(status) // a peer that misses it hears it from dialLoop on reconnect
 		pc.mu.Unlock()
-		pc.write(framePeerStatus, r-1, pn.epochPayload())
 	}
 	return nil
 }
@@ -703,32 +765,31 @@ func (pn *peerNet) endRound(nd *Node) ([]Message, error) {
 	t0 := pn.inst.stamp()
 
 	// Flush outside the lock: socket writes may block on deadlines, and the
-	// inbound readers need the lock to keep staging. Per-peer write errors
-	// are swallowed — the failed connection is already handed to its
+	// inbound readers need the lock to keep staging (TestPeerLargePayloads
+	// deadlocks otherwise). Each peer's frames are appended in emission
+	// order and leave in one write with the done marker. Per-peer write
+	// errors are swallowed — the failed connection is already handed to its
 	// dialLoop, and the peer's own barrier will demote us if we stay gone.
 	for _, s := range nd.outbox {
 		switch {
 		case s.to == nd.idx:
 			// self-delivery staged below
 		case s.to >= 0:
-			pn.out[s.to].write(frameData, r, s.msg.Payload)
+			pc := pn.out[s.to]
+			pc.pending = appendFrame(pc.pending, frameData, r, s.msg.Payload)
 		default: // broadcast fan-out; self copy staged below
 			for _, pc := range pn.out {
-				if pc == nil {
-					continue
+				if pc != nil {
+					pc.pending = appendFrame(pc.pending, frameBroadcast, r, s.msg.Payload)
 				}
-				pc.write(frameBroadcast, r, s.msg.Payload)
 			}
 		}
 	}
+	epoch := pn.epochPayload()
 	for _, pc := range pn.out {
-		if pc == nil {
-			continue
+		if pc != nil {
+			pc.flush(r, epoch)
 		}
-		pc.mu.Lock()
-		pc.flushed = r
-		pc.mu.Unlock()
-		pc.write(frameDone, r, pn.epochPayload())
 	}
 
 	pn.mu.Lock()
@@ -754,23 +815,17 @@ func (pn *peerNet) endRound(nd *Node) ([]Message, error) {
 	if pn.nw.eng != nil {
 		grace += time.Duration(pn.nw.sched.MaxDelay()) * pn.opts.scheduleUnit
 	}
-	expired := false
-	timer := time.AfterFunc(grace, func() {
-		pn.mu.Lock()
-		expired = true
-		pn.cond.Broadcast()
-		pn.mu.Unlock()
-	})
-	for !pn.closed && !expired && !pn.barrierMetLocked(r) {
+	pn.armBarrierLocked(r, grace)
+	for !pn.closed && pn.expired != r && !pn.barrierMetLocked(r) {
 		pn.cond.Wait()
 	}
-	timer.Stop()
+	pn.barrier.Stop()
 	if pn.closed {
 		err := pn.closeErr
 		pn.mu.Unlock()
 		return nil, err
 	}
-	if expired {
+	if pn.expired == r {
 		for j := range pn.required {
 			if pn.required[j] && pn.watermark[j] < r {
 				pn.required[j] = false
@@ -786,6 +841,42 @@ func (pn *peerNet) endRound(nd *Node) ([]Message, error) {
 	since(pn.inst.roundDur, t0)
 	nd.round++
 	return msgs, nil
+}
+
+// armBarrierLocked arms the network's one barrier timer for round r, due d
+// from now. Caller holds pn.mu.
+func (pn *peerNet) armBarrierLocked(r int, d time.Duration) {
+	pn.barrierRound, pn.barrierDue = r, time.Now().Add(d)
+	if pn.barrier == nil {
+		pn.barrier = time.AfterFunc(d, pn.barrierFired)
+		return
+	}
+	pn.barrier.Reset(d)
+}
+
+// barrierFired is the barrier timer's callback. Stop and Reset cannot
+// recall a callback that has already started, so a fire may land after the
+// round it was armed for committed, and even after the timer was re-armed
+// for the next round. The round stamp catches the first (expireLocked
+// ignores a committed round); the deadline the second: a fire that lands
+// before the armed round is due belongs to an earlier arm and is dropped.
+func (pn *peerNet) barrierFired() {
+	pn.mu.Lock()
+	defer pn.mu.Unlock()
+	if !time.Now().Before(pn.barrierDue) {
+		pn.expireLocked(pn.barrierRound)
+	}
+}
+
+// expireLocked ends round r's barrier wait: the waiting endRound demotes
+// every required peer that has not declared r complete. A round that has
+// already committed is left alone. Caller holds pn.mu.
+func (pn *peerNet) expireLocked(r int) {
+	if r < pn.round {
+		return
+	}
+	pn.expired = r
+	pn.cond.Broadcast()
 }
 
 // barrierMetLocked reports whether every required peer has declared round r
@@ -981,6 +1072,9 @@ func (pn *peerNet) close() {
 	}
 	pn.closed = true
 	pn.closeErr = ErrPeerClosed
+	if pn.barrier != nil {
+		pn.barrier.Stop()
+	}
 	pn.cond.Broadcast()
 	pn.mu.Unlock()
 
