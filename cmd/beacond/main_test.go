@@ -265,7 +265,7 @@ func TestSurfaceInventoryPlayer(t *testing.T) {
 	}
 	checkSurface(t, urls[0], []string{
 		"beacond_coins_total counter [] Coins appended to the public log.",
-		"beacond_emit_latency_seconds histogram [] Duration of one emission iteration (exposure, plus inline refill when triggered).",
+		"beacond_emit_latency_seconds histogram [] Duration of one emission round (exposure, plus inline refill when triggered).",
 		"beacond_epoch gauge [] Refill epoch (batches absorbed since the ceremony).",
 		"beacond_generation gauge [] Committee generation (0 = dealt, +1 per reshare).",
 		"beacond_join_attempts_total counter [] Join choreography attempts (1 = clean first try).",

@@ -309,30 +309,36 @@ func waitLogLines(path string, want int, timeout time.Duration) error {
 // -kill-at of 30, and leaves enough coins that no second refill lands near
 // the end of the run.
 func writePeersYAML(path string) ([]string, error) {
-	reserve := func() (string, error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", err
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		return addr, nil
+	addrs, err := reserveAddrs(2 * *n)
+	if err != nil {
+		return nil, err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster: soak\nsecret: %s\n", strings.Repeat("ab", 32))
 	fmt.Fprintf(&b, "t: %d\nk: 32\nbatch: 40\nthreshold: 6\nseedcoins: 24\npeers:\n", *t)
 	httpAddrs := make([]string, *n)
-	for i := 0; i < *n; i++ {
-		addr, err := reserve()
+	for i := range httpAddrs {
+		httpAddrs[i] = addrs[2*i+1]
+		fmt.Fprintf(&b, "  - id: %d\n    addr: %s\n    http: %s\n", i, addrs[2*i], httpAddrs[i])
+	}
+	return httpAddrs, os.WriteFile(path, []byte(b.String()), 0o644)
+}
+
+// reserveAddrs returns count distinct loopback addresses. Every listener
+// stays open until all are picked, so the kernel cannot hand out one port
+// twice; closing them leaves only the small race with other processes that
+// any port-0 reservation has.
+func reserveAddrs(count int) ([]string, error) {
+	addrs := make([]string, count)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		if httpAddrs[i], err = reserve(); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(&b, "  - id: %d\n    addr: %s\n    http: %s\n", i, addr, httpAddrs[i])
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	return httpAddrs, os.WriteFile(path, []byte(b.String()), 0o644)
+	return addrs, nil
 }
 
 // checkMetrics scrapes every daemon's /metrics and asserts the exposition

@@ -34,7 +34,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -179,42 +178,26 @@ func rsSetup(bin, base string) (*rsCluster, error) {
 		}
 	}
 
-	reserve := func() (string, error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", err
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		return addr, nil
+	// One peer and one HTTP address per old member and per joiner, all
+	// reserved at once.
+	joiners := rsNewN - (rsOldN - 1)
+	addrs, err := reserveAddrs(2 * (rsOldN + joiners))
+	if err != nil {
+		return nil, err
 	}
 	oldAddrs := make([]string, rsOldN)
 	rc.oldHTTP = make([]string, rsOldN)
 	for i := range oldAddrs {
-		var err error
-		if oldAddrs[i], err = reserve(); err != nil {
-			return nil, err
-		}
-		if rc.oldHTTP[i], err = reserve(); err != nil {
-			return nil, err
-		}
+		oldAddrs[i], rc.oldHTTP[i] = addrs[2*i], addrs[2*i+1]
 	}
 	// Generation 1: old members 0..5 keep their addresses (the dial address
 	// is a member's identity across generations); member 6 leaves; three
 	// joiners take new-roster ids 6..8 on fresh ports.
 	newAddrs := append([]string(nil), oldAddrs[:rsOldN-1]...)
 	rc.newHTTP = append([]string(nil), rc.oldHTTP[:rsOldN-1]...)
-	for len(newAddrs) < rsNewN {
-		a, err := reserve()
-		if err != nil {
-			return nil, err
-		}
-		h, err := reserve()
-		if err != nil {
-			return nil, err
-		}
-		newAddrs = append(newAddrs, a)
-		rc.newHTTP = append(rc.newHTTP, h)
+	for j := rsOldN; len(newAddrs) < rsNewN; j++ {
+		newAddrs = append(newAddrs, addrs[2*j])
+		rc.newHTTP = append(rc.newHTTP, addrs[2*j+1])
 	}
 
 	roster := func(path string, addrs, https []string, generation int) error {

@@ -111,10 +111,11 @@ type DaemonMetrics struct {
 	reg *prom.Registry
 
 	// EmitLatency is beacond_emit_latency_seconds: wall-clock time of one
-	// emission iteration (a Coin-Expose round, plus an inline refill when
-	// one triggered — the long-tail bucket).
+	// emission round (one Coin-Expose round opening up to W coins, plus an
+	// inline refill when one triggered — the long-tail bucket).
 	EmitLatency *prom.Histogram
-	// Coins is beacond_coins_total: coins appended to the public log.
+	// Coins is beacond_coins_total: coins appended to the public log, every
+	// coin of an emission round.
 	Coins *prom.Counter
 	// Refills is beacond_refills_total; RefillDuration is
 	// beacond_refill_duration_seconds (inline blocking Coin-Gens).
@@ -135,7 +136,7 @@ type DaemonMetrics struct {
 func NewDaemonMetrics(r *prom.Registry) *DaemonMetrics {
 	return &DaemonMetrics{
 		reg:         r,
-		EmitLatency: r.Histogram("beacond_emit_latency_seconds", "Duration of one emission iteration (exposure, plus inline refill when triggered).", nil),
+		EmitLatency: r.Histogram("beacond_emit_latency_seconds", "Duration of one emission round (exposure, plus inline refill when triggered).", nil),
 		Coins:       r.Counter("beacond_coins_total", "Coins appended to the public log."),
 		Refills:     r.Counter("beacond_refills_total", "Inline blocking Coin-Gens completed."),
 		RefillDuration: r.Histogram("beacond_refill_duration_seconds", "Wall-clock duration of inline Coin-Gens.",
@@ -157,11 +158,11 @@ func (m *DaemonMetrics) observeReshare(seconds float64, ok bool) {
 	m.ReshareDuration.Observe(seconds)
 }
 
-// observeEmit records one emission iteration; when the iteration absorbed
-// batches it is also an inline refill and feeds those series.
-func (m *DaemonMetrics) observeEmit(seconds float64, batches int) {
+// observeEmit records one emission round that opened coins; when the round
+// absorbed batches it is also an inline refill and feeds those series.
+func (m *DaemonMetrics) observeEmit(seconds float64, coins, batches int) {
 	m.EmitLatency.Observe(seconds)
-	m.Coins.Inc()
+	m.Coins.Add(int64(coins))
 	if batches > 0 {
 		m.Refills.Add(int64(batches))
 		m.RefillDuration.Observe(seconds)

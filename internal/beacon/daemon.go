@@ -18,17 +18,19 @@ package beacon
 //        cluster's logs can differ by the final in-flight coins), backfill
 //        and fast-forward to it, and start at round 0 together.
 //      - Rejoin: the cluster is live. Ask the most advanced peer where it
-//        is (round R, log position P, refill epoch), fast-forward the
-//        store to position P, backfill the missed public values [ours, P)
-//        from t+1 peers, and start at round R — peers flush round R's
-//        traffic only after our connections are already up, and their
-//        barriers re-admit us as soon as our first status/done markers
-//        arrive. A refill inside the join lag would desynchronize the
-//        position↔round alignment, so the join waits one out when it is
-//        imminent.
-//   4. Emission loop: one Next() per iteration — exposure rounds plus the
-//      occasional inline blocking refill, exactly the Fig. 1 loop. Every
-//      opened coin is appended to the public log; the stamped store snapshot
+//        is (round R opening log positions [P, N), refill epoch),
+//        fast-forward the store to position N, backfill the missed public
+//        values [ours, N) from t+1 peers, and start at round R+1 — peers
+//        flush round R+1's traffic only after our connections are already
+//        up, and their barriers re-admit us as soon as our first
+//        status/done markers arrive. A refill inside the join lag would
+//        desynchronize the position↔round alignment, so the join waits one
+//        out when it is imminent.
+//   4. Emission loop: one emission round per iteration — the inline
+//      blocking refill when the store is low, exactly the Fig. 1 loop, then
+//      one Coin-Expose round opening the vector of coins emitWidth allows
+//      (one coin when paced, up to sweepCoins when not). The vector is
+//      appended to the public log in one write; the stamped store snapshot
 //      is rewritten after each refill and at graceful shutdown.
 //
 // A daemon that was down across a refill cannot rejoin (its store lacks
@@ -54,6 +56,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/coin"
 	"repro/internal/core"
 	"repro/internal/gf2k"
 	"repro/internal/metrics"
@@ -68,6 +71,11 @@ import (
 // (docs/OPERATIONS.md, "Membership change & proactive refresh").
 var ErrEpochMismatch = errors.New("beacon: refill epoch mismatch (this player missed a Coin-Gen; recover it with a proactive reshare — docs/OPERATIONS.md)")
 
+// errWidthMismatch marks a peer whose emission rounds open a different
+// number of coins than ours: its rounds would carry a different number of
+// shares, so the two can never share one.
+var errWidthMismatch = errors.New("beacon: emission width mismatch (set -emit-interval alike on every daemon: all zero or all non-zero)")
+
 // DaemonConfig parameterizes one per-player daemon.
 type DaemonConfig struct {
 	// Peers is the cluster roster and protocol parameters (peers.yaml).
@@ -79,13 +87,18 @@ type DaemonConfig struct {
 	StateDir string
 	// Emit stops the daemon once the public log holds this many coins
 	// (0 = run until the context is cancelled). All daemons configured with
-	// the same Emit stop at the same round.
+	// the same Emit stop at the same round. An unpaced daemon's rounds end
+	// at the target, so an unpaced cluster must share it.
 	Emit int
 	// EmitInterval paces the beacon: the minimum delay between consecutive
-	// coin openings (0 = open coins as fast as the cluster can run rounds).
-	// A paced beacon is also what makes crash recovery practical — the
-	// rejoin window between two refills lasts EmitInterval × BatchSize
-	// instead of milliseconds.
+	// coin openings, one coin per round. Zero runs unpaced: each round opens
+	// up to sweepCoins (32) coins, as fast as the cluster can run rounds,
+	// and never across a multiple of 32, a batch boundary, the refill point
+	// or Emit (emitWidth). It decides how many shares a round carries, so
+	// every daemon of a cluster must set it alike — all zero or all
+	// non-zero; join refuses a peer that differs. A paced beacon is also
+	// what makes crash recovery practical — the rejoin window between two
+	// refills lasts EmitInterval × BatchSize instead of milliseconds.
 	EmitInterval time.Duration
 	// Rand is this player's private randomness for Coin-Gen dealing.
 	Rand io.Reader
@@ -214,14 +227,19 @@ func closeOnDone(ctx context.Context, nw *simnet.Network) func() {
 
 // DaemonStats is a daemon's position: the state the run loop keeps, the
 // snapshot Stats returns (the JSON tags are cmd/beacond's /v1/healthz keys)
-// and, in its Joined, Refilling, Round, LogLen, Epoch and Remaining, the
-// STATE answer a rejoiner projects the cluster's position forward from.
+// and, in the fields formatState writes, the STATE answer a joiner reads
+// the cluster's position from.
 type DaemonStats struct {
-	Player    int `json:"player"`
+	Player int `json:"player"`
+	// Round is the local node's next round, which opens log positions
+	// [LogLen, Next); Remaining is the store's coin count at LogLen.
 	Round     int `json:"round"`
 	LogLen    int `json:"log"`
+	Next      int `json:"-"`
 	Epoch     int `json:"epoch"`
 	Remaining int `json:"remaining"`
+	// Width is W, the most coins one emission round opens (see emitWidth).
+	Width int `json:"-"`
 	// Generation is the committee generation this daemon serves (its
 	// store's; bumped only by a completed reshare + restart).
 	Generation int  `json:"generation"`
@@ -318,8 +336,9 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{cfg: cfg, core: coreCfg, gen: gen, rnd: cfg.Rand, ps: ps, reshareAttempt: attempt}
-	d.state = DaemonStats{Player: cfg.Self, Epoch: ps.epoch, LogLen: len(ps.log), Remaining: gen.Remaining(),
+	d.state = DaemonStats{Player: cfg.Self, Width: d.width(),
 		Generation: ps.store.Generation, ReshareArmed: cfg.ReshareNext != nil, Cutover: cutover}
+	d.publish(0)
 
 	nw, err := simnet.NewPeer(cfg.Peers, cfg.Self,
 		transportOptions(cfg.Counters, cfg.Tracer, cfg.PeerMetrics, cfg.RoundTimeout, cfg.DialBackoffMax, d.handleQuery)...)
@@ -356,8 +375,7 @@ func (d *Daemon) handleQuery(from int, req []byte) []byte {
 		d.mu.Lock()
 		st := d.state
 		d.mu.Unlock()
-		return []byte(fmt.Sprintf("%t %t %d %d %d %d",
-			st.Joined, st.Refilling, st.Round, st.LogLen, st.Epoch, st.Remaining))
+		return formatState(st)
 	case s == "RESHARE":
 		// Reshare negotiation probe: whether this daemon is armed, and the
 		// cutover it has committed (-1 while undecided).
@@ -371,10 +389,19 @@ func (d *Daemon) handleQuery(from int, req []byte) []byte {
 	return nil
 }
 
+// stateFormat is the STATE answer: joined, refilling, the round, the log
+// positions it opens [LogLen, Next), epoch, remaining coins and W.
+const stateFormat = "%t %t %d %d %d %d %d %d"
+
+func formatState(st DaemonStats) []byte {
+	return fmt.Appendf(nil, stateFormat,
+		st.Joined, st.Refilling, st.Round, st.LogLen, st.Next, st.Epoch, st.Remaining, st.Width)
+}
+
 func parseState(resp []byte) (DaemonStats, error) {
 	var st DaemonStats
-	_, err := fmt.Sscanf(string(resp), "%t %t %d %d %d %d",
-		&st.Joined, &st.Refilling, &st.Round, &st.LogLen, &st.Epoch, &st.Remaining)
+	_, err := fmt.Sscanf(string(resp), stateFormat,
+		&st.Joined, &st.Refilling, &st.Round, &st.LogLen, &st.Next, &st.Epoch, &st.Remaining, &st.Width)
 	return st, err
 }
 
@@ -403,25 +430,30 @@ func (d *Daemon) Run(ctx context.Context) error {
 }
 
 // reshareStep runs one iteration of the armed daemon's cutover
-// negotiation, between coins. It returns (true, nil) while the daemon
-// should keep emitting toward the cutover, (false, nil) while paused at it
-// waiting for the peer quorum, and (false, ErrReshareCutover) once a
+// negotiation, between emission rounds. It returns (true, nil) while the
+// daemon should keep emitting toward the cutover, (false, nil) while paused
+// at it waiting for the peer quorum, and (false, ErrReshareCutover) once a
 // quorum of peers reports the same committed position.
 //
 // The negotiation is sticky and raise-only: the committed cutover is the
 // maximum over every committed value seen, and a daemon whose log already
 // passed the committed position raises a fresh proposal instead of
 // adopting one it can no longer honor. Raising strictly increases the
-// committed value and proposals are bounded by logLen+margin, so the
-// cluster converges within a few rounds of the last arm — without any
+// committed value and proposals are bounded by the proposal rule below, so
+// the cluster converges within a few rounds of the last arm — without any
 // leader, matching the join choreography's self-synchronizing style. A
 // quorum of n−t ARMED daemons gates the first proposal, so rolling `kill;
 // restart -reshare` across the fleet cannot strand an early-armed daemon
 // at a position the others never heard of.
+//
+// A proposal is roundUp(logLen+2W+1, W): a multiple of W (logLen+3 when
+// paced) at least three rounds ahead — enough for every armed peer to poll
+// and adopt it. Every multiple of W is a round boundary at every daemon and
+// emitWidth never looks at the cutover, so a daemon lands on it exactly
+// whenever it adopts it.
 func (d *Daemon) reshareStep(ctx context.Context, logLen int) (bool, error) {
-	// margin is how many more coins the cluster emits between proposal and
-	// pause — enough rounds for every armed peer to poll and adopt.
-	const margin = 3
+	w := d.width()
+	propose := (logLen + 2*w + 1 + w - 1) / w * w
 	n, t := d.core.N, d.core.T
 	d.mu.Lock()
 	committed := d.state.Cutover
@@ -470,11 +502,11 @@ func (d *Daemon) reshareStep(ctx context.Context, logLen int) (bool, error) {
 	case maxSeen > committed:
 		cut = maxSeen
 	case committed < 0 && armedCount >= n-t:
-		cut = logLen + margin
+		cut = propose
 	}
 	if cut >= 0 && cut < logLen {
 		// Armed too late to stop there: raise. Peers adopt the maximum.
-		cut = logLen + margin
+		cut = propose
 	}
 	if cut != committed {
 		if err := SaveReshareJournal(d.cfg.StateDir, ReshareJournal{
@@ -532,6 +564,9 @@ func (d *Daemon) join(ctx context.Context) error {
 			return fmt.Errorf("beacon: player %d failed to join within %v", d.cfg.Self, d.cfg.JoinTimeout)
 		}
 		states, peers := d.queryStates()
+		if err := d.sameWidth(states, peers); err != nil {
+			return err
+		}
 		running := -1
 		anyRefilling := false
 		for i, st := range states {
@@ -604,6 +639,18 @@ func (d *Daemon) queryStates() ([]DaemonStats, []int) {
 	return states, peers
 }
 
+// sameWidth refuses peers whose emission rounds are a different width — a
+// cold start or a rejoin with them would stall on the first round.
+func (d *Daemon) sameWidth(states []DaemonStats, peers []int) error {
+	w := d.width()
+	for i, st := range states {
+		if st.Width != w {
+			return fmt.Errorf("%w: peer %d opens up to %d coins per round, this player %d", errWidthMismatch, peers[i], st.Width, w)
+		}
+	}
+	return nil
+}
+
 // coldStart aligns a cluster whose daemons are all booting: everyone
 // fast-forwards to the longest public log (a crashed cluster's logs differ
 // by at most the final in-flight coins) and starts at round 0.
@@ -631,11 +678,11 @@ func (d *Daemon) coldStart(states []DaemonStats, peers []int) error {
 // round AFTER it is safe — WaitPeers already confirmed the peers'
 // connections to us are bound, and a peer only flushes round R+1 after
 // committing R, which is after it answered our STATE query. The skipped
-// coin is backfilled from the peers' public logs instead (retrying until
-// they commit it), and if the cluster commits another round or two before
-// our StartAt lands, the round-keyed staging lets us drain the backlog
-// instantly and our done markers re-promote us at each peer within a
-// round — the logs stay byte-identical throughout.
+// coins are backfilled from the peers' public logs instead (retrying until
+// they commit them), and if the cluster commits another round or two
+// before our StartAt lands, the round-keyed staging lets us drain the
+// backlog instantly and our done markers re-promote us at each peer within
+// a round — the logs stay byte-identical throughout.
 func (d *Daemon) rejoin(states []DaemonStats, peers []int, leadIdx int) error {
 	lead := states[leadIdx]
 	if lead.Refilling {
@@ -647,17 +694,18 @@ func (d *Daemon) rejoin(states []DaemonStats, peers []int, leadIdx int) error {
 	}
 	// A refill inside the join lag would mint rounds that are not
 	// exposures and desync the position↔round alignment we rely on, so
-	// wait it out when one is imminent (margin ≈ the join lag in rounds).
-	const margin = 2
-	if lead.Remaining-1 < d.core.Threshold+margin {
-		return fmt.Errorf("peer %d is about to refill (%d coins left); waiting for it to pass", peers[leadIdx], lead.Remaining)
+	// wait it out when one is imminent: when no more than two full rounds
+	// (2W coins, the join lag) lie between the in-flight round's end and
+	// the lead's refill point.
+	if refillAt := lead.LogLen + lead.Remaining - d.core.Threshold + 1; refillAt-lead.Next <= 2*lead.Width {
+		return fmt.Errorf("peer %d is about to refill (at log position %d); waiting for it to pass", peers[leadIdx], refillAt)
 	}
-	// Round lead.Round opens coin lead.LogLen (one exposure per round), so
-	// our first round, lead.Round+1, opens coin lead.LogLen+1.
-	if err := d.fastForward(lead.LogLen+1, peers); err != nil {
+	// Round lead.Round opens [lead.LogLen, lead.Next), so our first round,
+	// lead.Round+1, starts at lead.Next.
+	if err := d.fastForward(lead.Next, peers); err != nil {
 		return err
 	}
-	d.cfg.Logf("rejoining at round %d, log position %d (epoch %d)", lead.Round+1, lead.LogLen+1, epoch)
+	d.cfg.Logf("rejoining at round %d, log position %d (epoch %d)", lead.Round+1, lead.Next, epoch)
 	return d.start(lead.Round + 1)
 }
 
@@ -666,23 +714,44 @@ func (d *Daemon) start(round int) error {
 	if err := d.nw.StartAt(round); err != nil {
 		return err
 	}
+	d.publish(round)
 	d.mu.Lock()
 	d.state.Joined = true
-	d.state.Round = round
 	d.mu.Unlock()
 	return nil
 }
 
+// publish refreshes the mirror Stats and STATE read from the run loop's
+// position between two rounds: the round the node runs next, the log
+// positions it opens, the store and epoch at its start, and no refill in
+// flight.
+func (d *Daemon) publish(round int) {
+	logLen := len(d.ps.log)
+	next := logLen + max(emitWidth(d.gen.Store(), logLen, d.width(), d.core.Threshold, d.cfg.Emit), 0)
+	d.mu.Lock()
+	d.state.Round = round
+	d.state.LogLen = logLen
+	d.state.Next = next
+	d.state.Remaining = d.gen.Remaining()
+	d.state.Epoch = d.ps.epoch
+	d.state.Refilling = false
+	d.mu.Unlock()
+}
+
+// halted is the error a failed emission round ends Run with: none when the
+// context ended, which is what cut the round short.
+func (d *Daemon) halted(ctx context.Context, logLen int, err error) error {
+	if ctx.Err() != nil {
+		return nil
+	}
+	return fmt.Errorf("beacon: player %d halted at log position %d: %w", d.cfg.Self, logLen, err)
+}
+
 // fastForward advances store and log to absolute position target (see
-// playerState.fastForward for the order that makes a retry safe) and
-// refreshes the queryable mirror.
+// playerState.fastForward for the order that makes a retry safe).
 func (d *Daemon) fastForward(target int, peers []int) error {
 	pos := len(d.ps.log)
 	err := d.ps.fastForward(target, d.query, peers, d.core.T+1, d.cfg.JoinTimeout/2)
-	d.mu.Lock()
-	d.state.LogLen = len(d.ps.log)
-	d.state.Remaining = d.gen.Remaining()
-	d.mu.Unlock()
 	if err == nil && target > pos {
 		d.cfg.Logf("backfilled %d missed public coins [%d,%d)", target-pos, pos, target)
 	}
@@ -710,9 +779,33 @@ func shuffledCopy(peers []int) []int {
 	return out
 }
 
-// emit is the daemon's main loop: one shared coin per iteration (with
-// inline blocking refills when the store runs low), every value appended
-// to the public log, the store snapshotted after each refill.
+// width is W: the most coins one emission round opens — one when paced,
+// the Service's sweepCoins when not.
+func (d *Daemon) width() int {
+	if d.cfg.EmitInterval > 0 {
+		return 1
+	}
+	return sweepCoins
+}
+
+// emitWidth is how many coins the emission round starting at log position p
+// opens: up to the next multiple of w, and never past the front batch of st
+// (one reconstruction set per round), the refill point (the position where
+// fewer than threshold coins remain) or a non-zero emit target. Only the
+// grouping of coins into rounds depends on w, never which coins open or
+// where the store refills, and every multiple of w is a round boundary. It
+// is ≤ 0 when the store must refill first.
+func emitWidth(st *coin.Store, p, w, threshold, emit int) int {
+	k := min(w-p%w, st.FrontRemaining(), st.Remaining()-threshold+1)
+	if emit > 0 {
+		k = min(k, emit-p)
+	}
+	return k
+}
+
+// emit is the daemon's main loop: one emission round per iteration (after
+// an inline blocking refill when the store runs low), its coins appended to
+// the public log in one write, the store snapshotted after each refill.
 func (d *Daemon) emit(ctx context.Context) error {
 	for {
 		logLen := len(d.ps.log)
@@ -724,45 +817,36 @@ func (d *Daemon) emit(ctx context.Context) error {
 			return nil // graceful: Run persists on the way out
 		}
 		if d.cfg.ReshareNext != nil {
-			emitCoin, err := d.reshareStep(ctx, logLen)
+			emitRound, err := d.reshareStep(ctx, logLen)
 			if err != nil {
 				return err
 			}
-			if !emitCoin {
+			if !emitRound {
 				continue // paused at the cutover, polling for quorum
 			}
 		}
 
-		willRefill := d.gen.Remaining() < d.core.Threshold
-		if willRefill {
+		t0 := time.Now()
+		refilled := 0
+		if d.gen.Remaining() < d.core.Threshold {
 			d.mu.Lock()
 			d.state.Refilling = true
 			d.mu.Unlock()
 			d.cfg.Logf("refill starting at log position %d (epoch %d)", logLen, d.ps.epoch)
-		}
-		batchesBefore := d.gen.Stats().Batches
-		t0 := time.Now()
-		v, err := d.gen.Next(d.nd, d.rnd)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
+			if err := d.gen.Refill(d.nd, d.rnd); err != nil {
+				return d.halted(ctx, logLen, err)
 			}
-			return fmt.Errorf("beacon: player %d halted at log position %d: %w", d.cfg.Self, logLen, err)
+			refilled = 1
 		}
-		refilled := d.gen.Stats().Batches - batchesBefore
-		d.cfg.Metrics.observeEmit(time.Since(t0).Seconds(), refilled)
+		vals, err := d.gen.ExposeN(d.nd, emitWidth(d.gen.Store(), logLen, d.width(), d.core.Threshold, d.cfg.Emit))
+		if err != nil {
+			return d.halted(ctx, logLen, err)
+		}
+		d.cfg.Metrics.observeEmit(time.Since(t0).Seconds(), len(vals), refilled)
 
-		werr := d.ps.append(v)
+		werr := d.ps.append(vals...)
 		d.ps.epoch += refilled
-		d.mu.Lock()
-		d.state.LogLen = len(d.ps.log)
-		d.state.Round = d.nd.Round()
-		d.state.Remaining = d.gen.Remaining()
-		d.state.Epoch = d.ps.epoch
-		if refilled > 0 {
-			d.state.Refilling = false
-		}
-		d.mu.Unlock()
+		d.publish(d.nd.Round())
 		if werr != nil {
 			// Halt without persisting: the snapshot must not stamp a LogLen
 			// the on-disk log never reached, and the restart replays

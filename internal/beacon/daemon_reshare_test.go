@@ -15,13 +15,16 @@ import (
 	"repro/internal/simnet"
 )
 
-// armedDaemon builds a daemon armed with a next-generation roster.
-func armedDaemon(t *testing.T, pc, next *simnet.PeerConfig, dir string, self int, seed int64) *Daemon {
+// armedDaemon builds a daemon armed with a next-generation roster, paced at
+// interval (a paced daemon opens one coin per round, so its cutover is
+// coin-precise).
+func armedDaemon(t *testing.T, pc, next *simnet.PeerConfig, dir string, self int, seed int64, interval time.Duration) *Daemon {
 	t.Helper()
 	d, err := NewDaemon(DaemonConfig{
 		Peers:          pc,
 		Self:           self,
 		StateDir:       dir,
+		EmitInterval:   interval,
 		Rand:           rand.New(rand.NewSource(seed + int64(self)*1009)),
 		RoundTimeout:   2 * time.Second,
 		DialBackoffMax: 200 * time.Millisecond,
@@ -38,13 +41,13 @@ func armedDaemon(t *testing.T, pc, next *simnet.PeerConfig, dir string, self int
 // runArmedCluster runs every daemon armed for a handover; each must exit
 // with ErrReshareCutover, and all must agree on the cutover position.
 // Returns that position.
-func runArmedCluster(t *testing.T, pc, next *simnet.PeerConfig, dirs []string, seed int64) int {
+func runArmedCluster(t *testing.T, pc, next *simnet.PeerConfig, dirs []string, seed int64, interval time.Duration) int {
 	t.Helper()
 	n := pc.N()
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		d := armedDaemon(t, pc, next, dirs[i], i, seed)
+		d := armedDaemon(t, pc, next, dirs[i], i, seed, interval)
 		wg.Add(1)
 		go func(i int, d *Daemon) {
 			defer wg.Done()
@@ -214,7 +217,7 @@ func TestDaemonReshareHandover(t *testing.T) {
 
 	// Second leg: restart armed. The daemons negotiate a cutover a few
 	// coins ahead, pause there together, and exit for the ceremony.
-	cut := runArmedCluster(t, pcB, next, dirsB, 2)
+	cut := runArmedCluster(t, pcB, next, dirsB, 2, time.Millisecond)
 	if cut < firstLeg {
 		t.Fatalf("cutover %d is before the restart position %d", cut, firstLeg)
 	}
@@ -312,7 +315,7 @@ func TestDaemonProactiveRefresh(t *testing.T) {
 	*next = *pc
 	next.Generation = 1
 
-	cut := runArmedCluster(t, pc, next, dirs, 6)
+	cut := runArmedCluster(t, pc, next, dirs, 6, time.Millisecond)
 	before := loadValues(t, dirs[0], 0) // the full pre-refresh stream [0, cut)
 	oldStore, err := os.ReadFile(storeFile(dirs[0], 0))
 	if err != nil {
@@ -383,7 +386,7 @@ func TestDaemonStaleMemberRecoversViaRefresh(t *testing.T) {
 	next := &simnet.PeerConfig{}
 	*next = *pc
 	next.Generation = 1
-	cut := runArmedCluster(t, pc, next, dirs, 10)
+	cut := runArmedCluster(t, pc, next, dirs, 10, time.Millisecond)
 
 	parts := make([]reshareParticipant, n)
 	for i := range parts {
@@ -410,6 +413,62 @@ func TestDaemonStaleMemberRecoversViaRefresh(t *testing.T) {
 	}
 	if _, gen := readStamp(t, dirs[stale], stale); gen != 1 {
 		t.Fatalf("recovered member generation %d, want 1", gen)
+	}
+}
+
+// TestDaemonUnpacedHandover arms an unpaced cluster, whose rounds open up to
+// W = 32 coins: every daemon pauses at one negotiated multiple of W, and
+// after a proactive refresh the stream continues the never-reshared twin's,
+// offset by the ceremony's 2-coin burn.
+func TestDaemonUnpacedHandover(t *testing.T) {
+	const n, seedCoins, dealSeed, firstLeg = 7, 256, 31, 10
+	base := t.TempDir()
+
+	// The twin: same deal, never reshared. 256 seed coins at threshold 6
+	// put its first refill at coin 251, past the comparison window.
+	pcA := testPeerConfig(t, n, 1, seedCoins, 6, seedCoins)
+	dirsA := dealStateDirs(t, pcA, filepath.Join(base, "twin"), dealSeed)
+	runCluster(t, pcA, dirsA, 250, 1)
+	valsA := loadValues(t, dirsA[0], 0)
+
+	pc := testPeerConfig(t, n, 1, seedCoins, 6, seedCoins)
+	dirs := dealStateDirs(t, pc, filepath.Join(base, "live"), dealSeed)
+	runCluster(t, pc, dirs, firstLeg, 1)
+
+	next := &simnet.PeerConfig{}
+	*next = *pc
+	next.Generation = 1
+	cut := runArmedCluster(t, pc, next, dirs, 2, 0)
+	if cut%sweepCoins != 0 || cut < firstLeg+2*sweepCoins+1 {
+		t.Fatalf("cutover %d: want a multiple of %d at least three rounds past %d", cut, sweepCoins, firstLeg)
+	}
+
+	parts := make([]reshareParticipant, n)
+	for i := range parts {
+		parts[i] = reshareParticipant{i, i, dirs[i], false}
+	}
+	res := runCeremony(t, pc, next, parts, 77)
+	if res.Cutover != cut || len(res.Cheaters) != 0 {
+		t.Fatalf("ceremony: cutover %d (negotiated %d), cheaters %v", res.Cutover, cut, res.Cheaters)
+	}
+
+	// One more window of W after the cutover, short of the refreshed
+	// store's refill (its 254−cut coins at threshold 6).
+	end := cut + sweepCoins
+	if end+2 > len(valsA) {
+		t.Fatalf("cutover %d leaves the twin's %d coins", cut, len(valsA))
+	}
+	runCluster(t, next, dirs, end, 3)
+	sameLogs(t, dirs, end)
+	valsB := loadValues(t, dirs[0], 0)
+	for i, v := range valsB {
+		want := valsA[i]
+		if i >= cut {
+			want = valsA[i+2]
+		}
+		if v != want {
+			t.Fatalf("coin %d (cutover %d): %#x, want the twin's %#x", i, cut, v, want)
+		}
 	}
 }
 

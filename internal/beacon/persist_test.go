@@ -850,10 +850,12 @@ func FuzzParseLogLines(f *testing.F) {
 }
 
 // FuzzParseState: STATE answers come from peers; parsing one must never
-// panic and must read back exactly what handleQuery's format writes.
+// panic and must read back exactly what formatState writes.
 func FuzzParseState(f *testing.F) {
 	for _, seed := range []string{"true false 12 11 1 40", "false false 0 0 0 0", "", "true", "true false 1 2 3",
-		"yes no 1 2 3 4", "true false -1 -2 -3 -4", "true false 99999999999999999999 0 0 0"} {
+		"yes no 1 2 3 4", "true false -1 -2 -3 -4", "true false 99999999999999999999 0 0 0",
+		"true false 12 352 384 3 90 32", "false false 0 0 1 0 24 1", "true true 7 64 64 1 5 32",
+		"true false 1 2 3 4 5 6 -7", "true false 1 2 3 4 5 6 99999999999999999999", "true false 12 11 1 40 7"} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, resp []byte) {
@@ -861,8 +863,7 @@ func FuzzParseState(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := parseState([]byte(fmt.Sprintf("%t %t %d %d %d %d",
-			st.Joined, st.Refilling, st.Round, st.LogLen, st.Epoch, st.Remaining)))
+		again, err := parseState(formatState(st))
 		if err != nil || !reflect.DeepEqual(again, st) {
 			t.Fatalf("%q parsed to %+v, which re-parses to %+v, %v", resp, st, again, err)
 		}

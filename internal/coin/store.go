@@ -196,6 +196,18 @@ func (s *Store) Remaining() int {
 	return total
 }
 
+// FrontRemaining returns how many unexposed coins the oldest batch with coins
+// left still holds — the most one ExposeN round can open — or 0 when the
+// store is dry. Unlike Batches it allocates nothing.
+func (s *Store) FrontRemaining() int {
+	for _, b := range s.batches {
+		if r := b.Remaining(); r > 0 {
+			return r
+		}
+	}
+	return 0
+}
+
 // front pops drained batches and returns the oldest one with coins left,
 // nil when the store is dry.
 func (s *Store) front() *Batch {

@@ -34,10 +34,13 @@ import (
 )
 
 // peerWireVersion is the peer-transport wire version. Bump it whenever the
-// frame layout (frame.go) or handshake changes incompatibly; mismatched
-// daemons then fail their handshake with ErrBadVersion instead of
-// desyncing mid-round.
-const peerWireVersion = 1
+// frame layout (frame.go) or handshake changes incompatibly — or what the
+// rounds and queries on top of it carry does; mismatched daemons then fail
+// their handshake with ErrBadVersion instead of desyncing mid-round.
+// Version 2: an unpaced beacon daemon's emission round carries up to 32
+// coin shares per sender instead of one, and its STATE answer names the
+// round's end position and width, so a version-1 daemon is refused.
+const peerWireVersion = 2
 
 // Handshake failure modes, matchable with errors.Is. Each names the exact
 // operator mistake that produces it.

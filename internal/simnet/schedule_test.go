@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -294,6 +295,60 @@ func TestScheduleStringRoundTrip(t *testing.T) {
 			t.Fatalf("ParseSchedule(%q) accepted garbage", bad)
 		}
 	}
+}
+
+// FuzzParseSchedule: a schedule string comes from a bug report or a flag;
+// parsing one must never panic, and whatever parses must survive
+// ParseSchedule(s.String()) unchanged — up to how an open window is spelled
+// (an end ≤ 0 or ≥ openEnd renders "rN-" and parses back as openEnd).
+func FuzzParseSchedule(f *testing.F) {
+	for _, seed := range []string{
+		"benign", "", "seed=7;reorder;delay=3->*:r0-:uniform(1,3);partition=[1 4]:r2-6;crash=p2:r0-4",
+		"seed=-3;delay=*->3:r4-9:heavytail(0,9);delay=0->*:r0-8:fixed(2)", "reorder;reorder;seed=1;seed=2",
+		"partition=[]:r0-1", "crash=p-1:r3-0", "delay=-1->+2:r+1--5:uniform( 1 , 2 )", "seed=x", "wat=1",
+		"delay=0->1:r0-4", "partition=[1:r0-4", "crash=p1:r0-99999999999", " seed=5 ; reorder ",
+	} {
+		f.Add(seed)
+	}
+	openEnds := func(s *Schedule) *Schedule {
+		if s == nil {
+			return nil
+		}
+		c := *s
+		norm := func(end int) int {
+			if end <= 0 || end >= openEnd {
+				return openEnd
+			}
+			return end
+		}
+		c.Delays = slices.Clone(s.Delays)
+		for i := range c.Delays {
+			c.Delays[i].End = norm(c.Delays[i].End)
+		}
+		c.Partitions = slices.Clone(s.Partitions)
+		for i := range c.Partitions {
+			c.Partitions[i].Heal = norm(c.Partitions[i].Heal)
+		}
+		c.Crashes = slices.Clone(s.Crashes)
+		for i := range c.Crashes {
+			c.Crashes[i].Recover = norm(c.Crashes[i].Recover)
+		}
+		return &c
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseSchedule(in)
+		if err != nil {
+			return
+		}
+		text := s.String()
+		back, err := ParseSchedule(text)
+		if err != nil {
+			t.Fatalf("%q parsed, but its rendering %q does not: %v", in, text, err)
+		}
+		if !reflect.DeepEqual(back, openEnds(s)) {
+			t.Fatalf("%q → %+v renders as %q, which parses to %+v", in, s, text, back)
+		}
+	})
 }
 
 func TestScheduleValidate(t *testing.T) {
