@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race examples bench experiments fmt-check
+.PHONY: check build vet test race examples bench fmt-check
 
 check: fmt-check build vet race
 
@@ -39,6 +39,3 @@ bench:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-
-experiments:
-	$(GO) run ./cmd/experiments -exp all

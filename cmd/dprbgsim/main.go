@@ -1,7 +1,7 @@
 // Command dprbgsim runs a configurable D-PRBG simulation: n players
 // (optionally some Byzantine), a one-time trusted seed, and a stream of
 // shared coins generated on demand with full cost accounting. It is the
-// interactive companion to cmd/experiments.
+// interactive companion to the claim tests that EXPERIMENTS.md lists.
 //
 // Usage:
 //

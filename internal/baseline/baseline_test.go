@@ -1,13 +1,19 @@
 package baseline
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/coin"
+	"repro/internal/core"
 	"repro/internal/gf2k"
+	"repro/internal/metrics"
 	"repro/internal/poly"
 	"repro/internal/simnet"
+	"repro/internal/vss"
 )
 
 func TestCCDVSSHonestDealerAccepted(t *testing.T) {
@@ -364,5 +370,140 @@ func TestLiteratureCoinCosts(t *testing.T) {
 		if c.Name == "D-PRBG (this paper)" && c.Msgs > 17 {
 			t.Errorf("per-coin messages should approach n for huge M, got %.1f", c.Msgs)
 		}
+	}
+}
+
+// countedRun runs play at every player of an n-player network that counts
+// into ctr, and returns the counter diff and the wall time.
+func countedRun(t *testing.T, n int, ctr *metrics.Counters, play func(nd *simnet.Node) error) (metrics.Snapshot, time.Duration) {
+	t.Helper()
+	fns := make([]simnet.PlayerFunc, n)
+	for i := range fns {
+		fns[i] = func(nd *simnet.Node) (interface{}, error) { return nil, play(nd) }
+	}
+	before, start := ctr.Snapshot(), time.Now()
+	for i, r := range simnet.Run(simnet.New(n, simnet.WithCounters(ctr)), fns) {
+		if r.Err != nil {
+			t.Fatalf("player %d: %v", i, r.Err)
+		}
+	}
+	return metrics.Diff(before, ctr.Snapshot()), time.Since(start)
+}
+
+// TestDPRBGBeatsFromScratch checks §1.4's headline (E10): at n = 7, t = 1,
+// 64 coins drawn from the bootstrapped D-PRBG, refills included, cost at
+// least 2× less per coin than 64 coins generated from scratch, on bytes,
+// messages, rounds, interpolations and field multiplications. The
+// from-scratch coins run at κ = 16, weaker than the D-PRBG's 2^-32.
+func TestDPRBGBeatsFromScratch(t *testing.T) {
+	const n, tf, coins = 7, 1, 64
+	f := gf2k.MustNew(32)
+	var dctr, sctr metrics.Counters
+	cfg := core.Config{Field: f.WithCounters(&dctr), N: n, T: tf, BatchSize: 32, Counters: &dctr}
+	gens, err := core.SetupTrusted(cfg, 8, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, dTime := countedRun(t, n, &dctr, func(nd *simnet.Node) error {
+		rnd := rand.New(rand.NewSource(int64(nd.Index()) + 10))
+		for c := 0; c < coins; c++ {
+			if _, err := gens[nd.Index()].Next(nd, rnd); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	scfg := FromScratchConfig{Field: f.WithCounters(&sctr), N: n, T: tf, Kappa: 16, Counters: &sctr}
+	s, sTime := countedRun(t, n, &sctr, func(nd *simnet.Node) error {
+		rnd := rand.New(rand.NewSource(int64(nd.Index()) + 99))
+		for c := 0; c < coins; c++ {
+			if _, err := FromScratchCoin(nd, scfg, rnd); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, ax := range []struct {
+		name           string
+		dprbg, scratch int64
+	}{
+		{"bytes", d.Bytes, s.Bytes},
+		{"messages", d.Messages, s.Messages},
+		{"rounds", d.Rounds, s.Rounds},
+		{"interpolations", d.Interpolations, s.Interpolations},
+		{"field mults", d.FieldMuls, s.FieldMuls},
+	} {
+		t.Logf("%-14s per coin: D-PRBG %8.1f, from scratch %9.1f, ratio %5.1f×",
+			ax.name, float64(ax.dprbg)/coins, float64(ax.scratch)/coins, float64(ax.scratch)/float64(ax.dprbg))
+		if 2*ax.dprbg > ax.scratch {
+			t.Errorf("%s: D-PRBG %d vs from scratch %d over %d coins, want a ≥ 2× saving", ax.name, ax.dprbg, ax.scratch, coins)
+		}
+	}
+	t.Logf("wall clock per coin: D-PRBG %v, from scratch %v", dTime/coins, sTime/coins)
+}
+
+// TestVSSComparison checks §3.1 (E11) on one secret at n = 7, t = 2. The
+// coin-challenged VSS interpolates once per player; CCD's cut-and-choose
+// at the same 2^-k soundness interpolates κ = k times and Feldman's VSS
+// not at all, paying with exponentiations and the discrete-log
+// assumption. The coin-challenged VSS sends fewer bytes than either.
+func TestVSSComparison(t *testing.T) {
+	const n, tf, k = 7, 2, 32
+	f := gf2k.MustNew(k)
+	batches, _, err := coin.DealTrusted(f, n, tf, 1, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := func(ok bool, err error) error {
+		if err == nil && !ok {
+			err = errors.New("honest dealer rejected")
+		}
+		return err
+	}
+
+	var octr, cctr, fctr metrics.Counters
+	ours, oTime := countedRun(t, n, &octr, func(nd *simnet.Node) error {
+		cfg := vss.Config{Field: f.WithCounters(&octr), N: n, T: tf, Coins: batches[nd.Index()], Counters: &octr}
+		var secrets []gf2k.Element
+		if nd.Index() == 0 {
+			secrets = []gf2k.Element{0x42}
+		}
+		inst, err := vss.Deal(nd, cfg, 0, secrets, rand.New(rand.NewSource(int64(nd.Index()))))
+		if err != nil {
+			return err
+		}
+		return honest(inst.Verify(nd))
+	})
+	ccfg := CCDConfig{Field: f.WithCounters(&cctr), N: n, T: tf, Kappa: k, Counters: &cctr}
+	ccd, cTime := countedRun(t, n, &cctr, func(nd *simnet.Node) error {
+		ok, _, err := CCDVSS(nd, ccfg, 0, 0x42, rand.New(rand.NewSource(int64(nd.Index()))))
+		return honest(ok, err)
+	})
+	grp, err := NewFeldmanGroup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfg := FeldmanConfig{Group: grp, N: n, T: tf, Counters: &fctr}
+	feldman, fTime := countedRun(t, n, &fctr, func(nd *simnet.Node) error {
+		ok, _, err := FeldmanVSS(nd, fcfg, 0, big.NewInt(777), rand.New(rand.NewSource(int64(nd.Index()))))
+		return honest(ok, err)
+	})
+	for _, row := range []struct {
+		name   string
+		c      metrics.Snapshot
+		interp int64
+		wall   time.Duration
+	}{
+		{"this paper", ours, 1, oTime},
+		{"CCD [9]", ccd, k, cTime},
+		{"Feldman [12]", feldman, 0, fTime},
+	} {
+		t.Logf("%-12s %5d bytes, %2d interpolations per player, %v", row.name, row.c.Bytes, row.c.Interpolations/n, row.wall)
+		if row.c.Interpolations != row.interp*n {
+			t.Errorf("%s: %d interpolations, want %d per player", row.name, row.c.Interpolations, row.interp)
+		}
+	}
+	if ours.Bytes >= ccd.Bytes || ours.Bytes >= feldman.Bytes {
+		t.Errorf("bytes: ours %d, CCD %d, Feldman %d; want ours below both", ours.Bytes, ccd.Bytes, feldman.Bytes)
 	}
 }

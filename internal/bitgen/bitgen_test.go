@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gf2k"
+	"repro/internal/metrics"
 	"repro/internal/poly"
 	"repro/internal/simnet"
 )
@@ -14,7 +15,7 @@ import (
 // challenge; faulty players run the given functions instead.
 func runBitGen(t *testing.T, cfg Config, r gf2k.Element, seed int64, faulty map[int]simnet.PlayerFunc) []simnet.PlayerResult {
 	t.Helper()
-	nw := simnet.New(cfg.N)
+	nw := simnet.New(cfg.N, simnet.WithCounters(cfg.Counters))
 	fns := make([]simnet.PlayerFunc, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		if f, ok := faulty[i]; ok {
@@ -325,6 +326,30 @@ func TestDealAllRoundCount(t *testing.T) {
 	for i, r := range simnet.Run(nw, fns) {
 		if r.Err != nil {
 			t.Fatalf("player %d: %v", i, r.Err)
+		}
+	}
+}
+
+// TestCommunicationMatchesLemma6 checks Lemma 6 and Corollary 2 (E5). With
+// all n dealers running Bit-Gen in parallel, as Coin-Gen runs it, every
+// ordered pair of players carries one deal message of M+1 elements and one
+// γ vector of n flagged elements: n(n−1)((M+1)·⌈k/8⌉ + n(1+⌈k/8⌉)) bytes
+// in all, the n dealers' nMk + 2n²k bits. Per sealed bit it falls with M.
+func TestCommunicationMatchesLemma6(t *testing.T) {
+	const k = 32
+	elem := (k + 7) / 8
+	for _, tc := range []struct{ n, tf, m int }{{7, 1, 4}, {7, 1, 64}, {13, 2, 16}} {
+		var ctr metrics.Counters
+		cfg := Config{Field: gf2k.MustNew(k), N: tc.n, T: tc.tf, M: tc.m, Counters: &ctr}
+		for _, r := range runBitGen(t, cfg, 0x1234, int64(tc.n), nil) {
+			out(t, r)
+		}
+		got := ctr.Snapshot().Bytes
+		want := int64(tc.n * (tc.n - 1) * ((tc.m+1)*elem + tc.n*(1+elem)))
+		t.Logf("n=%d t=%d M=%d: %d bytes (formula %d), %.2f bytes per sealed bit",
+			tc.n, tc.tf, tc.m, got, want, float64(got)/float64(tc.n*tc.m*k))
+		if got != want {
+			t.Errorf("n=%d M=%d: bytes = %d, want n(n−1)((M+1)·⌈k/8⌉ + n(1+⌈k/8⌉)) = %d", tc.n, tc.m, got, want)
 		}
 	}
 }

@@ -1,17 +1,23 @@
 package coingen
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/ba"
 	"repro/internal/bitgen"
 	"repro/internal/coin"
 	"repro/internal/gf2k"
 	"repro/internal/gradecast"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/poly"
 	"repro/internal/simnet"
 )
@@ -24,7 +30,7 @@ type fixture struct {
 	seeds []*coin.Batch
 }
 
-func newFixture(t testing.TB, n, tf, m, seedCoins int, seed int64) *fixture {
+func newFixture(t testing.TB, n, tf, m, seedCoins int, seed int64, opts ...simnet.Option) *fixture {
 	t.Helper()
 	f := gf2k.MustNew(32)
 	rng := rand.New(rand.NewSource(seed))
@@ -35,9 +41,71 @@ func newFixture(t testing.TB, n, tf, m, seedCoins int, seed int64) *fixture {
 	return &fixture{
 		cfg:   Config{Field: f, N: n, T: tf, M: m},
 		f:     f,
-		nw:    simnet.New(n),
+		nw:    simnet.New(n, opts...),
 		seeds: seeds,
 	}
+}
+
+// exposed is what honestThenExpose returns.
+type exposed = struct {
+	Res   *Result
+	Coins []gf2k.Element
+}
+
+// runUnanimous runs honestThenExpose(i, seed) at every player outside
+// faulty, which run their own functions, and returns the first honest
+// player's output after checking that every honest player agreed on the
+// clique, the attempt count and every coin.
+func runUnanimous(t *testing.T, fx *fixture, seed int64, faulty map[int]simnet.PlayerFunc) exposed {
+	t.Helper()
+	fns := make([]simnet.PlayerFunc, len(fx.seeds))
+	for i := range fns {
+		if fns[i] = faulty[i]; fns[i] == nil {
+			fns[i] = fx.honestThenExpose(i, seed)
+		}
+	}
+	var ref *exposed
+	for i, r := range simnet.Run(fx.nw, fns) {
+		if faulty[i] != nil {
+			continue
+		}
+		if r.Err != nil {
+			t.Fatalf("player %d: %v", i, r.Err)
+		}
+		o := r.Value.(exposed)
+		if ref == nil {
+			ref = &o
+			continue
+		}
+		if !reflect.DeepEqual(o.Res.Clique, ref.Res.Clique) || o.Res.Attempts != ref.Res.Attempts {
+			t.Fatalf("player %d: clique %v, %d attempts; first honest player: %v, %d",
+				i, o.Res.Clique, o.Res.Attempts, ref.Res.Clique, ref.Res.Attempts)
+		}
+		if !reflect.DeepEqual(o.Coins, ref.Coins) {
+			t.Fatalf("player %d opened %x, first honest player %x (unanimity violated)", i, o.Coins, ref.Coins)
+		}
+	}
+	return *ref
+}
+
+// binomialRange returns the largest lo and smallest hi with P(X < lo) ≤ 10⁻⁶
+// and P(X > hi) ≤ 10⁻⁶ for X ~ Bin(n, p), from the exact tails.
+func binomialRange(n int, p float64) (lo, hi int) {
+	const tail = 1e-6
+	pmf := func(k int) float64 {
+		a, _ := math.Lgamma(float64(n + 1))
+		b, _ := math.Lgamma(float64(k + 1))
+		c, _ := math.Lgamma(float64(n - k + 1))
+		return math.Exp(a - b - c + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
+	}
+	for s := 0.0; lo < n && s+pmf(lo) <= tail; lo++ {
+		s += pmf(lo)
+	}
+	hi = n
+	for s := 0.0; hi > 0 && s+pmf(hi) <= tail; hi-- {
+		s += pmf(hi)
+	}
+	return lo, hi
 }
 
 func (fx *fixture) honest(i int, seed int64) simnet.PlayerFunc {
@@ -67,26 +135,14 @@ func (fx *fixture) honestThenExpose(i int, seed int64) simnet.PlayerFunc {
 			}
 			coins = append(coins, c)
 		}
-		return struct {
-			Res   *Result
-			Coins []gf2k.Element
-		}{res, coins}, nil
+		return exposed{res, coins}, nil
 	}
 }
 
 func TestAllHonestGeneratesUnanimousCoins(t *testing.T) {
 	for _, tc := range []struct{ n, tf, m int }{{7, 1, 4}, {13, 2, 8}} {
 		fx := newFixture(t, tc.n, tc.tf, tc.m, 6, int64(tc.n))
-		fns := make([]simnet.PlayerFunc, tc.n)
-		for i := range fns {
-			fns[i] = fx.honestThenExpose(i, 100)
-		}
-		results := simnet.Run(fx.nw, fns)
-		type outT = struct {
-			Res   *Result
-			Coins []gf2k.Element
-		}
-		ref := results[0].Value.(outT)
+		ref := runUnanimous(t, fx, 100, nil)
 		if len(ref.Coins) != tc.m {
 			t.Fatalf("generated %d coins, want %d", len(ref.Coins), tc.m)
 		}
@@ -98,22 +154,6 @@ func TestAllHonestGeneratesUnanimousCoins(t *testing.T) {
 		}
 		if len(ref.Res.Clique) != tc.n {
 			t.Errorf("all-honest clique size %d, want %d", len(ref.Res.Clique), tc.n)
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("player %d: %v", i, r.Err)
-			}
-			o := r.Value.(outT)
-			for h := range ref.Coins {
-				if o.Coins[h] != ref.Coins[h] {
-					t.Fatalf("player %d coin %d: %#x != %#x (unanimity violated)", i, h, o.Coins[h], ref.Coins[h])
-				}
-			}
-			for c := range ref.Res.Clique {
-				if o.Res.Clique[c] != ref.Res.Clique[c] {
-					t.Fatalf("player %d: clique differs", i)
-				}
-			}
 		}
 	}
 }
@@ -205,45 +245,14 @@ func badDealOnce(nd *simnet.Node, cfg Config, rnd *rand.Rand) error {
 func TestByzantineDealerExcludedFromClique(t *testing.T) {
 	n, tf, m := 7, 1, 3
 	fx := newFixture(t, n, tf, m, 8, 3)
-	fns := make([]simnet.PlayerFunc, n)
-	fns[2] = fx.badDealer(2, 900)
-	for i := range fns {
-		if i == 2 {
-			continue
+	ref := runUnanimous(t, fx, 300, map[int]simnet.PlayerFunc{2: fx.badDealer(2, 900)})
+	for _, member := range ref.Res.Clique {
+		if member == 2 {
+			t.Fatalf("bad dealer 2 ended up in agreed clique %v", ref.Res.Clique)
 		}
-		fns[i] = fx.honestThenExpose(i, 300)
 	}
-	results := simnet.Run(fx.nw, fns)
-	type outT = struct {
-		Res   *Result
-		Coins []gf2k.Element
-	}
-	var ref *outT
-	for i, r := range results {
-		if i == 2 {
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("player %d: %v", i, r.Err)
-		}
-		o := r.Value.(outT)
-		for _, member := range o.Res.Clique {
-			if member == 2 {
-				t.Fatalf("player %d: bad dealer 2 ended up in agreed clique", i)
-			}
-		}
-		if len(o.Res.Clique) < n-2*tf {
-			t.Fatalf("player %d: clique %d < n−2t", i, len(o.Res.Clique))
-		}
-		if ref == nil {
-			ref = &o
-			continue
-		}
-		for h := range ref.Coins {
-			if o.Coins[h] != ref.Coins[h] {
-				t.Fatalf("player %d coin %d differs (unanimity violated)", i, h)
-			}
-		}
+	if len(ref.Res.Clique) < n-2*tf {
+		t.Fatalf("clique %d < n−2t", len(ref.Res.Clique))
 	}
 }
 
@@ -293,80 +302,67 @@ func TestFaultyLeaderForcesRetry(t *testing.T) {
 	sawRetry := false
 	for trial := 0; trial < 8; trial++ {
 		fx := newFixture(t, n, tf, m, 12, int64(40+trial))
-		fns := make([]simnet.PlayerFunc, n)
-		fns[4] = fx.griefer(4, int64(trial)*7)
-		for i := range fns {
-			if i == 4 {
-				continue
-			}
-			fns[i] = fx.honestThenExpose(i, int64(trial)*11)
-		}
-		results := simnet.Run(fx.nw, fns)
-		type outT = struct {
-			Res   *Result
-			Coins []gf2k.Element
-		}
-		var ref *outT
-		for i, r := range results {
-			if i == 4 {
-				continue
-			}
-			if r.Err != nil {
-				t.Fatalf("trial %d player %d: %v", trial, i, r.Err)
-			}
-			o := r.Value.(outT)
-			if o.Res.Attempts > 1 {
-				sawRetry = true
-			}
-			if ref == nil {
-				ref = &o
-				continue
-			}
-			if o.Res.Attempts != ref.Res.Attempts {
-				t.Fatalf("trial %d: players disagree on attempt count", trial)
-			}
-			for h := range ref.Coins {
-				if o.Coins[h] != ref.Coins[h] {
-					t.Fatalf("trial %d: coin %d differs", trial, h)
-				}
-			}
-		}
+		ref := runUnanimous(t, fx, int64(trial)*11, map[int]simnet.PlayerFunc{4: fx.griefer(4, int64(trial)*7)})
+		sawRetry = sawRetry || ref.Res.Attempts > 1
 	}
 	if !sawRetry {
 		t.Error("griefer was never drawn as leader across 8 trials; expected at least one retry")
 	}
 }
 
+// TestCrashedLeaderRetriesGeometric checks Lemma 8 (E7). With one crashed
+// player a drawn leader fails with probability q = t/n, so attempts are
+// geometric with mean 1/(1−q). Over seeded trials the total attempts stay
+// below the count x at which P(Bin(x, 1−q) < trials) ≤ 10⁻⁶, and no run
+// takes more than the cap c with trials·q^c ≤ 10⁻⁶.
+func TestCrashedLeaderRetriesGeometric(t *testing.T) {
+	const n, tf, trials = 7, 1, 200
+	q := float64(tf) / n
+	maxAttempts := int(math.Ceil(math.Log(1e-6/trials) / math.Log(q)))
+	maxTotal := trials
+	for lo, _ := binomialRange(maxTotal, 1-q); lo < trials; lo, _ = binomialRange(maxTotal, 1-q) {
+		maxTotal++
+	}
+	hist := make([]int, maxAttempts+1)
+	total := 0
+	for trial := 0; trial < trials; trial++ {
+		// The seed holds the challenge and maxAttempts leader draws, so a
+		// run that needs more fails with an exhausted seed.
+		fx := newFixture(t, n, tf, 1, 1+maxAttempts, int64(trial*131))
+		a := runUnanimous(t, fx, int64(trial), map[int]simnet.PlayerFunc{trial % n: adversary.Crash()}).Res.Attempts
+		hist[a]++
+		total += a
+	}
+	for a := 1; a < len(hist) && hist[a] > 0; a++ {
+		t.Logf("attempts %d: %d runs (%.1f%%), geometric %.1f%%",
+			a, hist[a], 100*float64(hist[a])/trials, 100*math.Pow(q, float64(a-1))*(1-q))
+	}
+	t.Logf("mean %.3f attempts, expectation 1/(1−t/n) = %.3f, allowed ≤ %.3f",
+		float64(total)/trials, 1/(1-q), float64(maxTotal)/trials)
+	if total > maxTotal {
+		t.Errorf("%d attempts over %d trials; more than %d happens with probability ≤ 10⁻⁶", total, trials, maxTotal)
+	}
+}
+
 func TestCliquePropertiesLemma7(t *testing.T) {
-	// Lemma 7: |U| ≥ n−2t; identical across honest players; and the batch
-	// reconstruction works (property 3 exercised by the exposures in the
-	// other tests).
-	n, tf, m := 13, 2, 2
-	fx := newFixture(t, n, tf, m, 8, 5)
-	fns := make([]simnet.PlayerFunc, n)
-	for i := range fns {
-		fns[i] = fx.honest(i, 500)
-	}
-	results := simnet.Run(fx.nw, fns)
-	ref := results[0].Value.(*Result)
-	if len(ref.Clique) < n-2*tf {
-		t.Fatalf("clique %d < n−2t = %d", len(ref.Clique), n-2*tf)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("player %d: %v", i, r.Err)
+	// Lemma 7 (E6): |U| ≥ n−2t, the same clique at every honest player, and
+	// every coin of the batch reconstructs unanimously (property 3), with
+	// up to t players crashed from the start.
+	for _, tc := range []struct{ n, tf, crashed int }{{13, 2, 0}, {7, 1, 1}, {13, 2, 2}, {19, 3, 3}} {
+		const m = 2
+		fx := newFixture(t, tc.n, tc.tf, m, 10, int64(tc.n*10+tc.crashed))
+		crashed := map[int]simnet.PlayerFunc{}
+		for c := 0; c < tc.crashed; c++ {
+			crashed[3*c+1] = adversary.Crash()
 		}
-		res := r.Value.(*Result)
-		if len(res.Clique) != len(ref.Clique) {
-			t.Fatalf("player %d: clique size differs", i)
+		ref := runUnanimous(t, fx, 500, crashed)
+		t.Logf("n=%d t=%d, %d crashed: clique %v (size %d, bound n−2t = %d), %d coins unanimous",
+			tc.n, tc.tf, tc.crashed, ref.Res.Clique, len(ref.Res.Clique), tc.n-2*tc.tf, len(ref.Coins))
+		if len(ref.Res.Clique) < tc.n-2*tc.tf {
+			t.Errorf("n=%d t=%d: clique %d < n−2t = %d", tc.n, tc.tf, len(ref.Res.Clique), tc.n-2*tc.tf)
 		}
-		for c := range ref.Clique {
-			if res.Clique[c] != ref.Clique[c] {
-				t.Fatalf("player %d: clique member %d differs", i, c)
-			}
-		}
-		if res.Batch.Remaining() != m {
-			t.Fatalf("player %d: batch has %d coins, want %d", i, res.Batch.Remaining(), m)
+		if len(ref.Coins) != m {
+			t.Errorf("n=%d t=%d: opened %d coins, want %d", tc.n, tc.tf, len(ref.Coins), m)
 		}
 	}
 }
@@ -481,16 +477,7 @@ func TestGeneratedCoinsLookRandom(t *testing.T) {
 	ones := 0
 	for trial := 0; trial < 5; trial++ {
 		fx := newFixture(t, n, tf, m, 6, int64(1000+trial))
-		fns := make([]simnet.PlayerFunc, n)
-		for i := range fns {
-			fns[i] = fx.honestThenExpose(i, int64(trial)*37)
-		}
-		results := simnet.Run(fx.nw, fns)
-		o := results[0].Value.(struct {
-			Res   *Result
-			Coins []gf2k.Element
-		})
-		for _, c := range o.Coins {
+		for _, c := range runUnanimous(t, fx, int64(trial)*37, nil).Coins {
 			if seen[c] {
 				t.Fatalf("coin %#x repeated across runs", c)
 			}
@@ -666,44 +653,8 @@ func TestForgedCliqueMessageRejectedAsLeader(t *testing.T) {
 	sawForgerRetry := false
 	for trial := 0; trial < 10; trial++ {
 		fx := newFixture(t, n, tf, m, 14, int64(900+trial))
-		fns := make([]simnet.PlayerFunc, n)
-		fns[3] = fx.forgingLeader(3, int64(trial)*19)
-		for i := range fns {
-			if i == 3 {
-				continue
-			}
-			fns[i] = fx.honestThenExpose(i, int64(trial)*23)
-		}
-		results := simnet.Run(fx.nw, fns)
-		type outT = struct {
-			Res   *Result
-			Coins []gf2k.Element
-		}
-		var ref *outT
-		for i, r := range results {
-			if i == 3 {
-				continue
-			}
-			if r.Err != nil {
-				t.Fatalf("trial %d player %d: %v", trial, i, r.Err)
-			}
-			o := r.Value.(outT)
-			if o.Res.Attempts > 1 {
-				sawForgerRetry = true
-			}
-			for _, member := range o.Res.Clique {
-				_ = member // forger may legitimately be in the clique (it dealt honestly)
-			}
-			if ref == nil {
-				ref = &o
-				continue
-			}
-			for h := range ref.Coins {
-				if o.Coins[h] != ref.Coins[h] {
-					t.Fatalf("trial %d: coin %d differs at player %d", trial, h, i)
-				}
-			}
-		}
+		ref := runUnanimous(t, fx, int64(trial)*23, map[int]simnet.PlayerFunc{3: fx.forgingLeader(3, int64(trial)*19)})
+		sawForgerRetry = sawForgerRetry || ref.Res.Attempts > 1
 	}
 	if !sawForgerRetry {
 		t.Error("forger never drawn as leader in 10 trials; test needs more trials")
@@ -719,45 +670,12 @@ func TestLargeNetworkStress(t *testing.T) {
 	}
 	n, tf, m := 25, 4, 4
 	fx := newFixture(t, n, tf, m, 16, 2027)
-	fns := make([]simnet.PlayerFunc, n)
-	crashed := map[int]bool{3: true, 11: true, 19: true}
-	for i := range fns {
-		if crashed[i] {
-			fns[i] = func(nd *simnet.Node) (interface{}, error) { return nil, nil }
-			continue
-		}
-		if i == 7 {
-			fns[i] = fx.forgingLeader(i, 99)
-			continue
-		}
-		fns[i] = fx.honestThenExpose(i, 111)
-	}
-	results := simnet.Run(fx.nw, fns)
-	type outT = struct {
-		Res   *Result
-		Coins []gf2k.Element
-	}
-	var ref *outT
-	for i, r := range results {
-		if crashed[i] || i == 7 {
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("player %d: %v", i, r.Err)
-		}
-		o := r.Value.(outT)
-		if len(o.Res.Clique) < n-2*tf {
-			t.Fatalf("clique %d < n−2t = %d", len(o.Res.Clique), n-2*tf)
-		}
-		if ref == nil {
-			ref = &o
-			continue
-		}
-		for h := range ref.Coins {
-			if o.Coins[h] != ref.Coins[h] {
-				t.Fatalf("player %d coin %d differs", i, h)
-			}
-		}
+	ref := runUnanimous(t, fx, 111, map[int]simnet.PlayerFunc{
+		3: adversary.Crash(), 11: adversary.Crash(), 19: adversary.Crash(),
+		7: fx.forgingLeader(7, 99),
+	})
+	if len(ref.Res.Clique) < n-2*tf {
+		t.Fatalf("clique %d < n−2t = %d", len(ref.Res.Clique), n-2*tf)
 	}
 }
 
@@ -854,40 +772,9 @@ func TestInconsistentSharesDealerHandled(t *testing.T) {
 	n, tf, m := 7, 1, 2
 	for trial := 0; trial < 4; trial++ {
 		fx := newFixture(t, n, tf, m, 12, int64(3000+trial))
-		fns := make([]simnet.PlayerFunc, n)
-		fns[4] = fx.inconsistentDealer(4, int64(trial)*43)
-		for i := range fns {
-			if i == 4 {
-				continue
-			}
-			fns[i] = fx.honestThenExpose(i, int64(trial)*47)
-		}
-		results := simnet.Run(fx.nw, fns)
-		type outT = struct {
-			Res   *Result
-			Coins []gf2k.Element
-		}
-		var ref *outT
-		for i, r := range results {
-			if i == 4 {
-				continue
-			}
-			if r.Err != nil {
-				t.Fatalf("trial %d player %d: %v", trial, i, r.Err)
-			}
-			o := r.Value.(outT)
-			if len(o.Res.Clique) < n-2*tf {
-				t.Fatalf("trial %d: clique %d < n−2t", trial, len(o.Res.Clique))
-			}
-			if ref == nil {
-				ref = &o
-				continue
-			}
-			for h := range ref.Coins {
-				if o.Coins[h] != ref.Coins[h] {
-					t.Fatalf("trial %d: coin %d differs at player %d", trial, h, i)
-				}
-			}
+		ref := runUnanimous(t, fx, int64(trial)*47, map[int]simnet.PlayerFunc{4: fx.inconsistentDealer(4, int64(trial)*43)})
+		if len(ref.Res.Clique) < n-2*tf {
+			t.Fatalf("trial %d: clique %d < n−2t", trial, len(ref.Res.Clique))
 		}
 	}
 }
@@ -924,6 +811,97 @@ func TestRoundAccountingExact(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("player %d: %v", i, r.Err)
 		}
+	}
+}
+
+// TestPerCoinCostCorollary3 checks Theorem 2 and Corollary 3 (E8). An
+// all-honest Coin-Gen that deals and exposes M coins costs exactly
+// a + b·M bytes and a′ + n(n−1)·M messages: each extra coin adds one dealt
+// element and one exposed share per ordered pair of players,
+// b = 2n(n−1)·⌈k/8⌉, but only the exposure adds messages. The γ exchange,
+// Grade-Cast and BA are the fixed a and a′. The per-coin cost b + a/M is
+// Corollary 3's n + O(n⁴/M).
+func TestPerCoinCostCorollary3(t *testing.T) {
+	const n, tf = 7, 1
+	var a, a2 int64 = -1, -1
+	for _, m := range []int{4, 16, 64, 256} {
+		var ctr metrics.Counters
+		fx := newFixture(t, n, tf, m, 8, int64(m), simnet.WithCounters(&ctr))
+		runUnanimous(t, fx, int64(m), nil)
+		s := ctr.Snapshot()
+		b, b2 := int64(2*n*(n-1)*fx.f.ByteLen()), int64(n*(n-1))
+		fixed, fixed2 := s.Bytes-b*int64(m), s.Messages-b2*int64(m)
+		t.Logf("M=%d: %d bytes = %d + %d·M, %d messages = %d + %d·M, %.1f bytes/coin",
+			m, s.Bytes, fixed, b, s.Messages, fixed2, b2, float64(s.Bytes)/float64(m))
+		if a < 0 {
+			a, a2 = fixed, fixed2
+		} else if fixed != a || fixed2 != a2 {
+			t.Errorf("M=%d: bytes − b·M = %d and messages − n(n−1)·M = %d, want %d and %d as at M=4",
+				m, fixed, fixed2, a, a2)
+		}
+	}
+}
+
+// TestPhaseRoundBudget checks Theorem 2's round budget phase by phase (E15)
+// on one traced Coin-Gen. Player 0's leaf spans take 1 round to deal, 1 for
+// γ, 3 for Grade-Cast, 2(t+1) BA rounds per attempt, and 1 per exposed
+// coin: the challenge, each leader draw and the M batch coins. The counters
+// are shared, so each span carries its phase's cost across all players.
+// The trace survives a JSONL round trip.
+func TestPhaseRoundBudget(t *testing.T) {
+	const n, tf, m = 7, 1, 16
+	var ctr metrics.Counters
+	ring := obs.NewRing(0)
+	var buf bytes.Buffer
+	jsonl := obs.NewJSONL(&buf)
+	fx := newFixture(t, n, tf, m, 10, 151,
+		simnet.WithCounters(&ctr), simnet.WithTracer(obs.New(&ctr, ring, jsonl)))
+	attempts := runUnanimous(t, fx, 151, nil).Res.Attempts
+
+	events := ring.Events()
+	rows := obs.PhaseSummary(events, 0)
+	parents := map[uint64]bool{}
+	for _, r := range rows {
+		parents[r.Parent] = true
+	}
+	rounds := map[string]int{}
+	cost := map[string]metrics.Snapshot{}
+	for _, r := range rows {
+		if !parents[r.Span] {
+			rounds[r.Name] += r.Rounds()
+			cost[r.Name] = cost[r.Name].Add(r.Cost)
+		}
+	}
+	names := make([]string, 0, len(rounds))
+	for name := range rounds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		c := cost[name]
+		t.Logf("%-15s rounds %3d, messages %4d, bytes %6d", name, rounds[name], c.Messages, c.Bytes)
+	}
+	want := map[string]int{
+		"bitgen/deal":    1,
+		"bitgen/gamma":   1,
+		"gradecast":      3,
+		"coingen/clique": 0,
+		"ba/phase-king":  attempts * 2 * (tf + 1),
+		"coin-expose":    1 + attempts + m,
+	}
+	if !reflect.DeepEqual(rounds, want) {
+		t.Errorf("leaf-span rounds = %v, want %v (attempts = %d)", rounds, want, attempts)
+	}
+
+	if err := jsonl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := obs.ParseJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(parsed, events) {
+		t.Errorf("JSONL round trip: %d events exported, %d parsed back, not identical", len(events), len(parsed))
 	}
 }
 

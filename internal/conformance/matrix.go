@@ -1,9 +1,9 @@
 package conformance
 
 // The scenario matrix and its dispatcher live outside the _test files so
-// that the schedule-exploration harness (internal/conformance/schedules),
-// the experiment driver (cmd/experiments) and the nightly fuzz driver
-// (cmd/schedulefuzz) can execute the exact same scenarios the suite gates.
+// that the schedule-exploration harness (internal/conformance/schedules)
+// and the nightly fuzz driver (cmd/schedulefuzz) can execute the exact same
+// scenarios the suite gates.
 
 import (
 	"fmt"

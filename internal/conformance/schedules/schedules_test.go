@@ -33,29 +33,56 @@ func TestHostileMatrix(t *testing.T) {
 
 // TestHostileDeterministic replays one hostile run per protocol family and
 // requires byte-identical fingerprints — the repro contract: the printed
-// (scenario, schedule-seed) pair IS the execution.
+// (scenario, schedule-seed) pair IS the execution. The named Coin-Gen rows
+// are E16's conditions on one honest victim, player 5: delivery jitter, a
+// partition with a timed heal, and a crash/recover window. Each run passes
+// the scenario's Check (clique, structure and coin agreement at the
+// undisturbed players); the log shows each honest player's attempts,
+// clique and coins.
 func TestHostileDeterministic(t *testing.T) {
-	cases := []conformance.Scenario{
-		{Protocol: "vss", Attack: "honest", N: 7, T: 2, M: 1, Seed: 1},
-		{Protocol: "batch-vss", Attack: "crash-verifier", N: 7, T: 2, M: 4, Seed: 2},
-		{Protocol: "gradecast", Attack: "echo-liar", N: 7, T: 2, Seed: 3},
-		{Protocol: "ba", Attack: "griefer-king", Variant: "mixed", N: 11, T: 2, Seed: 4},
-		{Protocol: "coingen", Attack: "deal-corrupt", N: 13, T: 2, M: 3, Seed: 5},
+	coingen := conformance.Scenario{Protocol: "coingen", Attack: "honest", N: 7, T: 1, M: 3, Seed: 5}
+	const victim = 5
+	cases := []struct {
+		name  string // the condition; empty for a sampled schedule
+		sc    conformance.Scenario
+		sched *simnet.Schedule // nil: the scenario's first sampled schedule
+	}{
+		{"", conformance.Scenario{Protocol: "vss", Attack: "honest", N: 7, T: 2, M: 1, Seed: 1}, nil},
+		{"", conformance.Scenario{Protocol: "batch-vss", Attack: "crash-verifier", N: 7, T: 2, M: 4, Seed: 2}, nil},
+		{"", conformance.Scenario{Protocol: "gradecast", Attack: "echo-liar", N: 7, T: 2, Seed: 3}, nil},
+		{"", conformance.Scenario{Protocol: "ba", Attack: "griefer-king", Variant: "mixed", N: 11, T: 2, Seed: 4}, nil},
+		{"", conformance.Scenario{Protocol: "coingen", Attack: "deal-corrupt", N: 13, T: 2, M: 3, Seed: 5}, nil},
+		{"jitter", coingen, &simnet.Schedule{Seed: 16, Reorder: true, Delays: []simnet.DelayRule{
+			{From: victim, To: simnet.Wildcard, Start: 0, End: 48,
+				Dist: simnet.Dist{Kind: simnet.DistUniform, Min: 1, Max: 3}},
+		}}},
+		{"partition+heal", coingen, &simnet.Schedule{Seed: 16, Reorder: true, Partitions: []simnet.PartitionRule{
+			{Isolated: []int{victim}, Start: 2, Heal: 6},
+		}}},
+		{"crash-recover", coingen, &simnet.Schedule{Seed: 16, Reorder: true, Crashes: []simnet.CrashRule{
+			{Player: victim, Start: 1, Recover: 4},
+		}}},
 	}
-	for _, sc := range cases {
-		seed := ScheduleSeed(sc, 0)
-		t.Run(sc.String(), func(t *testing.T) {
-			fp1, err1 := Run(sc, seed)
-			fp2, err2 := Run(sc, seed)
+	for _, c := range cases {
+		sched, name := c.sched, c.sc.String()
+		if sched == nil {
+			sched = Sample(c.sc, ScheduleSeed(c.sc, 0))
+		} else {
+			name = c.name + "/" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			fp1, err1 := RunWith(c.sc, sched)
+			fp2, err2 := RunWith(c.sc, sched)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("verdict flipped between identical runs: %v vs %v", err1, err2)
 			}
 			if err1 != nil {
-				t.Fatalf("hostile run failed: %s\n%v", Repro(sc, seed), err1)
+				t.Fatalf("hostile run failed: scenario={%s} schedule=%q\n%v", c.sc, sched, err1)
 			}
 			if fp1 != fp2 {
 				t.Fatalf("fingerprint differs between identical runs:\n%s\n%s", fp1, fp2)
 			}
+			t.Logf("%q: PASS, %s", sched, fp1)
 		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/coin"
@@ -106,8 +107,9 @@ func TestBootstrapProducesUnanimousStream(t *testing.T) {
 }
 
 func TestSelfSufficiencyLongRun(t *testing.T) {
-	// E12-style endurance: many batches back to back; the store never runs
-	// dry because each refill regenerates more than it consumes.
+	// Fig. 1 (E12): many batches back to back from a 6-coin seed. The store
+	// never runs dry because each refill regenerates more than it
+	// consumes; every player sees the same stream, and no coin repeats.
 	if testing.Short() {
 		t.Skip("long run")
 	}
@@ -115,27 +117,46 @@ func TestSelfSufficiencyLongRun(t *testing.T) {
 	cfg.BatchSize = 8
 	cfg.Threshold = 4
 	const want = 150
+	type out struct {
+		Stats Stats
+		Coins []gf2k.Element
+	}
 	results := drive(t, cfg, 6, 2, func(nd *simnet.Node, g *Generator, rnd *rand.Rand) (interface{}, error) {
-		for i := 0; i < want; i++ {
-			if _, err := g.Next(nd, rnd); err != nil {
+		coins := make([]gf2k.Element, want)
+		for i := range coins {
+			c, err := g.Next(nd, rnd)
+			if err != nil {
 				return nil, err
 			}
+			coins[i] = c
 		}
-		return g.Stats(), nil
+		return out{g.Stats(), coins}, nil
 	}, nil)
-	ref := results[0].Value.(Stats)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("player %d: %v", i, r.Err)
 		}
+		if got := r.Value.(out).Coins; !reflect.DeepEqual(got, results[0].Value.(out).Coins) {
+			t.Fatalf("player %d's stream differs from player 0's", i)
+		}
 	}
-	if ref.Batches < want/8 {
-		t.Errorf("suspiciously few refills: %d", ref.Batches)
+	ref := results[0].Value.(out)
+	seen := make(map[gf2k.Element]bool, want)
+	for h, c := range ref.Coins {
+		if seen[c] {
+			t.Errorf("coin %d (%#x) repeats an earlier coin", h, c)
+		}
+		seen[c] = true
 	}
-	// Average seed spend per refill must be near 2 (1 challenge + ~1 leader
-	// draw) in the all-honest case.
-	if avg := float64(ref.SeedSpent) / float64(ref.Batches); avg > 2.5 {
-		t.Errorf("average seed consumption per refill = %.2f, want ≈ 2", avg)
+	st := ref.Stats
+	t.Logf("%d coins from a 6-coin seed: %d refills, %d seed coins spent (%.2f per refill), %d leader attempts, unanimous, no repeats",
+		st.CoinsDelivered, st.Batches, st.SeedSpent, float64(st.SeedSpent)/float64(st.Batches), st.Attempts)
+	if st.Batches < want/8 {
+		t.Errorf("suspiciously few refills: %d", st.Batches)
+	}
+	// All honest, so every refill spends exactly 1 challenge + 1 leader draw.
+	if st.SeedSpent != 2*st.Batches {
+		t.Errorf("seed spent %d over %d refills, want 2 per refill", st.SeedSpent, st.Batches)
 	}
 }
 

@@ -4,6 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
+
+	"repro/internal/gf2big"
+	"repro/internal/gf2k"
 )
 
 func randElem(f *Field, rng *rand.Rand) Element {
@@ -387,4 +391,62 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf)
+}
+
+// minNsPerOp runs op iters times, five times over, and returns the fastest
+// pass's nanoseconds per call.
+func minNsPerOp(iters int, op func()) float64 {
+	best := math.Inf(1)
+	for rep := 0; rep < 5; rep++ {
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			op()
+		}
+		best = math.Min(best, float64(time.Since(start).Nanoseconds())/float64(iters))
+	}
+	return best
+}
+
+// TestMultiplicationCrossover checks the direction of §2's remark (E9):
+// at small k the naive single-word GF(2^k) multiply beats both the
+// multi-word naive GF(2^k) and the special field's O(k log k) NTT
+// multiply, and at large k the NTT overtakes the schoolbook product in
+// the same special field. Only gaps that measure ≥ 6× are asserted, with
+// a 3× margin; the timings themselves are logged.
+func TestMultiplicationCrossover(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+
+	small := gf2k.MustNew(32)
+	a, b := gf2k.Element(rng.Uint32()|1), gf2k.Element(rng.Uint32()|1)
+	word := minNsPerOp(20000, func() { a = small.Mul(a, b) | 1 })
+	big, err := gf2big.New(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := big.Rand(rng)
+	y, _ := big.Rand(rng)
+	multiWord := minNsPerOp(2000, func() { x = big.Mul(x, y) })
+	ff32, err := New(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, v := randElem(ff32, rng), randElem(ff32, rng)
+	ntt32 := minNsPerOp(500, func() { u = ff32.Mul(u, v) })
+	t.Logf("k=32: gf2k %.0f ns, gf2big %.0f ns, fastfield NTT %.0f ns per multiply", word, multiWord, ntt32)
+	if 3*word > multiWord || 3*word > ntt32 {
+		t.Errorf("k=32: single-word GF(2^k) (%.0f ns) is not 3× faster than gf2big (%.0f ns) and the NTT field (%.0f ns)",
+			word, multiWord, ntt32)
+	}
+
+	ff, err := New(8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, v = randElem(ff, rng), randElem(ff, rng)
+	naive := minNsPerOp(1, func() { ff.MulNaive(u, v) })
+	ntt := minNsPerOp(1, func() { ff.Mul(u, v) })
+	t.Logf("k=8192: fastfield schoolbook %.0f ns, NTT %.0f ns per multiply", naive, ntt)
+	if 3*ntt > naive {
+		t.Errorf("k=8192: NTT multiply (%.0f ns) is not 3× faster than the schoolbook one (%.0f ns)", ntt, naive)
+	}
 }

@@ -242,6 +242,34 @@ func TestParseTextRejectsGarbage(t *testing.T) {
 	}
 }
 
+// FuzzParseText feeds arbitrary text to the exposition parser: it must
+// never panic, and every sample it accepts has a name.
+func FuzzParseText(f *testing.F) {
+	r := NewRegistry()
+	r.CounterVec("a_total", "", "p", "q").With(`we"ird`, `ba\ck`).Add(9)
+	r.Gauge("g", "").Set(-2.25)
+	r.Histogram("h", "", []float64{0.5}).Observe(0.9)
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sb.String())
+	for _, bad := range []string{"name_only\n", `m{a="x" 3` + "\n", `m{a=x} 3` + "\n", "m notanumber\n", `{a="x"} 1`} {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		samples, err := ParseText(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		for _, s := range samples {
+			if s.Name == "" {
+				t.Fatalf("accepted a sample without a name: %+v", s)
+			}
+		}
+	})
+}
+
 func TestQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", "", []float64{0.1, 0.2, 0.4, 0.8})

@@ -123,7 +123,8 @@ func (j *JSONL) Flush() error {
 // mid-record (SIGKILL during the multiproc soak, a full disk) — and is
 // dropped rather than parsed: a truncated JSON object that happens to parse
 // would silently corrupt the last event. Terminated lines that fail to
-// parse are still hard errors, with the line number.
+// parse, or that carry no event type, are still hard errors, with the line
+// number.
 func ParseJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
 	br := bufio.NewReaderSize(r, 64*1024)
@@ -151,6 +152,9 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 		var e Event
 		if jerr := json.Unmarshal(b, &e); jerr != nil {
 			return nil, fmt.Errorf("obs: parse JSONL line %d: %w", line, jerr)
+		}
+		if _, ok := eventTypeNames[e.Type]; !ok {
+			return nil, fmt.Errorf("obs: parse JSONL line %d: no event type", line)
 		}
 		out = append(out, e)
 	}

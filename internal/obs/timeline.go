@@ -93,53 +93,6 @@ func PhaseSummary(events []Event, player int) []PhaseCost {
 	return out
 }
 
-// WritePhaseTable renders a PhaseSummary as an indented table: one row per
-// span, children indented under their parent, with the cost columns the
-// paper states its lemmas in.
-func WritePhaseTable(w io.Writer, rows []PhaseCost) {
-	fmt.Fprintf(w, "%-34s %7s %9s %12s %8s %8s %12s\n",
-		"phase", "rounds", "msgs", "bytes", "bcasts", "interp", "field-ops")
-	for _, r := range rows {
-		name := r.Name
-		for i := 0; i < r.Depth; i++ {
-			name = "  " + name
-		}
-		fmt.Fprintf(w, "%-34s %7d %9d %12d %8d %8d %12d\n",
-			name, r.Rounds(), r.Cost.Messages, r.Cost.Bytes,
-			r.Cost.Broadcasts, r.Cost.Interpolations, r.FieldOps())
-	}
-}
-
-// AggregatePhases sums the costs of all spans (of the given player) whose
-// name maps to the same label under rename, in first-appearance order.
-// Spans whose name is absent from rename are skipped. Because the mapped
-// span names must not nest within one another, no cost is double-counted;
-// callers choose rename so this holds (e.g. map only leaf phases).
-func AggregatePhases(events []Event, player int, rename map[string]string) []PhaseCost {
-	rows := PhaseSummary(events, player)
-	idx := make(map[string]int)
-	var out []PhaseCost
-	for _, r := range rows {
-		label, ok := rename[r.Name]
-		if !ok {
-			continue
-		}
-		i, seen := idx[label]
-		if !seen {
-			idx[label] = len(out)
-			r.Name = label
-			r.Depth = 0
-			out = append(out, r)
-			continue
-		}
-		acc := &out[i]
-		acc.Cost = acc.Cost.Add(r.Cost)
-		// Rounds accumulate by summing each occurrence's consumption.
-		acc.EndRound = acc.BeginRound + acc.Rounds() + r.Rounds()
-	}
-	return out
-}
-
 // Timeline renders a human-readable per-round account of an event
 // sequence: one block per network round with its delivery totals, listing
 // span transitions and protocol events, with per-player send/broadcast

@@ -1,6 +1,7 @@
 package rba
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -79,21 +80,41 @@ func TestMixedInputsAgree(t *testing.T) {
 }
 
 func TestWithByzantineFaults(t *testing.T) {
-	// n=11, t=2: two garbage-spamming players must not break agreement or
-	// validity (all honest inputs = 1).
-	n, tf := 11, 2
+	// Two Byzantine players must not break agreement. At n = 11 every
+	// honest input is 1, so validity forces 1. At n = 13 the inputs split
+	// 6 zeros / 7 ones with two garbage spammers, and 16 phases consume 16
+	// shared coins (E14, the paper's §1 application).
+	type row struct {
+		name      string
+		n, phases int
+		ones      int // the last ones players input 1, the rest 0
+		seed      int64
+		faulty    map[int]simnet.PlayerFunc
+		want      int // the forced decision, or −1 when only agreement is required
+	}
+	var rows []row
 	for trial := 0; trial < 5; trial++ {
-		inputs := make([]byte, n)
-		for i := range inputs {
+		rows = append(rows, row{fmt.Sprintf("n=11 all-1 trial %d", trial), 11, 12, 11, int64(trial)*13 + 1,
+			map[int]simnet.PlayerFunc{
+				1: adversary.GarbageSpammer(int64(trial), 1000, 8),
+				7: adversary.SilentFor(100, nil),
+			}, 1})
+	}
+	rows = append(rows, row{"n=13 split 6/7", 13, 16, 7, 14,
+		map[int]simnet.PlayerFunc{
+			3:  adversary.GarbageSpammer(3, 48, 8),
+			10: adversary.GarbageSpammer(10, 48, 8),
+		}, -1})
+	for _, r := range rows {
+		inputs := make([]byte, r.n)
+		for i := r.n - r.ones; i < r.n; i++ {
 			inputs[i] = 1
 		}
-		faulty := map[int]simnet.PlayerFunc{
-			1: adversary.GarbageSpammer(int64(trial), 1000, 8),
-			7: adversary.SilentFor(100, nil),
-		}
-		results := runRBA(t, n, tf, 12, inputs, int64(trial)*13+1, faulty)
-		if got := checkAgreed(t, results, faulty); got != 1 {
-			t.Fatalf("trial %d: decided %d despite unanimous honest 1", trial, got)
+		got := checkAgreed(t, runRBA(t, r.n, 2, r.phases, inputs, r.seed, r.faulty), r.faulty)
+		t.Logf("%s, %d Byzantine: every honest player decided %d after %d phases, one shared coin each",
+			r.name, len(r.faulty), got, r.phases)
+		if r.want >= 0 && int(got) != r.want {
+			t.Errorf("%s: decided %d, want %d", r.name, got, r.want)
 		}
 	}
 }

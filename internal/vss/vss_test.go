@@ -2,6 +2,7 @@ package vss
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -95,8 +96,12 @@ func TestHonestDealerAccepted(t *testing.T) {
 }
 
 // cheatingDealer deals shares of a polynomial of degree t+1 (invalid) and
-// then follows the protocol honestly.
-func cheatingDealer(h *harness, m int, seed int64) simnet.PlayerFunc {
+// then follows the protocol honestly. With planted set it is Lemma 3's
+// optimal cheater: the degree-(t+1) coefficients of the mask and the M
+// secrets are q_0, q_1..q_M of Q(r) = Π_{i=1..M} (r − i), so the combined
+// top coefficient at challenge r is Q(r) and the sharing passes exactly
+// when r is one of the M planted roots, with probability M/p.
+func cheatingDealer(h *harness, m int, seed int64, planted bool) simnet.PlayerFunc {
 	return func(nd *simnet.Node) (interface{}, error) {
 		cfg := h.cfg
 		cfg.Coins = h.batches[nd.Index()]
@@ -114,6 +119,20 @@ func cheatingDealer(h *harness, m int, seed int64) simnet.PlayerFunc {
 				p[cfg.T+1] = 1
 			}
 			polys[j] = p
+		}
+		if planted {
+			q := poly.Poly{1}
+			for i := 1; i <= m; i++ {
+				root, err := f.ElementFromID(i)
+				if err != nil {
+					return nil, err
+				}
+				q = poly.Mul(f, q, poly.Poly{root, 1})
+			}
+			polys[m][cfg.T+1] = q[0]
+			for j := 1; j <= m; j++ {
+				polys[j-1][cfg.T+1] = q[j]
+			}
 		}
 		var myShares []gf2k.Element
 		var myMask gf2k.Element
@@ -151,7 +170,7 @@ func TestCheatingDealerRejected(t *testing.T) {
 		for _, m := range []int{1, 8} {
 			h := newHarness(t, 7, 2, 32, 2, int64(trial*10+m), nil)
 			fns := make([]simnet.PlayerFunc, h.n)
-			fns[0] = cheatingDealer(h, m, int64(trial)*31+7)
+			fns[0] = cheatingDealer(h, m, int64(trial)*31+7, false)
 			for i := 1; i < h.n; i++ {
 				fns[i] = h.player(0, nil, 0)
 			}
@@ -173,7 +192,7 @@ func TestVerdictUnanimity(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		h := newHarness(t, 7, 2, 8, 2, int64(trial), nil) // tiny field: accepts sometimes
 		fns := make([]simnet.PlayerFunc, h.n)
-		fns[0] = cheatingDealer(h, 4, rng.Int63())
+		fns[0] = cheatingDealer(h, 4, rng.Int63(), false)
 		for i := 1; i < h.n; i++ {
 			fns[i] = h.player(0, nil, 0)
 		}
@@ -357,90 +376,117 @@ func TestReconstruct(t *testing.T) {
 	}
 }
 
+// binomialRange returns the largest lo and smallest hi with P(X < lo) ≤ 10⁻⁶
+// and P(X > hi) ≤ 10⁻⁶ for X ~ Bin(n, p), from the exact tails.
+func binomialRange(n int, p float64) (lo, hi int) {
+	const tail = 1e-6
+	pmf := func(k int) float64 {
+		a, _ := math.Lgamma(float64(n + 1))
+		b, _ := math.Lgamma(float64(k + 1))
+		c, _ := math.Lgamma(float64(n - k + 1))
+		return math.Exp(a - b - c + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
+	}
+	for s := 0.0; lo < n && s+pmf(lo) <= tail; lo++ {
+		s += pmf(lo)
+	}
+	hi = n
+	for s := 0.0; hi > 0 && s+pmf(hi) <= tail; hi-- {
+		s += pmf(hi)
+	}
+	return lo, hi
+}
+
+// TestSoundnessBoundSmallField checks Lemmas 1 and 3 (E1, E3) in GF(2^8):
+// the optimal cheating dealer passes with probability M/p, so over seeded
+// trials the acceptance count is no higher than Bin(trials, M/p) allows at
+// 10⁻⁶. At the largest M it is also no lower, which shows the bound is
+// tight.
 func TestSoundnessBoundSmallField(t *testing.T) {
-	// Lemma 1 empirically: in GF(2^4) (p = 16) a cheating dealer passes
-	// with probability ≤ M/p. Run many trials and check the acceptance
-	// rate is in a generous band around the bound.
 	if testing.Short() {
 		t.Skip("Monte Carlo")
 	}
-	const trials = 400
-	accepted := 0
-	for trial := 0; trial < trials; trial++ {
-		h := newHarness(t, 4, 1, 4, 1, int64(trial*7+1), nil)
-		fns := make([]simnet.PlayerFunc, h.n)
-		fns[0] = cheatingDealer(h, 1, int64(trial)*3+11)
-		for i := 1; i < h.n; i++ {
-			fns[i] = h.player(0, nil, 0)
-		}
-		results := simnet.Run(h.nw, fns)
-		for i := 1; i < h.n; i++ {
-			if results[i].Err != nil {
-				t.Fatalf("trial %d player %d: %v", trial, i, results[i].Err)
+	const k, trials = 8, 1000
+	ms := []int{1, 4, 16}
+	for _, m := range ms {
+		accepted := 0
+		for trial := 0; trial < trials; trial++ {
+			h := newHarness(t, 4, 1, k, 1, int64(m*100000+trial), nil)
+			fns := make([]simnet.PlayerFunc, h.n)
+			fns[0] = cheatingDealer(h, m, int64(trial)*3+11, true)
+			for i := 1; i < h.n; i++ {
+				fns[i] = h.player(0, nil, 0)
+			}
+			results := simnet.Run(h.nw, fns)
+			for i := 1; i < h.n; i++ {
+				if results[i].Err != nil {
+					t.Fatalf("M=%d trial %d player %d: %v", m, trial, i, results[i].Err)
+				}
+			}
+			if results[1].Value == true {
+				accepted++
 			}
 		}
-		if results[1].Value == true {
-			accepted++
+		bound := float64(m) / (1 << k)
+		lo, hi := binomialRange(trials, bound)
+		t.Logf("k=%d M=%d: accepted %d/%d = %.3f%%, bound M/p = %.3f%%, allowed [%d, %d]",
+			k, m, accepted, trials, 100*float64(accepted)/trials, 100*bound, lo, hi)
+		if accepted > hi {
+			t.Errorf("M=%d: cheating dealer accepted %d times; Bin(%d, %g) exceeds %d with probability ≤ 10⁻⁶", m, accepted, trials, bound, hi)
 		}
-	}
-	// Bound is 1/16 = 6.25%; allow up to 3x for Monte-Carlo noise.
-	if rate := float64(accepted) / trials; rate > 3.0/16 {
-		t.Errorf("cheating dealer accepted %.1f%% of the time; bound is 6.25%%", rate*100)
+		if m == ms[len(ms)-1] && accepted < lo {
+			t.Errorf("M=%d: optimal cheater accepted only %d times, below %d: the M/p bound is not reached", m, accepted, lo)
+		}
 	}
 }
 
+// TestCommunicationCostsMatchLemma checks Lemmas 2 and 4 with Corollary 1
+// (E2, E4): dealing is n−1 messages of (M+1)·k bits, verification is n
+// broadcasts of k bits, and the ceremony takes 3 rounds (deal, challenge
+// expose, verify) and one interpolation per player whatever M is. The
+// harness's coin batches carry no counters, so the challenge expose's
+// interpolation is not counted here.
 func TestCommunicationCostsMatchLemma(t *testing.T) {
-	// Lemma 2/4: dealing is n−1 messages of (M+1)·k bits; verification is n
-	// broadcasts of k bits; the whole ceremony (excluding the coin expose)
-	// takes 2 broadcast/deal rounds + 1 expose round; 2 interpolations per
-	// ceremony appear (1 expose + 1 verify) since the fault-free fast path
-	// interpolates once each.
-	var ctr metrics.Counters
-	n, tf, m, k := 7, 2, 16, 32
-	h := newHarness(t, n, tf, k, 1, 5, &ctr)
-	secrets := make([]gf2k.Element, m)
-	for j := range secrets {
-		secrets[j] = gf2k.Element(j + 1)
-	}
-	fns := make([]simnet.PlayerFunc, n)
-	for i := range fns {
-		fns[i] = h.player(0, secrets, 21)
-	}
-	before := ctr.Snapshot()
-	for i, r := range simnet.Run(h.nw, fns) {
-		if r.Err != nil || r.Value != true {
-			t.Fatalf("player %d: %+v", i, r)
-		}
-	}
-	d := metrics.Diff(before, ctr.Snapshot())
-
+	const n, tf, k = 7, 2, 32
 	elem := int64((k + 7) / 8)
-	wantDealBytes := int64(n-1) * int64(m+1) * elem
-	wantExposeBytes := int64(3*tf) * elem // |S|−1... each S member SendAll to n−1
-	_ = wantExposeBytes
-	wantBroadcastMsgs := int64(n * n) // n broadcasts delivered to n players each
-	if d.Rounds != 3 {
-		t.Errorf("rounds = %d, want 3 (deal, expose, verify)", d.Rounds)
-	}
-	if d.Broadcasts != int64(n) {
-		t.Errorf("broadcasts = %d, want %d", d.Broadcasts, n)
-	}
-	// Total unicast messages: deal (n−1) + expose (|S| members × (n−1)).
-	wantUnicast := int64(n-1) + int64(3*tf+1)*int64(n-1)
-	if got := d.Messages - wantBroadcastMsgs; got != wantUnicast {
-		t.Errorf("unicast messages = %d, want %d", got, wantUnicast)
-	}
-	// Bytes: deal + expose shares + broadcast δ (n copies each of k bits
-	// plus the one-byte δ/complaint flag).
-	wantBytes := wantDealBytes + int64(3*tf+1)*int64(n-1)*elem + int64(n*n)*(elem+1)
-	if d.Bytes != wantBytes {
-		t.Errorf("bytes = %d, want %d", d.Bytes, wantBytes)
-	}
-	// Lemma 4: verification costs one interpolation per player regardless
-	// of M. (The harness's coin batches carry no counters, so the expose
-	// interpolation is not included here.)
-	if d.Interpolations != int64(n) {
-		t.Errorf("interpolations = %d, want %d (one per player)", d.Interpolations, n)
+	for _, m := range []int{1, 16, 256} {
+		var ctr metrics.Counters
+		h := newHarness(t, n, tf, k, 1, 5, &ctr)
+		secrets := make([]gf2k.Element, m)
+		for j := range secrets {
+			secrets[j] = gf2k.Element(j + 1)
+		}
+		fns := make([]simnet.PlayerFunc, n)
+		for i := range fns {
+			fns[i] = h.player(0, secrets, 21)
+		}
+		for i, r := range simnet.Run(h.nw, fns) {
+			if r.Err != nil || r.Value != true {
+				t.Fatalf("M=%d player %d: %+v", m, i, r)
+			}
+		}
+		d := ctr.Snapshot()
+		t.Logf("n=%d t=%d M=%d: rounds %d, messages %d, broadcasts %d, interpolations %d, bytes %d (%.1f per secret)",
+			n, tf, m, d.Rounds, d.Messages, d.Broadcasts, d.Interpolations, d.Bytes, float64(d.Bytes)/float64(m))
+		if d.Rounds != 3 {
+			t.Errorf("M=%d: rounds = %d, want 3 (deal, expose, verify)", m, d.Rounds)
+		}
+		if d.Broadcasts != n {
+			t.Errorf("M=%d: broadcasts = %d, want %d", m, d.Broadcasts, n)
+		}
+		// Unicast: deal (n−1) + expose (|S| = 3t+1 members × (n−1)); each
+		// of the n broadcasts is delivered to n players.
+		wantUnicast := int64(n-1) + int64(3*tf+1)*int64(n-1)
+		if got := d.Messages - n*n; got != wantUnicast {
+			t.Errorf("M=%d: unicast messages = %d, want %d", m, got, wantUnicast)
+		}
+		// Bytes: deal + expose shares + n² copies of δ and its flag byte.
+		wantBytes := int64(n-1)*int64(m+1)*elem + int64(3*tf+1)*int64(n-1)*elem + int64(n*n)*(elem+1)
+		if d.Bytes != wantBytes {
+			t.Errorf("M=%d: bytes = %d, want %d", m, d.Bytes, wantBytes)
+		}
+		if d.Interpolations != n {
+			t.Errorf("M=%d: interpolations = %d, want %d (one per player)", m, d.Interpolations, n)
+		}
 	}
 }
 
