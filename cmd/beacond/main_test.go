@@ -276,6 +276,7 @@ func TestSurfaceInventoryPlayer(t *testing.T) {
 		"beacond_refills_total counter [] Inline blocking Coin-Gens completed.",
 		"beacond_reshare_duration_seconds histogram [] Wall-clock duration of one resharing ceremony attempt.",
 		"beacond_round gauge [] Completed-round count of the local node.",
+		"beacond_snapshot_seconds histogram [] Wall-clock duration of one store snapshot (log fsync, then slot write and fsync).",
 		"beacond_store_remaining gauge [] Sealed coins left in the store.",
 		"simnet_handshake_total counter [result] Outgoing dial attempts by outcome (ok, reject, dial-error).",
 		"simnet_peer_connected gauge [peer] 1 while the authenticated outgoing connection to the peer is up.",

@@ -121,6 +121,10 @@ type DaemonMetrics struct {
 	// beacond_refill_duration_seconds (inline blocking Coin-Gens).
 	Refills        *prom.Counter
 	RefillDuration *prom.Histogram
+	// SnapshotDuration is beacond_snapshot_seconds: wall-clock time of one
+	// store snapshot (log fsync, then the slot write and its fsync), taken
+	// after every refill, at the reshare cutover and at graceful exit.
+	SnapshotDuration *prom.Histogram
 	// JoinAttempts is beacond_join_attempts_total: choreography retries
 	// before the daemon entered the cluster (1 = clean first try).
 	JoinAttempts *prom.Counter
@@ -141,6 +145,8 @@ func NewDaemonMetrics(r *prom.Registry) *DaemonMetrics {
 		Refills:     r.Counter("beacond_refills_total", "Inline blocking Coin-Gens completed."),
 		RefillDuration: r.Histogram("beacond_refill_duration_seconds", "Wall-clock duration of inline Coin-Gens.",
 			prom.ExpBuckets(0.005, 2, 14)),
+		SnapshotDuration: r.Histogram("beacond_snapshot_seconds", "Wall-clock duration of one store snapshot (log fsync, then slot write and fsync).",
+			prom.ExpBuckets(0.00005, 2, 14)),
 		JoinAttempts:    r.Counter("beacond_join_attempts_total", "Join choreography attempts (1 = clean first try)."),
 		ReshareAttempts: r.CounterVec("beacond_reshare_attempts_total", "Resharing ceremony attempts by outcome (ok, failed).", "result"),
 		ReshareDuration: r.Histogram("beacond_reshare_duration_seconds", "Wall-clock duration of one resharing ceremony attempt.",

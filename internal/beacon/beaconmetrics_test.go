@@ -265,6 +265,7 @@ func TestDaemonMetricsEndToEnd(t *testing.T) {
 		"beacond_emit_latency_seconds_count":    float64(rounds),
 		"beacond_refills_total":                 1,
 		"beacond_refill_duration_seconds_count": 1,
+		"beacond_snapshot_seconds_count":        2, // after the refill, and at the emit target
 	} {
 		if v, ok := prom.Value(samples, name); !ok || v != want {
 			t.Errorf("%s = %v, %v; want %v", name, v, ok, want)

@@ -31,7 +31,8 @@ package beacon
 //      one Coin-Expose round opening the vector of coins emitWidth allows
 //      (one coin when paced, up to sweepCoins when not). The vector is
 //      appended to the public log in one write; the stamped store snapshot
-//      is rewritten after each refill and at graceful shutdown.
+//      is written (into the older of two slots, in place) after each refill
+//      and at graceful shutdown.
 //
 // A daemon that was down across a refill cannot rejoin (its store lacks
 // the shares of the batch minted while it was gone) — it fails with a
@@ -420,13 +421,22 @@ func (d *Daemon) Run(ctx context.Context) error {
 			// The pause position is the handover state: snapshot it so the
 			// ceremony (a separate process invocation) reshapes exactly the
 			// tail behind the cutover.
-			if perr := d.ps.snapshot(); perr != nil {
+			if perr := d.snapshot(); perr != nil {
 				return perr
 			}
 		}
 		return err
 	}
-	return d.ps.snapshot()
+	return d.snapshot()
+}
+
+// snapshot makes the daemon's position durable (playerState.snapshot),
+// timed into beacond_snapshot_seconds.
+func (d *Daemon) snapshot() error {
+	t0 := time.Now()
+	err := d.ps.snapshot()
+	d.cfg.Metrics.SnapshotDuration.Observe(time.Since(t0).Seconds())
+	return err
 }
 
 // reshareStep runs one iteration of the armed daemon's cutover
@@ -858,7 +868,7 @@ func (d *Daemon) emit(ctx context.Context) error {
 			// emitted from here on belong to the new epoch.
 			d.cfg.Tracer.SetEpoch(d.ps.epoch)
 			d.nw.SetEpoch(d.ps.epoch)
-			if err := d.ps.snapshot(); err != nil {
+			if err := d.snapshot(); err != nil {
 				return err
 			}
 			d.cfg.Logf("refill complete: epoch %d, %d coins in store", d.ps.epoch, d.gen.Remaining())

@@ -222,6 +222,21 @@ func TestDaemonReshareHandover(t *testing.T) {
 		t.Fatalf("cutover %d is before the restart position %d", cut, firstLeg)
 	}
 
+	// Both members checked below hold a snapshot slot to retire.
+	for _, f := range []string{slotFile(dirsB[5], 5, 0), slotFile(dirsB[0], 0, 0)} {
+		if _, err := os.Stat(f); err != nil {
+			t.Fatalf("before the handover: %v", err)
+		}
+	}
+	oldIdentity := map[string][]byte{}
+	for _, f := range []string{storeFile(dirsB[5], 5), slotFile(dirsB[5], 5, 0)} {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldIdentity[f] = data
+	}
+
 	// The ceremony: all 7 old members (5 leaving, 2 staying) plus 7
 	// joiners.
 	jdirs := makeStateDirs(t, base, "j", 9)
@@ -245,7 +260,7 @@ func TestDaemonReshareHandover(t *testing.T) {
 	}
 	// The staying members' old-identity files are gone; leaving members'
 	// stores are destroyed (toxic waste), their public logs kept.
-	for _, f := range []string{storeFile(dirsB[5], 5), metaFile(dirsB[5], 5), CoinLogFile(dirsB[5], 5)} {
+	for _, f := range append([]string{storeFile(dirsB[5], 5), metaFile(dirsB[5], 5), CoinLogFile(dirsB[5], 5)}, slotFiles(dirsB[5], 5)...) {
 		if _, err := os.Stat(f); !os.IsNotExist(err) {
 			t.Fatalf("old-identity file %s survived the handover", f)
 		}
@@ -253,8 +268,32 @@ func TestDaemonReshareHandover(t *testing.T) {
 	if _, err := os.Stat(storeFile(dirsB[0], 0)); !os.IsNotExist(err) {
 		t.Fatal("leaving member 0 kept its store after the handover")
 	}
+	for _, f := range slotFiles(dirsB[0], 0) {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Fatalf("leaving member 0 kept its snapshot slot %s after the handover", f)
+		}
+	}
 	if _, err := os.Stat(CoinLogFile(dirsB[0], 0)); err != nil {
 		t.Fatalf("leaving member 0 lost its public log: %v", err)
+	}
+	// A crash between the new files and the retirement leaves the old
+	// identity's shares behind; the re-run that finds the handover complete
+	// retires them.
+	for f, data := range oldIdentity {
+		if err := os.WriteFile(f, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := RunReshare(context.Background(), ReshareConfig{
+		Old: pcB, Next: next, OldSelf: 5, NewSelf: 0, StateDir: dirsB[5], Rand: rand.New(rand.NewSource(1)),
+	})
+	if err != nil || !again.Resumed {
+		t.Fatalf("re-run after success: %+v, %v (want Resumed)", again, err)
+	}
+	for f := range oldIdentity {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Fatalf("re-run after success left old-identity file %s", f)
+		}
 	}
 
 	// Third leg: the NEW committee serves generation 1 — 2 stayers + 7
@@ -321,6 +360,10 @@ func TestDaemonProactiveRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	oldSlot, err := os.ReadFile(slotFile(dirs[0], 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	parts := make([]reshareParticipant, n)
 	for i := range parts {
@@ -337,8 +380,21 @@ func TestDaemonProactiveRefresh(t *testing.T) {
 	if string(oldStore) == string(newStore) {
 		t.Fatal("refresh left player 0's share file unchanged")
 	}
+	noSlots := func(when string) {
+		t.Helper()
+		for _, f := range slotFiles(dirs[0], 0) {
+			if _, err := os.Stat(f); !os.IsNotExist(err) {
+				t.Fatalf("%s: generation-0 snapshot slot %s survived the refresh", when, f)
+			}
+		}
+	}
+	noSlots("after the ceremony")
 
-	// Idempotent re-run: crash-after-write recovery just clears up.
+	// Idempotent re-run: crash-after-write recovery just clears up — also
+	// a generation-0 slot that a crash kept from being retired.
+	if err := os.WriteFile(slotFile(dirs[0], 0, 1), oldSlot, 0o600); err != nil {
+		t.Fatal(err)
+	}
 	again, err := RunReshare(context.Background(), ReshareConfig{
 		Old: pc, Next: next, OldSelf: 0, NewSelf: 0, StateDir: dirs[0],
 		Rand: rand.New(rand.NewSource(1)),
@@ -346,6 +402,7 @@ func TestDaemonProactiveRefresh(t *testing.T) {
 	if err != nil || !again.Resumed {
 		t.Fatalf("re-run after success: %+v, %v (want Resumed)", again, err)
 	}
+	noSlots("after the re-run")
 
 	runCluster(t, next, dirs, 25, 7)
 	after := loadValues(t, dirs[0], 0)

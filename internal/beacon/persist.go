@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -16,14 +18,15 @@ import (
 	"repro/internal/gf2k"
 )
 
-// Player state: everything a player keeps on disk — player-NNN.store (the
-// SECRET shares, stamped with the position they were snapshotted at) and the
-// public log player-NNN.coins — goes through this file. ARCHITECTURE.md
-// ("Player state") describes the files, the four operations and the one
-// write order. Files are created 0600 and the directory 0700; the store is
-// replaced atomically, the log is only ever appended to, and every rename
-// and unlink is made durable by syncDir. The single-process Service keeps
-// only the store files, n side by side.
+// Player state: everything a player keeps on disk — player-NNN.store and
+// the two snapshot slots player-NNN.slot0/1 (the SECRET shares, stamped with
+// the position they were taken at) and the public log player-NNN.coins —
+// goes through this file. ARCHITECTURE.md ("Player state") describes the
+// files, the four operations and the one write order. Files are created 0600
+// and the directory 0700; the store is replaced atomically, a slot is
+// overwritten in place, the log is only ever appended to, and every create,
+// rename and unlink is made durable by syncDir. The single-process Service
+// keeps only the store files, n side by side.
 
 func storeFile(dir string, player int) string {
 	return filepath.Join(dir, fmt.Sprintf("player-%03d.store", player))
@@ -42,8 +45,19 @@ func CoinLogFile(dir string, player int) string {
 	return filepath.Join(dir, fmt.Sprintf("player-%03d.coins", player))
 }
 
+// slotFile names player's snapshot slot i (0 or 1).
+func slotFile(dir string, player, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("player-%03d.slot%d", player, i))
+}
+
+// slotFiles names both of player's snapshot slots.
+func slotFiles(dir string, player int) []string {
+	return []string{slotFile(dir, player, 0), slotFile(dir, player, 1)}
+}
+
 // stamp is the position a store snapshot was taken at. It travels in the
-// store file's header, so store and position are replaced by one rename.
+// header of the store file or slot record it stamps, so store and position
+// are written together.
 type stamp struct {
 	// Epoch counts absorbed Coin-Gen refills since the current committee
 	// took over (the dealer ceremony, or the last reshare). A rejoining
@@ -61,8 +75,9 @@ type stamp struct {
 // written before the header existed start with coin's own magic instead.
 const storeFileMagic = "DPRBGp1\x00"
 
-// writeStore is the one writer of player-NNN.store: daemon snapshots, a
-// generation's first files and Service.Persist (stamp zero) all land here.
+// writeStore is the one writer of player-NNN.store: a generation's first
+// files, Service.Persist (stamp zero) and the one-time migration of a bare
+// store all land here. A daemon's snapshots go to its slots instead.
 func writeStore(dir string, player int, at stamp, st *coin.Store) error {
 	enc, err := st.MarshalBinary()
 	if err != nil {
@@ -76,11 +91,78 @@ func writeStore(dir string, player int, at stamp, st *coin.Store) error {
 	return nil
 }
 
-// loadStore reads player's store and the stamp it was written with. A bare
-// store — written by a daemon or by Service.Persist before the header
-// existed — takes its stamp from the .meta beside it (a missing .meta reads
-// as zero, its Generation field is ignored); bare reports that case.
+// loadStore is the one reader of player's stored state: it returns the
+// newest of player-NNN.store and the valid slot records of the same
+// generation (see readState), and the stamp it was written with. bare
+// reports a .store without the header — written by a daemon or by
+// Service.Persist before the header existed — whose stamp comes from the
+// .meta beside it.
 func loadStore(dir string, player int) (st *coin.Store, at stamp, bare bool, err error) {
+	st, at, bare, _, err = readState(dir, player)
+	return st, at, bare, err
+}
+
+// readState is loadStore plus what a snapshot needs to know of the slots.
+// Generations never mix: a slot counts only when its store is the .store's
+// generation, so a later generation's .store always wins. The newest such
+// record — the highest sequence number — wins unless the .store is ahead of
+// it (written there by a binary from before the slots). A slot whose record
+// fails its CRC (torn by a crash mid-write) is passed over, leaving the
+// other slot or the .store: one epoch back.
+func readState(dir string, player int) (st *coin.Store, at stamp, bare bool, cur slotCursor, err error) {
+	if st, at, bare, err = readStoreFile(dir, player); err != nil {
+		return nil, at, false, cur, err
+	}
+	var newest *slotRecord
+	for i, path := range slotFiles(dir, player) {
+		data, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return nil, at, false, cur, fmt.Errorf("beacon: load player %d slot %d: %w", player, i, err)
+		}
+		rec, ok := parseSlotRecord(data)
+		if !ok {
+			continue
+		}
+		if rec.seq >= cur.seq {
+			cur.seq, cur.next = rec.seq, 1-i
+		}
+		// The CRC proves these are the bytes a snapshot wrote, so a stamp
+		// or store that does not decode is a writer's fault, not a torn
+		// write: fail loudly rather than fall back past it.
+		if rec.at.Epoch < 0 || rec.at.LogLen < 0 {
+			err = fmt.Errorf("negative snapshot stamp %+v", rec.at)
+		} else {
+			rec.st, err = coin.UnmarshalStore(rec.body)
+		}
+		if err != nil {
+			return nil, at, false, cur, fmt.Errorf("beacon: load player %d slot %d: %w", player, i, err)
+		}
+		switch {
+		case rec.st.Generation != st.Generation:
+			cur.stale = append(cur.stale, path)
+		case newest == nil || rec.seq > newest.seq:
+			newest = &rec
+		}
+	}
+	if newest != nil && !newest.at.before(at) {
+		st, at = newest.st, newest.at
+	}
+	return st, at, bare, cur, nil
+}
+
+// before orders stamps of one generation: epochs only grow, and within an
+// epoch so does the log.
+func (a stamp) before(b stamp) bool {
+	return a.Epoch < b.Epoch || a.Epoch == b.Epoch && a.LogLen < b.LogLen
+}
+
+// readStoreFile reads player-NNN.store alone. A bare store takes its stamp
+// from the .meta beside it (a missing .meta reads as zero, its Generation
+// field is ignored).
+func readStoreFile(dir string, player int) (st *coin.Store, at stamp, bare bool, err error) {
 	data, err := os.ReadFile(storeFile(dir, player))
 	body, headed := bytes.CutPrefix(data, []byte(storeFileMagic))
 	switch {
@@ -107,6 +189,68 @@ func loadStore(dir string, player int) (st *coin.Store, at stamp, bare bool, err
 		return nil, at, false, fmt.Errorf("beacon: load player %d store: %w", player, err)
 	}
 	return st, at, !headed, nil
+}
+
+// slotMagic opens a slot record. The record is magic, then sequence number,
+// Epoch, LogLen and the body length as little-endian uint64s, then the body —
+// the coin.Store encoding unchanged — then a CRC-32C (Castagnoli) of
+// everything before it. Whatever follows the CRC is a longer record's tail
+// and is ignored, so a slot is overwritten in place and never truncated.
+const slotMagic = "DPRBGq1\x00"
+
+const slotHeaderLen = len(slotMagic) + 4*8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// slotRecord is one decoded slot: its sequence number, stamp and body, and
+// the body's store once readState decodes it.
+type slotRecord struct {
+	seq  uint64
+	at   stamp
+	body []byte
+	st   *coin.Store
+}
+
+// appendSlotRecord renders a slot record onto dst.
+func appendSlotRecord(dst []byte, seq uint64, at stamp, body []byte) []byte {
+	start := len(dst)
+	dst = append(dst, slotMagic...)
+	for _, v := range []uint64{seq, uint64(at.Epoch), uint64(at.LogLen), uint64(len(body))} {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	dst = append(dst, body...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+}
+
+// parseSlotRecord reads the record at the start of data; ok is false when
+// there is none whose CRC checks out.
+func parseSlotRecord(data []byte) (rec slotRecord, ok bool) {
+	if len(data) < slotHeaderLen+4 || string(data[:len(slotMagic)]) != slotMagic {
+		return rec, false
+	}
+	h := data[len(slotMagic):]
+	n := binary.LittleEndian.Uint64(h[24:])
+	if n > uint64(len(data)-slotHeaderLen-4) {
+		return rec, false
+	}
+	end := slotHeaderLen + int(n)
+	if crc32.Checksum(data[:end], castagnoli) != binary.LittleEndian.Uint32(data[end:]) {
+		return rec, false
+	}
+	return slotRecord{
+		seq:  binary.LittleEndian.Uint64(h),
+		at:   stamp{Epoch: int(binary.LittleEndian.Uint64(h[8:])), LogLen: int(binary.LittleEndian.Uint64(h[16:]))},
+		body: data[slotHeaderLen:end],
+	}, true
+}
+
+// slotCursor is where the next snapshot goes: seq is the highest sequence
+// number of any valid record, next the slot not holding it. stale lists
+// slots holding a store of another generation than the .store's.
+type slotCursor struct {
+	seq   uint64
+	next  int
+	stale []string
 }
 
 // Persist writes every player's store under dir. Call only after Close
@@ -184,7 +328,10 @@ func RemoveStores(dir string, n int) error {
 // answers — goes through it, so logs stay byte-comparable across daemons.
 func appendLogLines(dst []byte, from int, vals []gf2k.Element) []byte {
 	for i, v := range vals {
-		dst = fmt.Appendf(dst, "%d %x\n", from+i, uint64(v))
+		dst = strconv.AppendInt(dst, int64(from+i), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendUint(dst, uint64(v), 16)
+		dst = append(dst, '\n')
 	}
 	return dst
 }
@@ -323,11 +470,18 @@ type playerState struct {
 	player int
 	// store is the live store (the one the daemon's core.Generator draws
 	// from); epoch is kept current by the run loop, one bump per absorbed
-	// refill, and stamped with the store by snapshot. bare marks a store
-	// opened from the layout before the header: a .meta may lie beside it.
+	// refill, and stamped with the store by snapshot. bare marks a .store
+	// in the layout before the header: a .meta may lie beside it.
 	store *coin.Store
 	epoch int
 	bare  bool
+
+	// slots are the snapshot slots' write handles, opened by the first
+	// snapshot that writes each; cur says which one the next snapshot
+	// overwrites. scratch is the run loop's encoding buffer.
+	slots   [2]*os.File
+	cur     slotCursor
+	scratch []byte
 
 	mu   sync.Mutex
 	log  []gf2k.Element // guarded by mu
@@ -382,13 +536,20 @@ func openPlayerLog(dir string, player int) (*playerState, error) {
 // snapshot only advances at refill boundaries — the gap is replayed onto
 // the share cursor. This is the only place that rule is applied.
 func openPlayerState(dir string, player, generation int) (*playerState, error) {
-	st, at, bare, err := loadStore(dir, player)
+	st, at, bare, cur, err := readState(dir, player)
 	if err != nil {
 		return nil, err
 	}
 	if st.Generation != generation {
 		return nil, fmt.Errorf("beacon: player %d store is generation %d but peers.yaml says %d — finish the reshare or point the daemon at the matching roster file",
 			player, st.Generation, generation)
+	}
+	// A slot of another generation holds superseded shares that a crash
+	// kept from being retired with its generation (writeGeneration).
+	if len(cur.stale) > 0 {
+		if _, err := syncDir(dir, cur.stale...); err != nil {
+			return nil, err
+		}
 	}
 	ps, err := openPlayerLog(dir, player)
 	if err != nil {
@@ -404,11 +565,18 @@ func openPlayerState(dir string, player, generation int) (*playerState, error) {
 		ps.close()
 		return nil, fmt.Errorf("beacon: player %d crash reconciliation: %w", player, err)
 	}
-	ps.store, ps.epoch, ps.bare = st, at.Epoch, bare
+	ps.store, ps.epoch, ps.bare, ps.cur = st, at.Epoch, bare, cur
 	return ps, nil
 }
 
-func (ps *playerState) close() { ps.file.Close() }
+func (ps *playerState) close() {
+	ps.file.Close()
+	for _, f := range ps.slots {
+		if f != nil {
+			f.Close()
+		}
+	}
+}
 
 // serve answers a peer's LOG query from the live log.
 func (ps *playerState) serve(req string) []byte {
@@ -428,7 +596,8 @@ var errLogAppend = errors.New("beacon: public coin log append failed")
 func (ps *playerState) append(vals ...gf2k.Element) error {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if _, err := ps.file.Write(appendLogLines(nil, len(ps.log), vals)); err != nil {
+	ps.scratch = appendLogLines(ps.scratch[:0], len(ps.log), vals)
+	if _, err := ps.file.Write(ps.scratch); err != nil {
 		return fmt.Errorf("%w: player %d at log position %d: %v", errLogAppend, ps.player, len(ps.log), err)
 	}
 	ps.log = append(ps.log, vals...)
@@ -466,25 +635,59 @@ func (ps *playerState) fastForward(target int, query queryFunc, servers []int, q
 }
 
 // snapshot makes the current position durable: log fsync, then the store
-// stamped with it, in one atomic write. The log goes first because the
-// stamp's LogLen must never point past the durable log (open treats a log
-// behind its snapshot as corruption); the log is otherwise only synced by
-// the OS, one snapshot per refill. A bare store's .meta is stale once the
-// stamped store is down, and goes.
+// stamped with it, as one record overwriting the older slot in place and
+// fsynced. The log goes first because the stamp's LogLen must never point
+// past the durable log (open treats a log behind its snapshot as
+// corruption); the log is otherwise only synced by the OS, one snapshot per
+// refill. A record torn by a crash fails its CRC and the other slot — one
+// snapshot back — stands. A bare .store is migrated instead, once: the
+// stamped .store is written atomically and its .meta, stale from then on,
+// goes, so the .store alone still opens at a true position.
 func (ps *playerState) snapshot() error {
 	if err := ps.file.Sync(); err != nil {
 		return err
 	}
-	if err := writeStore(ps.dir, ps.player, stamp{Epoch: ps.epoch, LogLen: len(ps.log)}, ps.store); err != nil {
-		return err
-	}
+	at := stamp{Epoch: ps.epoch, LogLen: len(ps.log)}
 	if ps.bare {
+		if err := writeStore(ps.dir, ps.player, at, ps.store); err != nil {
+			return err
+		}
 		if _, err := syncDir(ps.dir, metaFile(ps.dir, ps.player)); err != nil {
 			return err
 		}
 		ps.bare = false
+		return nil
 	}
+	enc, err := ps.store.MarshalBinary()
+	if err != nil {
+		return fmt.Errorf("beacon: marshal player %d store: %w", ps.player, err)
+	}
+	if err := ps.writeSlot(ps.cur.next, ps.cur.seq+1, at, enc); err != nil {
+		return fmt.Errorf("beacon: snapshot player %d to slot %d: %w", ps.player, ps.cur.next, err)
+	}
+	ps.cur.seq, ps.cur.next = ps.cur.seq+1, 1-ps.cur.next
 	return nil
+}
+
+// writeSlot writes one record at the start of slot i and fsyncs it. The
+// slot is created on first use, its directory entry made durable then.
+func (ps *playerState) writeSlot(i int, seq uint64, at stamp, body []byte) error {
+	if ps.slots[i] == nil {
+		f, err := os.OpenFile(slotFile(ps.dir, ps.player, i), os.O_CREATE|os.O_WRONLY, 0o600)
+		if err != nil {
+			return err
+		}
+		if _, err := syncDir(ps.dir); err != nil {
+			f.Close()
+			return err
+		}
+		ps.slots[i] = f
+	}
+	ps.scratch = appendSlotRecord(ps.scratch[:0], seq, at, body)
+	if _, err := ps.slots[i].WriteAt(ps.scratch, 0); err != nil {
+		return err
+	}
+	return ps.slots[i].Sync()
 }
 
 // writeGeneration writes the first files of a committee generation for
@@ -493,7 +696,8 @@ func (ps *playerState) snapshot() error {
 // stamped epoch 0 at that position, each durable before the next is
 // started. The store goes LAST so that finding a generation's store on disk
 // proves its log is there too (RunReshare's idempotent completion check
-// relies on it).
+// relies on it). The player's slots predate the new store, and their shares
+// are retired once it is durable.
 //
 // Whatever log the identity already holds must be a prefix of log (a member
 // keeping its index, a retry after a crash): only the missing suffix is
@@ -514,7 +718,11 @@ func writeGeneration(dir string, player int, log []gf2k.Element, st *coin.Store)
 	if err := ps.file.Sync(); err != nil {
 		return err
 	}
-	return writeStore(dir, player, stamp{LogLen: len(log)}, st)
+	if err := writeStore(dir, player, stamp{LogLen: len(log)}, st); err != nil {
+		return err
+	}
+	_, err = syncDir(dir, slotFiles(dir, player)...)
+	return err
 }
 
 // writeAtomic writes data to path via a temp file, fsync, rename and an
@@ -546,8 +754,9 @@ func writeAtomic(path string, data []byte) error {
 }
 
 // syncDir unlinks paths, all inside dir (one already gone is skipped;
-// removed counts the rest), then fsyncs dir: every rename and unlink in a
-// state directory is made durable here, before the caller moves on.
+// removed counts the rest), then fsyncs dir: every slot creation, rename
+// and unlink in a state directory is made durable here, before the caller
+// moves on.
 func syncDir(dir string, paths ...string) (removed int, err error) {
 	for _, p := range paths {
 		switch err := os.Remove(p); {

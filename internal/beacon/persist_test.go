@@ -263,6 +263,78 @@ func TestOpenPlayerState(t *testing.T) {
 	}
 }
 
+// TestLoadStoreNewest drives the loader's choice between the .store and
+// the slot records, table-driven over what is on disk: the valid record of
+// the .store's generation with the highest sequence number wins unless the
+// .store is ahead of it, and the next snapshot goes to the slot that does
+// not hold the highest sequence number.
+func TestLoadStoreNewest(t *testing.T) {
+	_, dealt := dealtDir(t, 4)
+	st, _, _, err := loadStore(dealt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := st.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := coin.UnmarshalStore(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next.Generation = 1
+	encNext, err := next.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(seq uint64, at stamp) []byte { return appendSlotRecord(nil, seq, at, enc) }
+	torn := func(b []byte) []byte { return b[:len(b)-5] }
+	cases := []struct {
+		name     string
+		store    stamp
+		slots    [2][]byte // nil = no such file
+		want     stamp
+		wantNext int
+	}{
+		{name: "no slots", store: stamp{Epoch: 1, LogLen: 5}, want: stamp{Epoch: 1, LogLen: 5}},
+		{name: "slot ahead", slots: [2][]byte{rec(1, stamp{Epoch: 2, LogLen: 9})}, want: stamp{Epoch: 2, LogLen: 9}, wantNext: 1},
+		{name: "newer slot", slots: [2][]byte{rec(3, stamp{Epoch: 2, LogLen: 8}), rec(2, stamp{Epoch: 1, LogLen: 4})},
+			want: stamp{Epoch: 2, LogLen: 8}, wantNext: 1},
+		{name: "newer slot torn", slots: [2][]byte{torn(rec(3, stamp{Epoch: 2, LogLen: 8})), rec(2, stamp{Epoch: 1, LogLen: 4})},
+			want: stamp{Epoch: 1, LogLen: 4}, wantNext: 0},
+		{name: "both torn", store: stamp{LogLen: 1}, slots: [2][]byte{torn(rec(3, stamp{Epoch: 2})), torn(rec(4, stamp{Epoch: 3}))},
+			want: stamp{LogLen: 1}},
+		{name: "store ahead of the slots", store: stamp{Epoch: 3, LogLen: 20}, slots: [2][]byte{nil, rec(7, stamp{Epoch: 2, LogLen: 9})},
+			want: stamp{Epoch: 3, LogLen: 20}, wantNext: 0},
+		{name: "other generation", slots: [2][]byte{appendSlotRecord(nil, 5, stamp{Epoch: 4, LogLen: 4}, encNext)}, wantNext: 1},
+		{name: "longer record's tail ignored", slots: [2][]byte{nil, append(rec(1, stamp{Epoch: 1, LogLen: 2}), rec(9, stamp{Epoch: 9})...)},
+			want: stamp{Epoch: 1, LogLen: 2}, wantNext: 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := writeStore(dir, 0, tc.store, st); err != nil {
+				t.Fatal(err)
+			}
+			for i, data := range tc.slots {
+				if data != nil {
+					if err := os.WriteFile(slotFile(dir, 0, i), data, 0o600); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			got, at, _, cur, err := readState(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at != tc.want || got.Generation != 0 || cur.next != tc.wantNext {
+				t.Fatalf("loaded generation %d at %+v, next slot %d; want generation 0 at %+v, next slot %d",
+					got.Generation, at, cur.next, tc.want, tc.wantNext)
+			}
+		})
+	}
+}
+
 func logOf(n int) string {
 	return string(appendLogLines(nil, 0, make([]gf2k.Element, n)))
 }
@@ -430,10 +502,15 @@ func TestWriteGenerationOrder(t *testing.T) {
 
 // TestSnapshotCrashPoints blocks each durable step of snapshot in turn —
 // closing the log defeats its fsync, a non-empty directory squatting on a
-// file's name defeats rename and unlink alike — on stamped state and on the
-// layout from before the stamp, then reopens: whatever step the crash hit,
-// every player's next opened coin is the uninterrupted stream's, and the
-// epoch read back is the one stored with that store.
+// file's name defeats create, rename and unlink alike — on stamped state and
+// on the layout from before the stamp, then reopens: whatever step the crash
+// hit, every player's next opened coin is the uninterrupted stream's, and the
+// epoch read back is the one stored with that store. Three rows damage what
+// a finished snapshot left instead: its slot record torn mid-body or with
+// one byte flipped (the previous slot stands, and the next snapshot
+// overwrites the damaged one), or both slots lost, as a binary from before the slots reads the
+// directory — one epoch back, where the epoch fence stops the player from
+// joining the cluster that moved on.
 func TestSnapshotCrashPoints(t *testing.T) {
 	const n, a, more = 7, 3, 4
 	layouts := []struct {
@@ -442,7 +519,7 @@ func TestSnapshotCrashPoints(t *testing.T) {
 		steps []string
 	}{
 		{"stamped", func(t *testing.T) (*simnet.PeerConfig, string) { return dealtDir(t, 13) },
-			[]string{"log fsync", "store rename", "none"}},
+			[]string{"log fsync", "slot write", "torn slot", "flipped slot", "slots lost", "none"}},
 		{"legacy", func(t *testing.T) (*simnet.PeerConfig, string) { return localConfig(40), parentLayoutDir(t) },
 			[]string{"log fsync", "store rename", "meta removal", "none"}},
 	}
@@ -468,6 +545,14 @@ func TestSnapshotCrashPoints(t *testing.T) {
 			t.Run(lay.name+"/"+step, func(t *testing.T) {
 				_, dir := lay.state(t)
 				pss, stores := openAll(t, dir)
+				damaged := strings.HasSuffix(step, "slot")
+				if damaged {
+					for _, ps := range pss { // the slot to fall back to
+						if err := ps.snapshot(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 				vals := exposeAll(t, pc, stores, a)
 				for i, ps := range pss {
 					if err := ps.append(vals...); err != nil {
@@ -478,20 +563,23 @@ func TestSnapshotCrashPoints(t *testing.T) {
 					switch step {
 					case "log fsync":
 						ps.file.Close()
+					case "slot write":
+						squat = slotFile(dir, i, ps.cur.next)
 					case "store rename":
 						squat = storeFile(dir, i)
 					case "meta removal":
 						squat = metaFile(dir, i)
 					}
 					if squat != "" {
-						if err := os.Rename(squat, squat+".aside"); err != nil {
+						if err := os.Rename(squat, squat+".aside"); err != nil && !os.IsNotExist(err) {
 							t.Fatal(err)
 						}
 						if err := os.MkdirAll(filepath.Join(squat, "squatter"), 0o700); err != nil {
 							t.Fatal(err)
 						}
 					}
-					if err := ps.snapshot(); (err == nil) != (step == "none") {
+					blocked := squat != "" || step == "log fsync"
+					if err := ps.snapshot(); (err == nil) == blocked {
 						t.Fatalf("player %d, %q blocked: snapshot error = %v", i, step, err)
 					}
 					ps.close()
@@ -499,8 +587,28 @@ func TestSnapshotCrashPoints(t *testing.T) {
 						if err := os.RemoveAll(squat); err != nil {
 							t.Fatal(err)
 						}
-						if err := os.Rename(squat+".aside", squat); err != nil {
+						if err := os.Rename(squat+".aside", squat); err != nil && !os.IsNotExist(err) {
 							t.Fatal(err)
+						}
+					}
+					written := slotFile(dir, i, 1-ps.cur.next)
+					switch step {
+					case "torn slot", "flipped slot":
+						rec, err := os.ReadFile(written)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if step == "torn slot" {
+							rec = rec[:len(rec)/2]
+						} else {
+							rec[len(rec)/2] ^= 0x10
+						}
+						if err := os.WriteFile(written, rec, 0o600); err != nil {
+							t.Fatal(err)
+						}
+					case "slots lost":
+						if removed, err := syncDir(dir, slotFiles(dir, i)...); removed != 1 || err != nil {
+							t.Fatalf("player %d: removed %d slots, %v; want the one snapshot's", i, removed, err)
 						}
 					}
 				}
@@ -514,6 +622,16 @@ func TestSnapshotCrashPoints(t *testing.T) {
 				for i, ps := range pss {
 					if storeWritten != (ps.epoch == 1) {
 						t.Fatalf("player %d reopened at epoch %d with the store written: %t", i, ps.epoch, storeWritten)
+					}
+					// The pre-snapshot wrote slot 0 and the damaged one slot 1.
+					if damaged && ps.cur.next != 1 {
+						t.Fatalf("player %d: next snapshot goes to slot %d, over the one that stood", i, ps.cur.next)
+					}
+					if step == "slots lost" {
+						err := (&Daemon{ps: ps}).coldStart([]DaemonStats{{Epoch: 1}}, []int{(i + 1) % n})
+						if !errors.Is(err, ErrEpochMismatch) {
+							t.Fatalf("player %d opened from its .store alone: cold start beside epoch-1 peers = %v, want the epoch fence", i, err)
+						}
 					}
 				}
 				if step == "none" {
@@ -629,6 +747,85 @@ func FuzzLoadStore(f *testing.F) {
 		}
 		if re, _ := os.ReadFile(storeFile(reDir, 0)); !bytes.Equal(re, store) {
 			t.Fatalf("accepted stamped file %x re-encodes as %x", store, re)
+		}
+	})
+}
+
+// FuzzLoadSlot: whatever a bad disk leaves in a slot beside a dealt .store
+// — a torn or flipped record, another generation's, garbage — the loader
+// takes without panicking. A record whose CRC checks out re-renders byte for
+// byte; one that fails it leaves the .store standing; and one holding the
+// .store's generation is what loads (a body in coin's legacy v1 encoding,
+// which no writer produces, loads and upgrades, as in FuzzLoadStore).
+func FuzzLoadSlot(f *testing.F) {
+	_, dir := dealtDir(f, 2)
+	ps, err := openPlayerState(dir, 0, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ps.epoch = 3
+	if err := ps.append(7, 8); err != nil {
+		f.Fatal(err)
+	}
+	err = ps.snapshot()
+	ps.close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec, err := os.ReadFile(slotFile(dir, 0, 0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := rec[slotHeaderLen : len(rec)-4]
+	next, err := coin.UnmarshalStore(body)
+	if err != nil {
+		f.Fatal(err)
+	}
+	next.Generation = 1
+	nextBody, err := next.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(rec)
+	flipped[len(rec)/2] ^= 1
+	for _, seed := range [][]byte{
+		rec,
+		append(bytes.Clone(rec), rec[:100]...), // a longer record's tail
+		rec[:len(rec)/2],
+		rec[:len(rec)-1],
+		flipped,
+		rec[:slotHeaderLen],
+		[]byte(slotMagic),
+		{},
+		appendSlotRecord(nil, 9, stamp{Epoch: 1, LogLen: 2}, nextBody),
+		appendSlotRecord(nil, 9, stamp{Epoch: -1, LogLen: 2}, body),
+		appendSlotRecord(nil, 9, stamp{}, []byte("not a store")),
+	} {
+		f.Add(seed)
+	}
+	os.Remove(slotFile(dir, 0, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(slotFile(dir, 0, 0), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		st, at, _, err := loadStore(dir, 0)
+		rec, ok := parseSlotRecord(data)
+		if !ok {
+			if err != nil || at != (stamp{}) {
+				t.Fatalf("slot %x fails its CRC, yet the dealt .store does not stand: %+v, %v", data, at, err)
+			}
+			return
+		}
+		if re := appendSlotRecord(nil, rec.seq, rec.at, rec.body); !bytes.HasPrefix(data, re) {
+			t.Fatalf("slot record %x re-renders as %x", data, re)
+		}
+		want, derr := coin.UnmarshalStore(rec.body)
+		if err != nil || derr != nil || want.Generation != 0 || bytes.HasPrefix(rec.body, []byte("DPRBGs1\x00")) {
+			return
+		}
+		enc, _ := st.MarshalBinary()
+		if at != rec.at || !bytes.Equal(enc, rec.body) {
+			t.Fatalf("slot record %x of the .store's generation loads as %+v, %x", data, at, enc)
 		}
 	})
 }

@@ -277,10 +277,14 @@ func RunReshare(ctx context.Context, rc ReshareConfig) (*ReshareResult, error) {
 
 	// Idempotent completion: the store is written LAST (writeGeneration),
 	// so next-generation state that opens cleanly means the crash happened
-	// between the writes and the journal removal.
+	// between the writes and the journal removal — possibly before the old
+	// identity's files were retired.
 	if rc.NewSelf >= 0 {
 		if ps, err := openPlayerState(rc.StateDir, rc.NewSelf, rc.Next.Generation); err == nil {
 			ps.close()
+			if _, err := syncDir(rc.StateDir, rc.retired()...); err != nil {
+				return nil, err
+			}
 			if err := ClearReshareJournal(rc.StateDir); err != nil {
 				return nil, err
 			}
@@ -494,37 +498,42 @@ func runReshareAttempt(ctx context.Context, rc ReshareConfig, journal *ReshareJo
 
 	out := &ReshareResult{Generation: rc.Next.Generation, Cutover: cutover,
 		Coins: res.Coins, Cheaters: res.Cheaters, Attempt: attempt}
-	// retired is the old-identity state this handover kills, removed only
-	// once the next generation's files are durable.
-	var retired []string
-	switch {
-	case rc.NewSelf < 0:
-		// Leaving member: its job was sub-dealing. Destroy the old store —
-		// after the handover its shares are toxic waste that could erode
-		// the new committee's proactive-security margin if exfiltrated
-		// later. The public log stays (it is public output).
-		retired = []string{storeFile(rc.StateDir, rc.OldSelf)}
-	case rc.OldSelf >= 0 && rc.OldSelf != rc.NewSelf:
-		// The member continues under a different index: all its
-		// old-identity files are dead (and the store, again, toxic waste).
-		retired = []string{storeFile(rc.StateDir, rc.OldSelf), CoinLogFile(rc.StateDir, rc.OldSelf)}
-	}
-	if rc.OldSelf >= 0 {
-		// A .meta from before store files carried their stamp is dead too.
-		retired = append(retired, metaFile(rc.StateDir, rc.OldSelf))
-	}
 	if rc.NewSelf >= 0 {
 		if err := writeGeneration(rc.StateDir, rc.NewSelf, log, res.Store); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := syncDir(rc.StateDir, retired...); err != nil {
+	if _, err := syncDir(rc.StateDir, rc.retired()...); err != nil {
 		return nil, err
 	}
 	if err := ClearReshareJournal(rc.StateDir); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// retired is the old-identity state a handover kills, removed only once the
+// next generation's files are durable. A member keeping its index retires
+// its old slots in writeGeneration.
+func (rc *ReshareConfig) retired() []string {
+	var retired []string
+	switch {
+	case rc.NewSelf < 0:
+		// Leaving member: its job was sub-dealing. Destroy the old store
+		// and slots — after the handover their shares are toxic waste that
+		// could erode the new committee's proactive-security margin if
+		// exfiltrated later. The public log stays (it is public output).
+		retired = append(slotFiles(rc.StateDir, rc.OldSelf), storeFile(rc.StateDir, rc.OldSelf))
+	case rc.OldSelf >= 0 && rc.OldSelf != rc.NewSelf:
+		// The member continues under a different index: all its
+		// old-identity files are dead (and the shares, again, toxic waste).
+		retired = append(slotFiles(rc.StateDir, rc.OldSelf), storeFile(rc.StateDir, rc.OldSelf), CoinLogFile(rc.StateDir, rc.OldSelf))
+	}
+	if rc.OldSelf >= 0 {
+		// A .meta from before store files carried their stamp is dead too.
+		retired = append(retired, metaFile(rc.StateDir, rc.OldSelf))
+	}
+	return retired
 }
 
 // queryCutover asks the reachable old members for the committed cutover
