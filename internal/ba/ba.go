@@ -88,7 +88,7 @@ func (p PhaseKing) Run(nd *simnet.Node, input byte) (byte, error) {
 		kingVal := byte(0)
 		if nd.Index() == phase {
 			kingVal = maj
-		} else if payload, ok := simnet.FirstFromEach(msgs)[phase]; ok {
+		} else if payload, ok := simnet.FirstFrom(msgs, phase); ok {
 			if len(payload) == 1 && payload[0] <= 1 {
 				kingVal = payload[0]
 			}

@@ -127,7 +127,7 @@ func CCDVSS(nd *simnet.Node, cfg CCDConfig, dealer int, secret gf2k.Element, rnd
 		return false, 0, err
 	}
 	var shares []gf2k.Element
-	if payload, ok := simnet.FirstFromEach(msgs)[dealer]; ok {
+	if payload, ok := simnet.FirstFrom(msgs, dealer); ok {
 		if s, rest, err := f.ReadElements(payload, kappa+1); err == nil && len(rest) == 0 {
 			shares = s
 		}

@@ -842,6 +842,48 @@ func TestPerCoinCostCorollary3(t *testing.T) {
 	}
 }
 
+// TestGradeCastBytesInN pins Grade-Cast's share of Corollary 3's fixed cost
+// (E8) as a function of n, by summing the bytes sent in the rounds of
+// player 0's gradecast span. With every player honest each clique C is all
+// n players, so each grade-cast value is L = 2 + |C|·(2 + (t+1)·⌈k/8⌉)
+// bytes: round 1 sends it to n−1 players, and rounds 2 and 3 each send every
+// instance's value with a 6-byte header to n−1 players, n(n−1)·[L + 2n(L+6)]
+// in all. The t+1 factor in L makes this Θ(n⁴·t), not Corollary 3's O(n⁴).
+func TestGradeCastBytesInN(t *testing.T) {
+	const m = 4
+	for _, c := range []struct{ n, t int }{{7, 1}, {13, 2}, {19, 3}} {
+		var ctr metrics.Counters
+		ring := obs.NewRing(1 << 20)
+		fx := newFixture(t, c.n, c.t, m, 10, int64(c.n),
+			simnet.WithCounters(&ctr), simnet.WithTracer(obs.New(&ctr, ring)))
+		runUnanimous(t, fx, int64(c.n), nil)
+		events := ring.Events()
+		var span *obs.PhaseCost
+		for _, r := range obs.PhaseSummary(events, 0) {
+			if r.Name == "gradecast" {
+				span = &r
+			}
+		}
+		if span == nil || span.Rounds() != 3 {
+			t.Fatalf("n=%d: no 3-round gradecast span for player 0: %+v", c.n, span)
+		}
+		var got int64
+		for _, e := range events {
+			if e.Type == obs.EvSend && e.Round >= span.BeginRound && e.Round < span.EndRound {
+				got += e.Bytes
+			}
+		}
+		L := 2 + c.n*(2+(c.t+1)*fx.f.ByteLen())
+		want := int64(c.n * (c.n - 1) * (L + 2*c.n*(L+6)))
+		fixed := ctr.Snapshot().Bytes - int64(2*c.n*(c.n-1)*fx.f.ByteLen()*m)
+		t.Logf("n=%d t=%d: L=%d, Grade-Cast %d bytes of the fixed a = %d (%.1f %%), a/n⁴ = %.1f",
+			c.n, c.t, L, got, fixed, 100*float64(got)/float64(fixed), float64(fixed)/math.Pow(float64(c.n), 4))
+		if got != want {
+			t.Errorf("n=%d t=%d: Grade-Cast sent %d bytes, want n(n−1)·[L + 2n(L+6)] = %d", c.n, c.t, got, want)
+		}
+	}
+}
+
 // TestPhaseRoundBudget checks Theorem 2's round budget phase by phase (E15)
 // on one traced Coin-Gen. Player 0's leaf spans take 1 round to deal, 1 for
 // γ, 3 for Grade-Cast, 2(t+1) BA rounds per attempt, and 1 per exposed

@@ -53,10 +53,14 @@ func RunAll(nd *simnet.Node, t int, myValue []byte) ([]Output, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gradecast round 1: %w", err)
 	}
+	me := nd.Index()
 	received := make([][]byte, n) // received[d] = dealer d's value as seen here
-	received[nd.Index()] = myValue
-	for d, payload := range simnet.FirstFromEach(msgs) {
-		received[d] = payload
+	received[me] = myValue
+	seen := make([]bool, n) // seen[j]: sender j's first message of the round is read
+	for _, m := range msgs {
+		if firstOf(seen, m.From) {
+			received[m.From] = m.Payload
+		}
 	}
 
 	// Round 2: echo every dealer's value.
@@ -65,14 +69,15 @@ func RunAll(nd *simnet.Node, t int, myValue []byte) ([]Output, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gradecast round 2: %w", err)
 	}
-	// echoes[d] collects, per echoing player, the echoed value of dealer d.
-	echoes := collectInstanceValues(n, msgs)
-	echoes.add(nd.Index(), received) // count own echo
+	// slots[d*n+j] is the value player j echoed for dealer d, nil if none.
+	slots := make([][]byte, n*n)
+	row := make([][]byte, n)
+	tally(slots, row, seen, msgs, me, received)
 
 	// Round 3: per instance, re-echo a value supported by ≥ n−t echoes.
 	support := make([][]byte, n)
 	for d := 0; d < n; d++ {
-		if v, cnt := plurality(echoes.byInstance[d]); cnt >= n-t {
+		if v, cnt := plurality(slots[d*n : (d+1)*n]); cnt >= n-t {
 			support[d] = v
 		}
 	}
@@ -81,17 +86,17 @@ func RunAll(nd *simnet.Node, t int, myValue []byte) ([]Output, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gradecast round 3: %w", err)
 	}
-	finals := collectInstanceValues(n, msgs)
-	finals.add(nd.Index(), support)
+	tally(slots, row, seen, msgs, me, support)
 
+	// Outputs copy their values: a slot aliases a delivered payload.
 	out := make([]Output, n)
 	for d := 0; d < n; d++ {
-		v, cnt := plurality(finals.byInstance[d])
+		v, cnt := plurality(slots[d*n : (d+1)*n])
 		switch {
 		case cnt >= n-t:
-			out[d] = Output{Value: v, Confidence: 2}
+			out[d] = Output{Value: bytes.Clone(v), Confidence: 2}
 		case cnt >= t+1:
-			out[d] = Output{Value: v, Confidence: 1}
+			out[d] = Output{Value: bytes.Clone(v), Confidence: 1}
 		default:
 			out[d] = Output{}
 		}
@@ -99,101 +104,111 @@ func RunAll(nd *simnet.Node, t int, myValue []byte) ([]Output, error) {
 	return out, nil
 }
 
-// plurality returns the most frequent byte string (nil entries skipped) and
-// its count. Ties break toward the lexicographically smallest value so all
-// honest players resolve them identically.
-func plurality(vals [][]byte) ([]byte, int) {
-	counts := make(map[string]int, len(vals))
-	for _, v := range vals {
+// firstOf reports whether a message from sender is the first of the round
+// from that sender, marking it read.
+func firstOf(seen []bool, sender int) bool {
+	if seen[sender] {
+		return false
+	}
+	seen[sender] = true
+	return true
+}
+
+// tally fills the n·n slot table, slots[d*n+j] being the value player j
+// reported for instance d, from one round of frames: a sender's first
+// message is its only one, and a malformed first message voids the sender.
+// own is this player's report, filling the instances no delivered message
+// from itself already did. row and seen are n-entry scratch.
+func tally(slots, row [][]byte, seen []bool, msgs []simnet.Message, me int, own [][]byte) {
+	n := len(row)
+	clear(slots)
+	clear(seen)
+	for _, m := range msgs {
+		if !firstOf(seen, m.From) || decodeInstanceValues(row, m.Payload) != nil {
+			continue // a later message, or a malformed one from a faulty player
+		}
+		for d, v := range row {
+			slots[d*n+m.From] = v
+		}
+	}
+	for d, v := range own {
+		if slots[d*n+me] == nil {
+			slots[d*n+me] = v
+		}
+	}
+}
+
+// plurality returns the most frequent value in vals (nil entries skipped)
+// and its count; the value is one of vals' entries, not a copy. Ties break
+// toward the smallest value by bytes.Compare so all honest players resolve
+// them identically. Each equality class is counted once, from its first
+// member: at most len(vals)² compares, about 2·len(vals) when all agree.
+func plurality(vals [][]byte) (best []byte, bestCnt int) {
+next:
+	for i, v := range vals {
 		if v == nil {
 			continue
 		}
-		counts[string(v)]++
-	}
-	var best string
-	bestCnt := 0
-	for v, c := range counts {
-		if c > bestCnt || (c == bestCnt && v < best) {
-			best, bestCnt = v, c
+		for _, u := range vals[:i] {
+			if u != nil && bytes.Equal(u, v) {
+				continue next // v's class is already counted
+			}
+		}
+		cnt := 1
+		for _, u := range vals[i+1:] {
+			if u != nil && bytes.Equal(u, v) {
+				cnt++
+			}
+		}
+		if cnt > bestCnt || (cnt == bestCnt && bytes.Compare(v, best) < 0) {
+			best, bestCnt = v, cnt
 		}
 	}
-	if bestCnt == 0 {
-		return nil, 0
-	}
-	return []byte(best), bestCnt
-}
-
-// instanceValues accumulates, per instance, the value contributed by each
-// distinct player (at most one per player).
-type instanceValues struct {
-	byInstance [][][]byte
-	seen       []map[int]bool
-}
-
-func collectInstanceValues(n int, msgs []simnet.Message) *instanceValues {
-	iv := &instanceValues{
-		byInstance: make([][][]byte, n),
-		seen:       make([]map[int]bool, n),
-	}
-	for i := range iv.seen {
-		iv.seen[i] = make(map[int]bool)
-	}
-	for from, payload := range simnet.FirstFromEach(msgs) {
-		vals, err := decodeInstanceValues(n, payload)
-		if err != nil {
-			continue // malformed message from a faulty player
-		}
-		iv.add(from, vals)
-	}
-	return iv
-}
-
-func (iv *instanceValues) add(from int, vals [][]byte) {
-	for d, v := range vals {
-		if v == nil || iv.seen[d][from] {
-			continue
-		}
-		iv.seen[d][from] = true
-		iv.byInstance[d] = append(iv.byInstance[d], v)
-	}
+	return best, bestCnt
 }
 
 // encodeInstanceValues frames per-instance values as a sequence of
 // (uint16 instance, uint32 length, bytes) records; nil entries are omitted.
 func encodeInstanceValues(vals [][]byte) []byte {
-	var buf bytes.Buffer
+	size := 0
+	for _, v := range vals {
+		if v != nil {
+			size += 6 + len(v)
+		}
+	}
+	if size == 0 {
+		return nil
+	}
+	buf := make([]byte, 0, size)
 	for d, v := range vals {
 		if v == nil {
 			continue
 		}
-		buf.WriteByte(byte(d))
-		buf.WriteByte(byte(d >> 8))
 		l := len(v)
-		buf.WriteByte(byte(l))
-		buf.WriteByte(byte(l >> 8))
-		buf.WriteByte(byte(l >> 16))
-		buf.WriteByte(byte(l >> 24))
-		buf.Write(v)
+		buf = append(buf, byte(d), byte(d>>8), byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
+		buf = append(buf, v...)
 	}
-	return buf.Bytes()
+	return buf
 }
 
-// decodeInstanceValues parses a frame, rejecting instances ≥ n, duplicate
-// instances and truncated records.
-func decodeInstanceValues(n int, b []byte) ([][]byte, error) {
-	out := make([][]byte, n)
+// decodeInstanceValues parses a frame into out, one entry per instance,
+// rejecting instances ≥ len(out), duplicate instances and truncated
+// records. The values alias b; out's prior contents are cleared.
+func decodeInstanceValues(out [][]byte, b []byte) error {
+	n := len(out)
+	clear(out)
 	for len(b) > 0 {
 		if len(b) < 6 {
-			return nil, fmt.Errorf("gradecast: truncated record header")
+			return fmt.Errorf("gradecast: truncated record header")
 		}
 		d := int(b[0]) | int(b[1])<<8
 		l := int(b[2]) | int(b[3])<<8 | int(b[4])<<16 | int(b[5])<<24
 		b = b[6:]
 		if d >= n || l < 0 || l > len(b) {
-			return nil, fmt.Errorf("gradecast: bad record (instance %d, len %d)", d, l)
+			return fmt.Errorf("gradecast: bad record (instance %d, len %d)", d, l)
 		}
 		if out[d] != nil {
-			return nil, fmt.Errorf("gradecast: duplicate instance %d", d)
+			return fmt.Errorf("gradecast: duplicate instance %d", d)
 		}
 		v := b[:l]
 		if len(v) == 0 {
@@ -202,5 +217,5 @@ func decodeInstanceValues(n int, b []byte) ([][]byte, error) {
 		out[d] = v
 		b = b[l:]
 	}
-	return out, nil
+	return nil
 }

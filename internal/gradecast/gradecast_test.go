@@ -293,9 +293,8 @@ func TestEncodeDecodeInstanceValues(t *testing.T) {
 	vals[0] = []byte("abc")
 	vals[3] = []byte{}
 	vals[4] = []byte{1, 2, 3, 4}
-	enc := encodeInstanceValues(vals)
-	dec, err := decodeInstanceValues(5, enc)
-	if err != nil {
+	dec := make([][]byte, 5)
+	if err := decodeInstanceValues(dec, encodeInstanceValues(vals)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range vals {
@@ -316,23 +315,157 @@ func TestDecodeInstanceValuesRejectsMalformed(t *testing.T) {
 		append(encodeInstanceValues([][]byte{{1}}), encodeInstanceValues([][]byte{{2}})...), // duplicate instance
 	}
 	for i, c := range cases {
-		if _, err := decodeInstanceValues(5, c); err == nil {
+		if err := decodeInstanceValues(make([][]byte, 5), c); err == nil {
 			t.Errorf("case %d: malformed frame accepted", i)
 		}
 	}
 }
 
+// pluralityCases are TestPlurality's rows and FuzzPlurality's seeds.
+var pluralityCases = []struct {
+	name string
+	vals [][]byte
+	want []byte // nil when cnt is 0
+	cnt  int
+}{
+	{"majority", [][]byte{[]byte("a"), []byte("b"), []byte("a"), nil}, []byte("a"), 2},
+	{"no values", nil, nil, 0},
+	{"all nil", [][]byte{nil, nil, nil}, nil, 0},
+	{"single class", [][]byte{[]byte("ab"), []byte("ab"), []byte("ab")}, []byte("ab"), 3},
+	// Ties go to the smallest value by bytes.Compare, whatever the order.
+	{"tie", [][]byte{[]byte("b"), []byte("a")}, []byte("a"), 1},
+	{"tie of pairs", [][]byte{[]byte("c"), []byte("b"), nil, []byte("c"), []byte("b")}, []byte("b"), 2},
+	{"tie with a prefix", [][]byte{[]byte("ab"), []byte("a")}, []byte("a"), 1},
+	// A present empty value is a value, and the smallest one; nil is none.
+	{"empty beats nil", [][]byte{nil, {}, nil}, []byte{}, 1},
+	{"empty wins a tie", [][]byte{[]byte("a"), {}}, []byte{}, 1},
+	{"empty loses a count", [][]byte{{}, []byte("a"), []byte("a")}, []byte("a"), 2},
+}
+
 func TestPlurality(t *testing.T) {
-	v, c := plurality([][]byte{[]byte("a"), []byte("b"), []byte("a"), nil})
-	if string(v) != "a" || c != 2 {
-		t.Errorf("plurality = %q,%d want a,2", v, c)
+	for _, c := range pluralityCases {
+		v, cnt := plurality(c.vals)
+		if cnt != c.cnt || !bytes.Equal(v, c.want) || (v == nil) != (c.want == nil) {
+			t.Errorf("%s: plurality = (%q, %d), want (%q, %d)", c.name, v, cnt, c.want, c.cnt)
+		}
 	}
-	if v, c := plurality(nil); v != nil || c != 0 {
-		t.Errorf("empty plurality = %q,%d", v, c)
+}
+
+// TestTallyFirstMessagePerSender pins how rounds 2 and 3 read a round: a
+// sender's first message is its only one, a malformed first message voids
+// the sender, a player's own echo counts exactly once and an instance a
+// sender left out of its frame is not seen. n = 4 and t = 1, so a value
+// needs 3 round-2 echoes for support, and 3 (2) round-3 votes for
+// confidence 2 (1). Player 3 deals instance 3 and follows a script; the
+// honest players 0–2 report their output for instance 3, which must be a
+// copy, not the dealt slice.
+func TestTallyFirstMessagePerSender(t *testing.T) {
+	const n, tf = 4, 1
+	frame := func(v []byte) []byte {
+		vals := make([][]byte, n)
+		vals[3] = v
+		return encodeInstanceValues(vals)
 	}
-	// Deterministic tie-break: lexicographically smallest.
-	v, _ = plurality([][]byte{[]byte("b"), []byte("a")})
-	if string(v) != "a" {
-		t.Errorf("tie-break = %q, want a", v)
+	b, a, empty := []byte("b"), []byte("a"), []byte{}
+	none := Output{}
+	// script[r][j] is what player 3 sends player j in round r+1, in order.
+	type script [3][n - 1][][]byte
+	cases := []struct {
+		name string
+		s    script
+		want [n - 1]Output
+	}{
+		{
+			// Every honest player tallies b from 0, 1 and 3 (first message),
+			// and a from 2 and 3's ignored second message.
+			name: "second different message ignored",
+			s: script{
+				{{b}, {b}, {a}},
+				{{frame(b), frame(a)}, {frame(b), frame(a)}, {frame(b), frame(a)}},
+			},
+			want: [n - 1]Output{{b, 2}, {b, 2}, {b, 2}},
+		},
+		{
+			// With 3 voided, b has only 2 echoes anywhere; falling back to
+			// 3's second message would give it 3.
+			name: "malformed first message voids the sender",
+			s: script{
+				{{b}, {b}, {a}},
+				{{{0x01}, frame(b)}, {{0x01}, frame(b)}, {{0x01}, frame(b)}},
+			},
+			want: [n - 1]Output{none, none, none},
+		},
+		{
+			// Only player 0 reaches 3 echoes of b (its own, 1's and 3's) and
+			// supports b; its final tally is its own vote and 3's, so one
+			// confidence-1 output. An own echo counted twice would make it 2,
+			// one left out would make it 0.
+			name: "own echo counts once",
+			s: script{
+				{{b}, {b}, {a}},
+				{{frame(b)}, {frame(a)}, {frame(a)}},
+				{{frame(b)}, nil, nil},
+			},
+			want: [n - 1]Output{{b, 1}, none, none},
+		},
+		{
+			// 3 deals the empty value to 0 and 1 only, and its own echo
+			// frame leaves instance 3 out: 2 echoes of the empty value.
+			name: "omitted instance stays unseen",
+			s: script{
+				{{empty}, {empty}, nil},
+				{{frame(nil)}, {frame(nil)}, {frame(nil)}},
+			},
+			want: [n - 1]Output{none, none, none},
+		},
+		{
+			name: "present empty value counts",
+			s: script{
+				{{empty}, {empty}, {empty}},
+				{{frame(empty)}, {frame(empty)}, {frame(empty)}},
+			},
+			want: [n - 1]Output{{empty, 2}, {empty, 2}, {empty, 2}},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fns := make([]simnet.PlayerFunc, n)
+			for i := 0; i < n-1; i++ {
+				fns[i] = func(nd *simnet.Node) (interface{}, error) {
+					outs, err := RunAll(nd, tf, []byte{byte(nd.Index())})
+					if err != nil {
+						return nil, err
+					}
+					return outs[3], nil
+				}
+			}
+			fns[3] = func(nd *simnet.Node) (interface{}, error) {
+				for _, round := range c.s {
+					for j, msgs := range round {
+						for _, m := range msgs {
+							nd.Send(j, m)
+						}
+					}
+					if _, err := nd.EndRound(); err != nil {
+						return nil, err
+					}
+				}
+				return nil, nil
+			}
+			for i, r := range simnet.Run(simnet.New(n), fns)[:n-1] {
+				if r.Err != nil {
+					t.Fatalf("player %d: %v", i, r.Err)
+				}
+				got := r.Value.(Output)
+				if got.Confidence != c.want[i].Confidence || !bytes.Equal(got.Value, c.want[i].Value) ||
+					(got.Value == nil) != (c.want[i].Value == nil) {
+					t.Errorf("player %d: got (%q, %d), want (%q, %d)",
+						i, got.Value, got.Confidence, c.want[i].Value, c.want[i].Confidence)
+				}
+				if len(got.Value) > 0 && (&got.Value[0] == &b[0] || &got.Value[0] == &a[0]) {
+					t.Errorf("player %d: output aliases the dealt value", i)
+				}
+			}
+		})
 	}
 }

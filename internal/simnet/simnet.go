@@ -634,6 +634,17 @@ func FirstFromEach(msgs []Message) map[int][]byte {
 	return out
 }
 
+// FirstFrom returns the payload of the first message from sender in msgs,
+// and whether there is one: FirstFromEach(msgs)[sender] without the map.
+func FirstFrom(msgs []Message, sender int) ([]byte, bool) {
+	for _, m := range msgs {
+		if m.From == sender {
+			return m.Payload, true
+		}
+	}
+	return nil, false
+}
+
 // PlayerFunc is one player's protocol code. It may return a protocol output
 // and an error; the orchestrator halts the player's node when it returns.
 type PlayerFunc func(nd *Node) (interface{}, error)

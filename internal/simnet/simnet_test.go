@@ -310,6 +310,12 @@ func TestFirstFromEach(t *testing.T) {
 	if len(m) != 2 || string(m[2]) != "a" || string(m[0]) != "c" {
 		t.Fatalf("FirstFromEach = %v", m)
 	}
+	for from := 0; from < 3; from++ {
+		want, wantOK := m[from]
+		if got, ok := FirstFrom(msgs, from); ok != wantOK || string(got) != string(want) {
+			t.Errorf("FirstFrom(%d) = %q, %v; FirstFromEach has %q, %v", from, got, ok, want, wantOK)
+		}
+	}
 }
 
 func TestSendValidation(t *testing.T) {

@@ -191,7 +191,7 @@ func Deal(nd *simnet.Node, cfg Config, dealer int, secrets []gf2k.Element, rnd i
 		return nil, fmt.Errorf("vss: deal round: %w", err)
 	}
 	if nd.Index() != dealer {
-		payload, ok := simnet.FirstFromEach(msgs)[dealer]
+		payload, ok := simnet.FirstFrom(msgs, dealer)
 		if ok {
 			elemSize := cfg.Field.ByteLen()
 			if len(payload) >= elemSize && len(payload)%elemSize == 0 {
