@@ -27,6 +27,12 @@ import (
 // ErrExhausted is returned when a batch has no unexposed coins left.
 var ErrExhausted = errors.New("coin: batch exhausted")
 
+// ErrShortRound is returned, wrapped with the counts, when an exposure
+// round yields fewer well-formed share vectors than the T+1 a degree-T
+// decode needs. Players exposing different numbers of coins in one round
+// read each other's vectors as the wrong length, which ends here.
+var ErrShortRound = errors.New("coin: too few well-formed share vectors")
+
 // Source yields sealed shared coins, exposed in lockstep: every honest
 // player calls Expose in the same network round and obtains the same
 // element. Implementations may consume network rounds.
@@ -276,9 +282,9 @@ func (b *Batch) scratchFor(nd *simnet.Node) (*scratch, error) {
 // IDs of S, in S-order — and one decoder set-up: the cached interpolation
 // domain is resolved once per round, shared by all coins of the batch and
 // by consecutive batches with the same S. Each coordinate is then decoded
-// on its own, deterministically (candidate through the first t+1 points,
-// disagreement scan, Berlekamp–Welch solve only when the scan fails), so
-// every honest player outputs the same k coins whatever ≤ t members sent.
+// on its own, deterministically (the fault-free check of bw's DecodeSecret,
+// Berlekamp–Welch solve only when it fails), so every honest player outputs
+// the same k coins whatever ≤ t members sent.
 func (b *Batch) exposeRange(nd *simnet.Node, h int, out []gf2k.Element) error {
 	sp := nd.Tracer().Start(nd.Index(), nd.Round(), obs.KindPhase, "coin-expose")
 	defer func() { sp.End(nd.Round()) }()
@@ -336,17 +342,20 @@ func (b *Batch) exposeRange(nd *simnet.Node, h int, out []gf2k.Element) error {
 		xs = append(xs, sc.sids[i])
 	}
 
+	if len(xs) < b.T+1 {
+		return fmt.Errorf("%w: coins %d..%d: %d well-formed, %d needed", ErrShortRound, h, h+k-1, len(xs), b.T+1)
+	}
 	// The error budget adapts to the shares actually received: silent
 	// faulty members of S shrink the point list and the possible lies alike.
 	if err := sc.dec.Reset(b.Field, xs, b.T, bw.AdaptiveBudget(len(xs), b.T), b.Counters, b.Pool); err != nil {
 		return fmt.Errorf("coin: expose coin %d: %w", h, err)
 	}
 	for j := range out {
-		res, err := sc.dec.Decode(ys[j*stride : j*stride+len(xs)])
+		v, err := sc.dec.DecodeSecret(ys[j*stride : j*stride+len(xs)])
 		if err != nil {
 			return fmt.Errorf("coin: expose coin %d: %w", h+j, err)
 		}
-		out[j] = poly.Eval(b.Field, res.Poly, 0)
+		out[j] = v
 		nd.Tracer().CoinExposed(nd.Index(), h+j, uint64(out[j]), nd.Round())
 	}
 	return nil

@@ -49,15 +49,16 @@ func dealMintSeeds(tb testing.TB, k int) []*coin.Batch {
 
 // TestMintAllocationBudget guards Coin-Gen's hot path against the
 // allocator, all 13 players of a mint counted together. A mint makes about
-// 2 700 allocations and allocates 1.5 MB; Bit-Gen's decoding and element
-// reads are the largest sources left (EXPERIMENTS.md E29).
+// 2 360 allocations and allocates 1.5 MB; element reads, the consistency
+// graph and message copies are the largest sources left (EXPERIMENTS.md
+// E29, E30).
 func TestMintAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const (
 		mints     = 4
-		maxAllocs = 4000
+		maxAllocs = 2500
 		maxBytes  = 2.0e6
 	)
 	seeds := dealMintSeeds(t, 1+mints)

@@ -35,10 +35,11 @@ import (
 // Interpolation is a set of dot products against the cached coefficients
 // (gf2k.Field.Dot: one reduction per output, not one per product), so the
 // weights never need multiplier tables. Only the cached universes IDDomain
-// hands out own fixed-operand multipliers, one per point, each built on
-// first use by EvalAt: n × ⌈k/8⌉ × 2 KiB once all are built (56 KiB at
-// n = 7, k = 32). Prefix sub-domains, DomainFor domains and uncached
-// domains never build any, so cache churn cannot retain tables.
+// hands out own fixed-operand multipliers: one per point, each built on
+// first use by EvalAt, n × ⌈k/8⌉ × 2 KiB once all are built (56 KiB at
+// n = 7, k = 32); and, per degree t asked for, the (t+1)(n−t) of a Parity
+// check. Prefix sub-domains, DomainFor domains and uncached domains never
+// build any, so cache churn cannot retain tables.
 type Domain struct {
 	f  gf2k.Field
 	xs []gf2k.Element
@@ -49,9 +50,11 @@ type Domain struct {
 	// of the values with coef[j], and coef[0] holds the Lagrange-at-zero
 	// coefficients L_i(0).
 	coef [][]gf2k.Element
-	// at[i] lazily holds the multiplier for xs[i]; nil except on IDDomain
+	// at[i] lazily holds the multiplier for xs[i], and parity[t] the
+	// degree-t fault-free check (see Parity); both nil except on IDDomain
 	// universes.
-	at []pointMultiplier
+	at     []pointMultiplier
+	parity []parityCheck
 
 	mu       sync.Mutex
 	prefixes map[int]*Domain // lazily built sub-domains over xs[:m]
@@ -350,6 +353,7 @@ func cachedDomain(f gf2k.Field, xs []gf2k.Element, ctr *metrics.Counters, univer
 	}
 	if universe {
 		d.at = make([]pointMultiplier, len(xs))
+		d.parity = make([]parityCheck, len(xs))
 	}
 	domainCache[string(key)] = d
 	return d, nil
@@ -380,9 +384,10 @@ func IDDomain(f gf2k.Field, n int, ctr *metrics.Counters) (*Domain, error) {
 	return cachedDomain(f, xs, ctr, true)
 }
 
-// cachedUniverse returns the IDDomain universe over exactly the points xs
-// if one is cached already, and nil otherwise; it never builds one.
-func cachedUniverse(f gf2k.Field, xs []gf2k.Element) *Domain {
+// CachedUniverse returns the IDDomain universe over exactly the points xs
+// if one is cached already, and nil otherwise; it never builds one, so no
+// point list a caller receives can make tables appear.
+func CachedUniverse(f gf2k.Field, xs []gf2k.Element) *Domain {
 	for i, x := range xs {
 		if x != gf2k.Element(i+1) {
 			return nil

@@ -53,8 +53,8 @@ func TestEvalAtMatchesEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cachedUniverse(f, uni.Xs()) != uni || cachedUniverse(f, uni.Xs()[1:]) != nil {
-			t.Fatalf("k=%d: cachedUniverse does not identify the universe by its points", k)
+		if CachedUniverse(f, uni.Xs()) != uni || CachedUniverse(f, uni.Xs()[1:]) != nil {
+			t.Fatalf("k=%d: CachedUniverse does not identify the universe by its points", k)
 		}
 		for i, y := range EvalMany(f, p, uni.Xs()) {
 			if want := Eval(f, p, uni.Xs()[i]); y != want {
@@ -65,8 +65,9 @@ func TestEvalAtMatchesEval(t *testing.T) {
 }
 
 // TestUniverseMultipliersBuiltOnce races the first use of every point's
-// multiplier from many goroutines: each table must be built exactly once
-// (every goroutine sees the same one), with no data race under -race.
+// multiplier, and of each degree's parity rows, from many goroutines: each
+// must be built exactly once (every goroutine sees the same one), with no
+// data race under -race.
 func TestUniverseMultipliersBuiltOnce(t *testing.T) {
 	var ctr metrics.Counters // a private sink makes this universe a fresh cache entry
 	f := gf2k.MustNew(31).WithCounters(&ctr)
@@ -77,6 +78,7 @@ func TestUniverseMultipliersBuiltOnce(t *testing.T) {
 	}
 	p := Poly{3, 1, 4, 1, 5}
 	seen := make([][]*gf2k.Multiplier, workers)
+	parity := make([][]*Parity, workers)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -93,6 +95,13 @@ func TestUniverseMultipliersBuiltOnce(t *testing.T) {
 			for i := range uni.at {
 				seen[g] = append(seen[g], uni.at[i].m)
 			}
+			for deg := 0; deg < n; deg++ {
+				par := uni.Parity((deg + g) % n)
+				if s, ok := par.Secret(EvalMany(f, p[:1], uni.xs), nil); !ok || s != p[0] {
+					t.Errorf("worker %d degree %d: constant word read (%#x, %v)", g, (deg+g)%n, s, ok)
+				}
+				parity[g] = append(parity[g], par)
+			}
 		}(g)
 	}
 	close(start)
@@ -101,6 +110,11 @@ func TestUniverseMultipliersBuiltOnce(t *testing.T) {
 		for i, m := range seen[g] {
 			if m == nil || m != seen[0][i] {
 				t.Fatalf("worker %d saw multiplier %p for point %d, worker 0 saw %p", g, m, i, seen[0][i])
+			}
+		}
+		for i, par := range parity[g] {
+			if deg := (i + g) % n; par == nil || par != uni.Parity(deg) {
+				t.Fatalf("worker %d saw parity rows %p for degree %d, now %p", g, par, deg, uni.Parity(deg))
 			}
 		}
 	}
@@ -143,15 +157,15 @@ func TestDomainChurnRetainsNoMultipliers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.at != nil || sub.at != nil {
-			t.Fatalf("domain %d holds multiplier slots (domain %v, prefix %v)", c, d.at != nil, sub.at != nil)
+		if d.at != nil || sub.at != nil || d.Parity(1) != nil {
+			t.Fatalf("domain %d holds multiplier slots (domain %v, prefix %v) or parity rows", c, d.at != nil, sub.at != nil)
 		}
 	}
 	late, err := IDDomain(f, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if late.at != nil || cachedUniverse(f, late.xs) != nil {
+	if late.at != nil || late.Parity(1) != nil || CachedUniverse(f, late.xs) != nil {
 		t.Fatal("a universe built after the cache filled must stay uncached and table-free")
 	}
 	if got, want := late.EvalAt(p, 4), Eval(f, p, 5); got != want {
@@ -184,5 +198,46 @@ func TestDomainDotProductAccounting(t *testing.T) {
 	}
 	if c := metrics.Diff(before, ctr.Snapshot()); c.FieldMuls != 5*n || c.FieldAdds != 5*n || c.FieldInvs != 0 || c.Interpolations != 1 {
 		t.Fatalf("Interpolate cost %+v, want %d muls, %d adds, 1 interpolation", c, 5*n, 5*n)
+	}
+}
+
+// TestParityRows: a universe builds each degree's check once; a word
+// failing a row is charged only the rows read up to it; and at degree n−1,
+// with no rows at all, the check is InterpolateAt0 over the whole universe.
+func TestParityRows(t *testing.T) {
+	var ctr metrics.Counters
+	f := gf2k.MustNew(32).WithCounters(&ctr)
+	const n, deg = 7, 2
+	uni, err := IDDomain(f, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := uni.Parity(deg)
+	if par == nil || uni.Parity(deg) != par || uni.Parity(-1) != nil || uni.Parity(n) != nil {
+		t.Fatal("Parity is not one memoized check per degree in [0, n)")
+	}
+	p := Poly{11, 22, 33}
+	ys := EvalMany(f, p, uni.Xs())
+	before := ctr.Snapshot()
+	if s, ok := par.Secret(ys, &ctr); !ok || s != p[0] {
+		t.Fatalf("codeword: Secret = %#x, %v; want %#x, true", s, ok, p[0])
+	}
+	if c := metrics.Diff(before, ctr.Snapshot()); c.FieldMuls != (deg+1)*(n-deg) || c.FieldAdds != c.FieldMuls || c.Interpolations != 1 {
+		t.Fatalf("codeword cost %+v, want %d muls and adds, 1 interpolation", c, (deg+1)*(n-deg))
+	}
+	ys[deg+2] ^= 1 // fails the second row
+	before = ctr.Snapshot()
+	if _, ok := par.Secret(ys, &ctr); ok {
+		t.Fatal("a corrupted word passed the check")
+	}
+	if c := metrics.Diff(before, ctr.Snapshot()); c.FieldMuls != 2*(deg+1) || c.Interpolations != 1 {
+		t.Fatalf("word failing row 2 cost %+v, want %d muls, 1 interpolation", c, 2*(deg+1))
+	}
+	want, err := uni.InterpolateAt0(ys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := uni.Parity(n-1).Secret(ys, nil); !ok || s != want {
+		t.Fatalf("degree n−1: Secret = %#x, %v; InterpolateAt0 = %#x", s, ok, want)
 	}
 }

@@ -14,6 +14,14 @@
 // (internal/bw, and through it vss, bitgen, coingen, coin) interpolates
 // over the fixed player IDs 1..n every round and uses the cached path.
 //
+// Only the universes IDDomain caches over the IDs 1..n own fixed-operand
+// multiplier tables (gf2k.Multiplier, ⌈k/8⌉ × 2 KiB each, 8 KiB at
+// k = 32), all built on first use: one per point for EvalAt, and per
+// degree t the (t+1)(n−t) of the fault-free Parity check, 12 × 8 KiB at
+// n = 7, t = 1 and 33 × 8 KiB at n = 13, t = 2. CachedUniverse finds a
+// universe without building one; DomainFor domains, prefix sub-domains and
+// uncached domains own no tables.
+//
 // Every function documents its cost in the units internal/metrics tracks:
 // field multiplications/additions/inversions and "interpolations" (the
 // paper's basic-step unit).
@@ -68,7 +76,7 @@ func Eval(f gf2k.Field, p Poly, x gf2k.Element) gf2k.Element {
 // its fixed-operand multipliers (Domain.EvalAt).
 func EvalMany(f gf2k.Field, p Poly, xs []gf2k.Element) []gf2k.Element {
 	out := make([]gf2k.Element, len(xs))
-	if d := cachedUniverse(f, xs); d != nil {
+	if d := CachedUniverse(f, xs); d != nil {
 		for i := range xs {
 			out[i] = d.EvalAt(p, i)
 		}
